@@ -27,9 +27,9 @@ from .boundary import (
     ConstantPointRule,
     ConstantTail,
     EscapingTail,
-    EvPeriodic,
     HeadOnlyTail,
     SequenceDescription,
+    _ev_periodic_from_token,
     converges,
     path_from_line,
     point_from_token,
@@ -483,21 +483,17 @@ def run_battery(cfg, only: str | None = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigError(f"{where}.{key}: missing")
+    return obj[key]
+
+
 def _point_rule_from_obj(obj) -> ConstantPointRule | ApproachPointRule:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return ConstantPointRule(point_from_token(obj["point"]))
-    if kind == "approach":
-        return ApproachPointRule(point_from_token(obj["point"]))
-    raise ConfigError(f"sequence.z_rule.kind: unknown kind {kind!r}")
-
-
-def _ev_from_str(s: str) -> EvPeriodic:
-    head, _, cycle = s.partition("|")
-    return EvPeriodic(
-        tuple(int(v) for v in head.split(",") if v),
-        tuple(int(v) for v in cycle.split(",") if v),
-    )
+    rule = {"constant": ConstantPointRule, "approach": ApproachPointRule}.get(obj.get("kind"))
+    if rule is None:
+        raise ConfigError(f"sequence.z_rule.kind: unknown kind {obj.get('kind')!r}")
+    return rule(point_from_token(_required(obj, "point", "sequence.z_rule")))
 
 
 def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
@@ -513,20 +509,27 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise ConfigError("sequence.tail: expected an object with a 'kind'")
     kind = tail_obj["kind"]
+
+    def field(key: str):
+        return _required(tail_obj, key, "sequence.tail")
+
     if kind == "constant":
-        tail = ConstantTail(path_from_line(tail_obj["path"], graph))
+        tail = ConstantTail(path_from_line(field("path"), graph))
     elif kind == "escaping":
         tail = EscapingTail(
-            path_from_line(tail_obj["prefix"], graph),
-            point_from_token(tail_obj["x_last"]),
+            path_from_line(field("prefix"), graph),
+            point_from_token(field("x_last")),
             tail_obj.get("x_box", 0),
             tail_obj.get("rep_start", 0),
         )
     elif kind == "base-point":
-        idx_raw = tail_obj["idx"]
-        idx = _ev_from_str(idx_raw) if "|" in idx_raw else tuple(int(v) for v in idx_raw.split(",") if v)
+        idx_raw = field("idx")
+        if "|" in idx_raw:
+            idx = _ev_periodic_from_token(idx_raw)
+        else:
+            idx = tuple(int(v) for v in idx_raw.split(",") if v)
         x_last = point_from_token(tail_obj["x_last"]) if "x_last" in tail_obj else None
-        tail = BasePointTail(graph, _point_rule_from_obj(tail_obj["z_rule"]), idx, x_last)
+        tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule")), idx, x_last)
     elif kind == "head-only":
         tail = HeadOnlyTail()
     else:

@@ -618,12 +618,14 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
     for i in range(samples):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
         pairs = isotropy_search(mu, bound)
-        if pairs:
+        # the report holds the first 8 hits; a hit at bound 320 can carry
+        # tens of thousands of pairs, so keep no more than those
+        if pairs and len(hits) < 8:
             hits.append((mu, tuple(pairs)))
         if isinstance(graph, ModelGraph):
             if not isotropy_reduction(mu, bound).ok:
                 reductions_ok = False
-    return PrincipalityReport(samples, bound, seed, tuple(hits[:8]), reductions_ok)
+    return PrincipalityReport(samples, bound, seed, tuple(hits), reductions_ok)
 
 
 # ---------------------------------------------------------------------------

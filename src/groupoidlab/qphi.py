@@ -1,39 +1,33 @@
 """Exact arithmetic in Q(phi), phi the golden ratio.
 
-Numbers are stored as ``p + q*phi`` with rational coefficients.  Since
-``phi**2 = phi + 1`` this set is a ring, and because ``2*(p + q*phi) =
-(2p + q) + q*sqrt(5)`` with ``sqrt(5)`` irrational, signs, floors and
-reductions mod 1 are decidable by pure integer arithmetic.  No floating
-point is used anywhere in this module.
+A number ``(a + b*phi)/d`` is stored as a reduced integer triple
+``(a, b, d)`` with ``d > 0`` and ``gcd(a, b, d) = 1``, so each value has
+exactly one representation.  Since ``phi**2 = phi + 1`` this set is a
+ring, and because ``2*(a + b*phi) = (2a + b) + b*sqrt(5)`` with
+``sqrt(5)`` irrational, signs, floors and reductions mod 1 are decidable
+by pure integer arithmetic.  The rational coefficients ``p = a/d`` and
+``q = b/d`` of ``p + q*phi`` are available as ``Fraction`` views.  No
+floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_pq(p: Fraction, q: Fraction) -> int:
-    # integer-only core: with p = a/b, q = c/d (b, d > 0), the sign of
-    # p + q*phi is the sign of (2ad + bc) + bc*sqrt(5)
-    a, b = p.numerator, p.denominator
-    c, d = q.numerator, q.denominator
-    if c == 0:
+def _sign_ab(a: int, b: int) -> int:
+    # the sign of a + b*phi is the sign of (2a + b) + b*sqrt(5)
+    if b == 0:
         return (a > 0) - (a < 0)
-    t = 2 * a * d + b * c
-    s = b * c
-    if s > 0:
+    t = 2 * a + b
+    if b > 0:
         if t >= 0:
             return 1
-        return 1 if t * t < 5 * s * s else -1
+        return 1 if t * t < 5 * b * b else -1
     if t <= 0:
         return -1
-    return -1 if t * t < 5 * s * s else 1
+    return -1 if t * t < 5 * b * b else 1
 
 
 def qphi_sign(p, q) -> int:
@@ -45,26 +39,54 @@ def qphi_sign(p, q) -> int:
     settles it.  Equality of the squares would force ``sqrt(5)`` to be
     rational, so it only occurs at ``p = q = 0``.
     """
-    return _sign_pq(Fraction(p), Fraction(q))
+    p, q = Fraction(p), Fraction(q)
+    # scale by the positive common denominator of p and q
+    return _sign_ab(p.numerator * q.denominator, q.numerator * p.denominator)
 
 
-@total_ordering
+def _triple(a: int, b: int, d: int) -> "QPhi":
+    """The QPhi ``(a + b*phi)/d`` for a triple already in reduced form."""
+    x = object.__new__(QPhi)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> "QPhi":
+    """The QPhi ``(a + b*phi)/d`` for any ``d > 0``."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
+
+
 class QPhi:
-    """An element ``p + q*phi`` of Q(phi) with exact rational coefficients."""
+    """An element ``p + q*phi`` of Q(phi), held as ``(a + b*phi)/d``."""
 
-    __slots__ = ("_p", "_q")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, p=0, q=0) -> None:
-        self._p = p if type(p) is Fraction else Fraction(p)
-        self._q = q if type(q) is Fraction else Fraction(q)
+        if type(p) is int and type(q) is int:
+            self._a, self._b, self._d = p, q, 1
+            return
+        p, q = Fraction(p), Fraction(q)
+        pd, qd = p.denominator, q.denominator
+        # over the lcm of two reduced denominators gcd(a, b, d) is already 1
+        d = pd * qd // gcd(pd, qd)
+        self._a = p.numerator * (d // pd)
+        self._b = q.numerator * (d // qd)
+        self._d = d
 
     @property
     def p(self) -> Fraction:
-        return self._p
+        return Fraction(self._a, self._d)
 
     @property
     def q(self) -> Fraction:
-        return self._q
+        return Fraction(self._b, self._d)
 
     @classmethod
     def coerce(cls, value) -> "QPhi":
@@ -73,43 +95,64 @@ class QPhi:
         return cls(value, 0)
 
     def __repr__(self) -> str:
-        if self._q == 0:
-            return f"QPhi({self._p})"
-        return f"QPhi({self._p}, {self._q})"
+        if self._b == 0:
+            return f"QPhi({self.p})"
+        return f"QPhi({self.p}, {self.q})"
 
     def __str__(self) -> str:
-        if self._q == 0:
-            return str(self._p)
-        return f"{self._p}+{self._q}phi"
+        if self._b == 0:
+            return str(self.p)
+        return f"{self.p}+{self.q}phi"
 
     def __hash__(self) -> int:
-        return hash((self._p, self._q))
+        return hash((self._a, self._b, self._d))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QPhi(other)
         if not isinstance(other, QPhi):
             return NotImplemented
-        return self._p == other._p and self._q == other._q
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
-    def __lt__(self, other) -> bool:
+    def _cmp(self, other):
+        """Sign of ``self - other``; None when ``other`` is not a number here."""
         if isinstance(other, (int, Fraction)):
             other = QPhi(other)
-        if not isinstance(other, QPhi):
-            return NotImplemented
-        return _sign_pq(self._p - other._p, self._q - other._q) < 0
+        elif not isinstance(other, QPhi):
+            return None
+        d1, d2 = self._d, other._d
+        return _sign_ab(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1)
+
+    def __lt__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s < 0
+
+    def __le__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s <= 0
+
+    def __gt__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s > 0
+
+    def __ge__(self, other) -> bool:
+        s = self._cmp(other)
+        return NotImplemented if s is None else s >= 0
 
     def sign(self) -> int:
-        return _sign_pq(self._p, self._q)
+        return _sign_ab(self._a, self._b)
 
     def __add__(self, other) -> "QPhi":
         other = QPhi.coerce(other)
-        return QPhi(self._p + other._p, self._q + other._q)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPhi":
-        return QPhi(-self._p, -self._q)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "QPhi":
         return self + (-QPhi.coerce(other))
@@ -118,42 +161,42 @@ class QPhi:
         return QPhi.coerce(other) + (-self)
 
     def __mul__(self, other) -> "QPhi":
-        # (p1 + q1*phi)(p2 + q2*phi), using phi**2 = phi + 1
+        # (a1 + b1*phi)(a2 + b2*phi), using phi**2 = phi + 1
         other = QPhi.coerce(other)
-        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
-        return QPhi(p1 * p2 + q1 * q2, p1 * q2 + q1 * p2 + q1 * q2)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QPhi":
         # division by a rational scalar only; enough for midpoints etc.
         other = Fraction(other)
-        return QPhi(self._p / other, self._q / other)
+        n, m = other.numerator, other.denominator
+        if n == 0:
+            raise ZeroDivisionError("QPhi division by zero")
+        if n < 0:
+            n, m = -n, -m
+        return _reduced(self._a * m, self._b * m, self._d * n)
 
     def __floor__(self) -> int:
-        # With p = a/b and q = c/d: 2bd*(p + q*phi) = (2ad + bc) + bc*sqrt5.
-        # floor(S*sqrt5) = isqrt(5*S*S) for S >= 0; 5*S*S is never a
-        # perfect square for S != 0, which settles the S < 0 case too.
-        a, b = self._p.numerator, self._p.denominator
-        c, d = self._q.numerator, self._q.denominator
-        m = 2 * b * d
-        big_r = 2 * a * d + b * c
-        big_s = b * c
-        if big_s >= 0:
-            t = big_r + isqrt(5 * big_s * big_s)
-        else:
-            t = big_r - isqrt(5 * big_s * big_s) - 1
-        return t // m
+        # 2d*x = (2a + b) + b*sqrt5.  floor(b*sqrt5) = isqrt(5*b*b) for
+        # b >= 0; 5*b*b is never a perfect square for b != 0, which
+        # settles the b < 0 case too.
+        a, b = self._a, self._b
+        r = isqrt(5 * b * b)
+        t = 2 * a + b + (r if b >= 0 else -r - 1)
+        return t // (2 * self._d)
 
     def mod1(self) -> "QPhi":
         """Reduce into the fundamental domain [0, 1) of the circle."""
         n = self.__floor__()
         if n == 0:
             return self
-        return QPhi(self._p - n, self._q)
+        # subtracting an integer keeps gcd(a, b, d) = 1
+        return _triple(self._a - n * self._d, self._b, self._d)
 
     def is_rational(self) -> bool:
-        return self._q == 0
+        return self._b == 0
 
 
 #: phi itself and the golden rotation angle phi - 1 = 1/phi.

@@ -1,11 +1,12 @@
 """Exact space backends and the vetted free minimal systems.
 
 Points carry canonical exact representations (golden-field circle
-values, eventually periodic 2-adic bit streams, finite indices, pairs),
-so equality is decidable and every metric comparison against a rational
-threshold is exact.  Open sets are finite unions of "boxes" (arcs,
-cylinders, finite index sets and products of those), which are closed
-under intersection and under translation by the dynamics.
+values, 2-adic integers held as odd-denominator rationals and read as
+eventually periodic bit streams, finite indices, pairs), so equality is
+decidable and every metric comparison against a rational threshold is
+exact.  Open sets are finite unions of "boxes" (arcs, cylinders, finite
+index sets and products of those), which are closed under intersection
+and under translation by the dynamics.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qphi import GOLDEN_ANGLE, QPhi
+
+# PadicPoint blocks attribute assignment; it sets its own slots through this
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # points
@@ -52,63 +56,115 @@ def _canon_ev_periodic(head, cycle):
     return head, cycle
 
 
-@dataclass(frozen=True)
 class PadicPoint:
-    """A rational 2-adic integer as an eventually periodic bit stream.
+    """A rational 2-adic integer, seen as an eventually periodic bit stream.
 
-    ``pre + per*per*...`` read least-significant-bit first; the stored
-    pair is canonical (primitive period, minimal preperiod), so equality
-    of points is equality of representations.
+    Outside, a point is ``pre + per*per*...`` read least-significant-bit
+    first, with a canonical pair (primitive period, minimal preperiod).
+    Inside, it is held as its rational value ``num/den`` in lowest terms
+    with ``den`` odd and positive, so equality and hashing compare two
+    integers and an odometer step is one integer addition.  The bit
+    pair is derived from ``num/den`` on first use and then kept.
+    Points are immutable.
     """
 
-    pre: tuple[int, ...]
-    per: tuple[int, ...]
+    __slots__ = ("num", "den", "_digits")
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.pre + self.per):
+    def __init__(self, pre, per):
+        pre, per = tuple(pre), tuple(per)
+        if any(b not in (0, 1) for b in pre + per):
             raise ValueError("bits must be 0 or 1")
-        pre, per = _canon_ev_periodic(self.pre, self.per)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "per", per)
-
-    def bit(self, i: int) -> int:
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
-    def bits(self, n: int) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(n))
-
-    def to_fraction(self) -> Fraction:
-        p_val = sum(b << i for i, b in enumerate(self.pre))
-        w = sum(b << i for i, b in enumerate(self.per))
-        m = len(self.pre)
-        big_l = len(self.per)
-        return p_val - Fraction((1 << m) * w, (1 << big_l) - 1)
+        if not per:
+            raise ValueError("cycle must be non-empty")
+        # the value is pre + 2^m * w/(1 - 2^L), where w is the value of
+        # the period, m = len(pre) and L = len(per)
+        p_val = sum(b << i for i, b in enumerate(pre))
+        w = sum(b << i for i, b in enumerate(per))
+        den = (1 << len(per)) - 1
+        num = p_val * den - (w << len(pre))
+        g = math.gcd(num, den)
+        _set(self, "num", num // g)
+        _set(self, "den", den // g)
 
     @staticmethod
-    def from_fraction(x: Fraction) -> "PadicPoint":
-        x = Fraction(x)
-        den = x.denominator
-        if den % 2 == 0:
-            raise ValueError("only 2-adic integers (odd denominator) are representable")
+    def _from_rational(num: int, den: int) -> "PadicPoint":
+        # num/den must already be in lowest terms with den odd and positive
+        x = object.__new__(PadicPoint)
+        _set(x, "num", num)
+        _set(x, "den", den)
+        return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadicPoint is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PadicPoint is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PadicPoint):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"PadicPoint(pre={self.pre!r}, per={self.per!r})"
+
+    def __reduce__(self):
+        return PadicPoint._from_rational, (self.num, self.den)
+
+    def _pre_per(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        try:
+            return self._digits
+        except AttributeError:
+            pass
         # digit extraction keeps the (odd) denominator fixed, so the state
         # is just the numerator; the walk is eventually periodic and the
         # first repeat gives the canonical minimal representation
         seen: dict[int, int] = {}
         bits: list[int] = []
-        num = x.numerator
+        num, den = self.num, self.den
         while num not in seen:
             seen[num] = len(bits)
             b = num & 1
             bits.append(b)
             num = (num - b * den) >> 1
         i = seen[num]
-        return PadicPoint(tuple(bits[:i]), tuple(bits[i:]))
+        digits = (tuple(bits[:i]), tuple(bits[i:]))
+        _set(self, "_digits", digits)
+        return digits
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        return self._pre_per()[0]
+
+    @property
+    def per(self) -> tuple[int, ...]:
+        return self._pre_per()[1]
+
+    def bit(self, i: int) -> int:
+        pre, per = self._pre_per()
+        if i < len(pre):
+            return pre[i]
+        return per[(i - len(pre)) % len(per)]
+
+    def bits(self, n: int) -> tuple[int, ...]:
+        return tuple(self.bit(i) for i in range(n))
+
+    def to_fraction(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @staticmethod
+    def from_fraction(x: Fraction) -> "PadicPoint":
+        x = Fraction(x)
+        if x.denominator % 2 == 0:
+            raise ValueError("only 2-adic integers (odd denominator) are representable")
+        return PadicPoint._from_rational(x.numerator, x.denominator)
 
     @staticmethod
     def from_int(n: int) -> "PadicPoint":
-        return PadicPoint.from_fraction(Fraction(n))
+        return PadicPoint._from_rational(n, 1)
 
 
 @dataclass(frozen=True)
@@ -508,15 +564,12 @@ class CantorBackend(SpaceBackend):
         return PadicPoint(pre, per)
 
     def dist_le(self, a: PadicPoint, b: PadicPoint, eps: Fraction) -> bool:
-        # d(a, b) = 2^-(longest common prefix); exact via 2-adic valuation
+        # d(a, b) = 2^-(longest common prefix) = 2^-v, v the 2-adic
+        # valuation of a - b; the odd denominators do not change v
         if a == b:
             return True
-        diff = a.to_fraction() - b.to_fraction()
-        num = abs(diff.numerator)
-        v = 0
-        while num % 2 == 0:
-            num //= 2
-            v += 1
+        diff = a.num * b.den - b.num * a.den
+        v = (diff & -diff).bit_length() - 1
         return Fraction(1, 1 << v) <= eps
 
 
@@ -787,26 +840,13 @@ def circle_rotate(t: CirclePoint, steps: int) -> CirclePoint:
     steps * (phi - 1) = -steps + steps*phi, so both coefficients shift
     by an integer; the constructor reduces mod 1.
     """
-    v = t.value
-    return CirclePoint(QPhi(v.p - steps, v.q + steps))
-
-
-_TO_FRACTION_CACHE: dict[tuple, Fraction] = {}
-
-
-def _padic_fraction(x: PadicPoint) -> Fraction:
-    key = (x.pre, x.per)
-    hit = _TO_FRACTION_CACHE.get(key)
-    if hit is None:
-        if len(_TO_FRACTION_CACHE) > 4096:
-            _TO_FRACTION_CACHE.clear()
-        hit = _TO_FRACTION_CACHE[key] = x.to_fraction()
-    return hit
+    return CirclePoint(t.value + QPhi(-steps, steps))
 
 
 def odometer_succ(x: PadicPoint, steps: int) -> PadicPoint:
-    """Add an integer in the 2-adics with full carry propagation."""
-    return PadicPoint.from_fraction(_padic_fraction(x) + steps)
+    """Add an integer in the 2-adics with full carry propagation: on the
+    value ``num/den`` that is ``num + steps*den`` over the same ``den``."""
+    return PadicPoint._from_rational(x.num + steps * x.den, x.den)
 
 
 class MinimalSystem:

@@ -275,6 +275,28 @@ def test_main_converge_head_only_undecidable(tmp_path, capsys):
     assert out["verdict"] == "undecidable"
 
 
+@pytest.mark.parametrize(
+    "tail, field",
+    [
+        ({"kind": "constant"}, "path"),
+        ({"kind": "escaping", "x_last": "F:0/1"}, "prefix"),
+        ({"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)"}, "x_last"),
+        ({"kind": "base-point", "z_rule": {"kind": "constant", "point": "P:.0"}}, "idx"),
+        ({"kind": "base-point", "idx": "5|2"}, "z_rule"),
+    ],
+)
+def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
+    doc = {
+        "model": {"z_backend": "odometer", "x_backend": "point"},
+        "head": [],
+        "tail": tail,
+        "limit": "FIN @(P:.0;F:0/1)",
+    }
+    path = write_json(tmp_path, "missing.json", doc)
+    assert main(["converge", path]) == 2
+    assert f"sequence.tail.{field}: missing" in capsys.readouterr().err
+
+
 def test_graph_ingestion_diagnostics():
     with pytest.raises(ConfigError, match="vertices"):
         discrete_graph_from_obj({"vertices": "v"})

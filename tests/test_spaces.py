@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from groupoidlab.spaces import (
     PadicPoint,
     PairPoint,
     ProductBackend,
+    _canon_ev_periodic,
     box_contains,
     box_intersect,
     box_rep_point,
@@ -63,6 +65,86 @@ def test_padic_canonicalization_idempotent(pre, per):
 def test_padic_fraction_roundtrip(pre, per):
     p = PadicPoint(tuple(pre), tuple(per))
     assert PadicPoint.from_fraction(p.to_fraction()) == p
+
+
+# The reference for the 2-adic core: a point's value from its bit pair,
+# and the canonical bit pair of a value by the first-repeat digit walk
+# followed by canonicalisation.  An odometer step is then Fraction -> +k
+# -> bit walk, the way the odometer stepped when points were held as bit
+# pairs.
+
+
+def ref_fraction(pre, per) -> Fraction:
+    p_val = sum(b << i for i, b in enumerate(pre))
+    w = sum(b << i for i, b in enumerate(per))
+    return p_val - Fraction((1 << len(pre)) * w, (1 << len(per)) - 1)
+
+
+def ref_bits(x: Fraction):
+    seen, out, num, den = {}, [], x.numerator, x.denominator
+    while num not in seen:
+        seen[num] = len(out)
+        b = num & 1
+        out.append(b)
+        num = (num - b * den) >> 1
+    i = seen[num]
+    return _canon_ev_periodic(out[:i], out[i:])
+
+
+def ref_odometer(pre, per, k):
+    return ref_bits(ref_fraction(pre, per) + k)
+
+
+odd_rationals = st.builds(
+    lambda n, d: Fraction(n, 2 * d + 1),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=0, max_value=200),
+)
+
+
+@given(st.lists(bits, max_size=6), st.lists(bits, min_size=1, max_size=5),
+       st.integers(min_value=-10**9, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_odometer_matches_reference(pre, per, k):
+    x = PadicPoint(tuple(pre), tuple(per))
+    y = odometer_succ(x, k)
+    assert (y.pre, y.per) == ref_odometer(x.pre, x.per, k)
+    assert y == PadicPoint(*ref_odometer(pre, per, k))
+    assert PadicPoint(y.pre, y.per) == y
+    assert hash(PadicPoint(y.pre, y.per)) == hash(y)
+
+
+@given(odd_rationals)
+@settings(max_examples=300, deadline=None)
+def test_padic_point_matches_reference(x):
+    p = PadicPoint.from_fraction(x)
+    assert (p.pre, p.per) == ref_bits(x)
+    assert p.to_fraction() == x == ref_fraction(p.pre, p.per)
+    assert PadicPoint(p.pre, p.per) == p
+    assert p.bits(12) == tuple(ref_bits(x)[0] + ref_bits(x)[1] * 12)[:12]
+
+
+@given(odd_rationals, odd_rationals, st.integers(min_value=0, max_value=12))
+@settings(max_examples=300, deadline=None)
+def test_cantor_distance_is_common_prefix(x, y, n):
+    a, b = PadicPoint.from_fraction(x), PadicPoint.from_fraction(y)
+    # d(a, b) <= 2^-n exactly when the first n bits agree
+    assert CantorBackend().dist_le(a, b, Fraction(1, 1 << n)) == (a.bits(n) == b.bits(n))
+
+
+def test_padic_point_is_immutable():
+    p = PadicPoint((1,), (0,))
+    with pytest.raises(AttributeError):
+        p.num = 3
+    with pytest.raises(AttributeError):
+        del p.den
+    assert p == PadicPoint.from_int(1) == pickle.loads(pickle.dumps(p))
+    with pytest.raises(ValueError):
+        PadicPoint((2,), (0,))
+    with pytest.raises(ValueError):
+        PadicPoint((1,), ())
+    with pytest.raises(ValueError):
+        PadicPoint.from_fraction(Fraction(1, 2))
 
 
 def test_padic_equality_canonical_invariant():
