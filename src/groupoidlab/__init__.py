@@ -73,7 +73,6 @@ from .boundary import (
     homeo_h,
     homeo_h_inv,
     param_f,
-    param_f_inv,
     param_f_k,
     path_from_line,
     path_to_line,

@@ -23,6 +23,7 @@ from .spaces import (
     PairPoint,
     Point,
     _canon_ev_periodic,
+    box_rep_point,
     dense_indices_hitting,
 )
 from .graphs import (
@@ -266,10 +267,6 @@ def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic) -> InfiniteModelPath:
     return InfiniteModelPath(graph, z, idx)
 
 
-def param_f_inv(mu: InfiniteModelPath) -> tuple[Point, EvPeriodic]:
-    return mu.z, mu.idx
-
-
 def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:
     """The length-k path with edges (rho^-i(z), x_{n_{i+1}}, n_i) and final
     edge (rho^-k(z), x, n_k); k = 0 gives the vertex (z, x)."""
@@ -396,8 +393,6 @@ class EscapingTail:
         if not isinstance(self.prefix, FiniteBoundaryPath):
             raise BoundaryError("escaping tails extend a finite prefix")
         g = self.graph()
-        from .spaces import box_rep_point
-
         target_x = self.prefix.path.d().right
         rep = box_rep_point(g.x_backend.basic_open(self.x_box_index))
         if rep != target_x:
@@ -514,10 +509,6 @@ class ConvergenceReport:
         return self.verdict == PASS
 
 
-def _vertices_equal(a, b) -> bool:
-    return a == b
-
-
 def _limit_range_of_tail(tail: TailRule):
     """The limit of r(mu^(n)) when the rule determines it; None if the
     ranges do not converge; UNDECIDABLE sentinel when unsupported."""
@@ -566,7 +557,7 @@ def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
         ranges = UNDECIDABLE
         notes.append("range limit not determined by the tail rule")
     else:
-        ranges = PASS if _vertices_equal(lim, range_vertex(mu)) else FAIL
+        ranges = PASS if lim == range_vertex(mu) else FAIL
 
     # (ii) prefixes
     mu_len = path_length(mu)

@@ -35,9 +35,10 @@ from .boundary import (
     point_from_token,
 )
 from .graphs import (
-    Arc,
     DiscreteGraph,
+    GraphError,
     OneVertexLoopGraph,
+    WitnessSearchError,
     build_model_graph,
     find_contracting_witness,
     orbit_plus,
@@ -56,6 +57,7 @@ from .ktheory import (
 )
 from .reports import PLUMBING, CheckRecord, Report
 from .spaces import (
+    Arc,
     CantorBackend,
     CantorBox,
     CircleBackend,
@@ -95,6 +97,23 @@ def load_json(path: str):
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` checked to be of JSON type ``kind``; a missing key
+    gives ``default``, or an error naming the field when it is required."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: missing")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
@@ -130,7 +149,7 @@ def parse_config(obj: dict) -> dict:
         raise ConfigError("config.seeds: expected a non-empty list of integers")
     cfg["seeds"] = seeds
     bounds = dict(DEFAULT_BOUNDS)
-    for key, value in obj.get("bounds", {}).items():
+    for key, value in _field(obj, "bounds", "config", dict, {}).items():
         if key not in DEFAULT_BOUNDS:
             raise ConfigError(f"config.bounds.{key}: unknown bound")
         if not isinstance(value, int) or value < 1:
@@ -349,7 +368,7 @@ def check_contracting(cfg, graph, report):
             vx = _random_vx_box(graph, rng)
             try:
                 witness = find_contracting_witness(graph, u, vx, cap)
-            except Exception as exc:
+            except WitnessSearchError as exc:
                 ok = False
                 details.append(str(exc))
                 continue
@@ -483,35 +502,32 @@ def run_battery(cfg, only: str | None = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _required(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}: missing")
-    return obj[key]
-
-
-def _point_rule_from_obj(obj) -> ConstantPointRule | ApproachPointRule:
+def _point_rule_from_obj(obj: dict) -> ConstantPointRule | ApproachPointRule:
     rule = {"constant": ConstantPointRule, "approach": ApproachPointRule}.get(obj.get("kind"))
     if rule is None:
-        raise ConfigError(f"sequence.z_rule.kind: unknown kind {obj.get('kind')!r}")
-    return rule(point_from_token(_required(obj, "point", "sequence.z_rule")))
+        raise ConfigError(f"sequence.tail.z_rule.kind: unknown kind {obj.get('kind')!r}")
+    return rule(point_from_token(_field(obj, "point", "sequence.tail.z_rule", str)))
 
 
 def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if not isinstance(obj, dict):
         raise ConfigError("sequence: expected a JSON object")
-    model = obj.get("model", {})
+    model = _field(obj, "model", "sequence", dict, {})
     cfg = parse_config(
         {"z_backend": model.get("z_backend", "odometer"), "x_backend": model.get("x_backend", "point")}
     )
     graph = build_model_graph(build_system(cfg), build_x_backend(cfg))
-    head = tuple(path_from_line(line, graph) for line in obj.get("head", []))
+    head_lines = _field(obj, "head", "sequence", list, [])
+    if not all(isinstance(line, str) for line in head_lines):
+        raise ConfigError("sequence.head: expected a list of path lines")
+    head = tuple(path_from_line(line, graph) for line in head_lines)
     tail_obj = obj.get("tail")
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise ConfigError("sequence.tail: expected an object with a 'kind'")
     kind = tail_obj["kind"]
 
-    def field(key: str):
-        return _required(tail_obj, key, "sequence.tail")
+    def field(key: str, typ: type = str, default=_REQUIRED):
+        return _field(tail_obj, key, "sequence.tail", typ, default)
 
     if kind == "constant":
         tail = ConstantTail(path_from_line(field("path"), graph))
@@ -519,8 +535,8 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
         tail = EscapingTail(
             path_from_line(field("prefix"), graph),
             point_from_token(field("x_last")),
-            tail_obj.get("x_box", 0),
-            tail_obj.get("rep_start", 0),
+            field("x_box", int, 0),
+            field("rep_start", int, 0),
         )
     elif kind == "base-point":
         idx_raw = field("idx")
@@ -528,15 +544,18 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
             idx = _ev_periodic_from_token(idx_raw)
         else:
             idx = tuple(int(v) for v in idx_raw.split(",") if v)
-        x_last = point_from_token(tail_obj["x_last"]) if "x_last" in tail_obj else None
-        tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule")), idx, x_last)
+        x_last = field("x_last", str, None)
+        tail = BasePointTail(
+            graph,
+            _point_rule_from_obj(field("z_rule", dict)),
+            idx,
+            None if x_last is None else point_from_token(x_last),
+        )
     elif kind == "head-only":
         tail = HeadOnlyTail()
     else:
         raise ConfigError(f"sequence.tail.kind: unknown kind {kind!r}")
-    if "limit" not in obj:
-        raise ConfigError("sequence.limit: missing candidate limit path")
-    limit = path_from_line(obj["limit"], graph)
+    limit = path_from_line(_field(obj, "limit", "sequence", str), graph)
     return SequenceDescription(head, tail), limit
 
 
@@ -654,18 +673,19 @@ def discrete_graph_from_obj(obj) -> DiscreteGraph | OneVertexLoopGraph:
     vertices = obj.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ConfigError("graph.vertices: expected a list of strings")
-    edges_raw = obj.get("edges", [])
     edges = []
-    for i, e in enumerate(edges_raw):
+    for i, e in enumerate(_field(obj, "edges", "graph", list, [])):
         if not isinstance(e, list) or len(e) != 3:
             raise ConfigError(f"graph.edges[{i}]: expected [source, target, label]")
+        if not (isinstance(e[0], str) and isinstance(e[1], str)):
+            raise ConfigError(f"graph.edges[{i}]: source and target must be vertex names")
         edges.append(tuple(e))
-    singular = obj.get("singular", [])
-    if not isinstance(singular, list):
+    singular = _field(obj, "singular", "graph", list, [])
+    if not all(isinstance(v, str) for v in singular):
         raise ConfigError("graph.singular: expected a list of vertex names")
     try:
         return DiscreteGraph(vertices, edges, singular)
-    except Exception as exc:
+    except GraphError as exc:
         raise ConfigError(f"graph: {exc}")
 
 

@@ -19,28 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qphi import QPhi
 from .spaces import (
-    Arc,
     Box,
-    CantorBox,
-    CircleBox,
     FiniteBackend,
-    FiniteBox,
-    FinitePoint,
     MinimalSystem,
     PairPoint,
     Point,
     ProductBackend,
-    ProductBox,
     SpaceBackend,
     box_contains,
     box_intersect,
-    box_is_empty,
     box_rep_point,
-    cantor_covered_by_words,
-    circle_covered_by_arcs,
+    boxes_cover,
     dense_sequence,
+    point_outside_closure,
 )
 
 
@@ -384,7 +376,7 @@ class EdgeBox:
     indices: IndexSet
 
     def is_empty(self) -> bool:
-        return box_is_empty(self.zbox) or box_is_empty(self.xbox) or self.indices.is_empty()
+        return self.zbox.is_empty() or self.xbox.is_empty() or self.indices.is_empty()
 
     def contains(self, e: ModelEdge) -> bool:
         return (
@@ -423,9 +415,6 @@ class OpenPathBox:
         if len(path) != len(self.coords):
             return False
         return all(cb.contains(e) for cb, e in zip(self.coords, path.edges))
-
-    def truncate(self, k: int) -> "OpenPathBox":
-        return OpenPathBox(self.graph, self.coords[:k])
 
     def r_image(self):
         """(z box, x points) of ranges of member paths; the first
@@ -472,7 +461,7 @@ class OpenPathBox:
             cands = idx.some_members(1)
             return cands[0] if cands else None
         xbox = self.coords[i - 1].xbox
-        if box_is_empty(xbox):
+        if xbox.is_empty():
             return None
         if not idx.cofinite:
             for m in sorted(idx.members):
@@ -491,7 +480,7 @@ class OpenPathBox:
         sys = g.z_system
         n = len(self.coords)
         zc = self._z_chain()
-        if box_is_empty(zc) or box_is_empty(self.coords[-1].xbox):
+        if zc.is_empty() or self.coords[-1].xbox.is_empty():
             return None
         chosen: list[int] = []
         for i in range(n):
@@ -514,7 +503,7 @@ class OpenPathBox:
         an index whose dense-sequence value meets the previous x box."""
         if any(cb.is_empty() for cb in self.coords):
             return True
-        if box_is_empty(self._z_chain()):
+        if self._z_chain().is_empty():
             return True
         return any(self._index_choice(i) is None for i in range(len(self.coords)))
 
@@ -552,92 +541,6 @@ class WitnessSearchError(GraphError):
     pass
 
 
-def _box_closure_targets(b: Box):
-    """Closure of a box as data for exact coverage checks."""
-    return b
-
-
-def _covers_space(system: MinimalSystem, boxes: list[Box], target: Box | None) -> bool:
-    """Does the union of open boxes cover the closure of ``target``
-    (None: the whole space)?  Exact per backend."""
-    backend = system.backend
-    if backend.kind == "circle":
-        arcs: list[Arc] = []
-        for b in boxes:
-            if isinstance(b, CircleBox):
-                if b.full:
-                    return True
-                arcs.extend(b.arcs)
-        return circle_covered_by_arcs(tuple(arcs), target)
-    if backend.kind == "cantor":
-        words = []
-        for b in boxes:
-            words.extend(b.words)
-        return cantor_covered_by_words(words, target)
-    if isinstance(backend, FiniteBackend):
-        got = set()
-        for b in boxes:
-            got |= set(b.indices)
-        need = set(range(backend.size)) if target is None else set(target.indices)
-        return need <= got
-    raise TypeError(f"coverage not supported on {backend!r}")
-
-
-def point_outside_closure(backend: SpaceBackend, b: Box) -> Point | None:
-    """A point outside the closure of the box, or None if the closure is
-    the whole space.  Closures are decided syntactically per box kind."""
-    if isinstance(b, CircleBox):
-        if b.full:
-            return None
-        if not b.arcs:
-            return CirclePointZero()
-        # complement of the closed arcs is a finite union of open arcs;
-        # try the midpoint after each arc end
-        for a in b.arcs:
-            cand_start = (a.start + a.length).mod1()
-            # find distance to the next arc start going forward
-            best = QPhi(1)
-            for other in b.arcs:
-                gap = (other.start - cand_start).mod1()
-                if QPhi(0) < gap < best:
-                    best = gap
-            if best > QPhi(0):
-                cand = (cand_start + best / 2).mod1()
-                if not any(x.contains(cand, closed=True) for x in b.arcs):
-                    from .spaces import CirclePoint
-
-                    return CirclePoint(cand)
-        return None
-    if isinstance(b, CantorBox):
-        if b.is_full():
-            return None
-        depth = max((len(w) for w in b.words), default=0)
-        for v in range(1 << depth):
-            word = tuple((v >> j) & 1 for j in range(depth))
-            if not any(word[: len(w)] == w for w in b.words):
-                from .spaces import PadicPoint
-
-                return PadicPoint(word, (0,))
-        return None
-    if isinstance(b, FiniteBox):
-        if b.size is None:
-            missing = 0
-            while missing in b.indices:
-                missing += 1
-            return FinitePoint(missing, None)
-        for i in range(b.size):
-            if i not in b.indices:
-                return FinitePoint(i, b.size)
-        return None
-    raise TypeError(f"unsupported box {b!r}")
-
-
-def CirclePointZero():
-    from .spaces import CirclePoint
-
-    return CirclePoint(QPhi(0))
-
-
 def make_witness_path_box(graph: ModelGraph, u_zbox: Box, k: int) -> OpenPathBox:
     """The box of all witness paths with z ranging over ``u_zbox`` and the
     final x coordinate free."""
@@ -666,21 +569,20 @@ def find_contracting_witness(
     inside ``v_xbox`` (the ranges of all witness paths have x = x_1).
     """
     sys = graph.z_system
-    if box_is_empty(u_zbox) or box_is_empty(v_xbox):
+    if u_zbox.is_empty() or v_xbox.is_empty():
         raise WitnessSearchError("U and V_X must be non-empty")
     x1 = graph.x_point(1)
     if not box_contains(v_xbox, x1):
         raise WitnessSearchError("V_X must contain the first dense-sequence point x_1")
-    if point_outside_closure(sys.backend, u_zbox) is None and (
-        point_outside_closure(graph.x_backend, v_xbox) is None
-    ):
+    if point_outside_closure(u_zbox) is None and point_outside_closure(v_xbox) is None:
         raise WitnessSearchError("closure(U x V_X) must be a proper subset of the vertex space")
+    full_z = sys.backend.full_box()
     translates: list[Box] = []
     n = 0
     while n < cap:
         n += 1
         translates.append(sys.translate_box(u_zbox, -(n + 1)))
-        if _covers_space(sys, translates, None):
+        if boxes_cover(translates, full_z):
             break
     else:
         raise WitnessSearchError(f"no cover of Z within {cap} translates")
@@ -701,48 +603,6 @@ class WitnessReport:
         return self.ranges_inside and self.pairwise_disjoint and self.domains_cover_strictly
 
 
-def _open_box_covers_closure(backend: SpaceBackend, open_box: Box, target: Box) -> bool:
-    """Does the open box contain the closure of the target box?  Exact
-    for arcs, cylinders, finite sets and products of those."""
-    if isinstance(open_box, CircleBox):
-        if open_box.full:
-            return True
-        return circle_covered_by_arcs(open_box.arcs, target)
-    if isinstance(open_box, CantorBox):
-        return cantor_covered_by_words(open_box.words, target)
-    if isinstance(open_box, FiniteBox):
-        return target.indices <= open_box.indices
-    if isinstance(open_box, ProductBox) and isinstance(target, ProductBox):
-        return _open_box_covers_closure(
-            backend.left, open_box.left, target.left
-        ) and _open_box_covers_closure(backend.right, open_box.right, target.right)
-    raise TypeError("unsupported closure coverage check")
-
-
-def _box_subset(inner: Box, outer: Box, system: MinimalSystem) -> bool:
-    """inner subset of outer, exactly; used for z parts of r-images."""
-    if isinstance(inner, CircleBox) and isinstance(outer, CircleBox):
-        if outer.full:
-            return True
-        if inner.full:
-            return False
-        # open arcs inside an open union: sweep each arc as an open target
-        lifted = []
-        for a in outer.arcs:
-            for k in (-1, 0, 1, 2):
-                lifted.append((a.start + QPhi(k), a.start + a.length + QPhi(k)))
-        from .spaces import _cover_line
-
-        return all(
-            _cover_line(a.start, a.start + a.length, lifted, False) for a in inner.arcs
-        )
-    if isinstance(inner, CantorBox) and isinstance(outer, CantorBox):
-        return cantor_covered_by_words(outer.words, inner)
-    if isinstance(inner, FiniteBox) and isinstance(outer, FiniteBox):
-        return inner.indices <= outer.indices
-    raise TypeError("unsupported subset check")
-
-
 def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
     """Check the three contracting conditions, each exactly:
 
@@ -751,8 +611,6 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
     (iii) the closure of V is covered by the union of the domains, and
           some explicit point of that union lies outside the closure.
     """
-    g = witness.graph
-    sys = g.z_system
     details = []
 
     cond_i = True
@@ -763,7 +621,7 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
             details.append(f"U_{idx + 1}: cofinite first index set, range not a finite x set")
             continue
         zimg, xpts = img
-        if not _box_subset(zimg, witness.v_zbox, sys):
+        if not boxes_cover([witness.v_zbox], zimg, closure=False):
             cond_i = False
             details.append(f"U_{idx + 1}: z-range escapes V")
         if not all(box_contains(witness.v_xbox, x) for x in xpts):
@@ -778,27 +636,27 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
                 details.append(f"U_{a + 1} and U_{b + 1} are not pitchfork-disjoint")
 
     d_zboxes = [pb.d_image()[0] for pb in witness.path_boxes]
-    covers = _covers_space(sys, d_zboxes, _box_closure_targets(witness.v_zbox))
+    covers = boxes_cover(d_zboxes, witness.v_zbox)
     # sufficient decidable form of product coverage: the z domains cover
     # closure(U) while every single x domain covers closure(V_X)
     x_full = all(
-        _open_box_covers_closure(g.x_backend, pb.d_image()[1], witness.v_xbox)
+        boxes_cover([pb.d_image()[1]], witness.v_xbox)
         for pb in witness.path_boxes
     )
     exterior = None
-    z_out = point_outside_closure(sys.backend, witness.v_zbox)
-    x_out = point_outside_closure(g.x_backend, witness.v_xbox)
+    z_out = point_outside_closure(witness.v_zbox)
+    x_out = point_outside_closure(witness.v_xbox)
     if z_out is not None:
         # (z_out, anything in some domain x-box); domains have full x part
         for pb in witness.path_boxes:
             dz, dx = pb.d_image()
-            if box_contains(dz, z_out) and not box_is_empty(dx):
+            if box_contains(dz, z_out) and not dx.is_empty():
                 exterior = PairPoint(z_out, box_rep_point(dx))
                 break
     if exterior is None and x_out is not None:
         for pb in witness.path_boxes:
             dz, dx = pb.d_image()
-            if box_contains(dx, x_out) and not box_is_empty(dz):
+            if box_contains(dx, x_out) and not dz.is_empty():
                 exterior = PairPoint(box_rep_point(dz), x_out)
                 break
     cond_iii = covers and x_full and exterior is not None

@@ -34,7 +34,7 @@ from .graphs import (
     OneVertexLoopGraph,
     vertex_path,
 )
-from .spaces import PairPoint, box_contains, dense_indices_hitting
+from .spaces import PairPoint, box_contains, box_rep_point, dense_indices_hitting, freeness_check
 
 
 class GroupoidError(ValueError):
@@ -84,14 +84,6 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
 
 def unit(mu: BoundaryPath) -> GroupoidElement:
     return GroupoidElement(mu, 0, mu, 0, 0)
-
-
-def element_range(g: GroupoidElement) -> BoundaryPath:
-    return g.x
-
-
-def element_source(g: GroupoidElement) -> BoundaryPath:
-    return g.y
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
@@ -312,9 +304,7 @@ class VertexUnitBox:
     xbox: object
 
     def clopen(self) -> bool:
-        from .spaces import CantorBox, FiniteBox
-
-        return all(isinstance(b, (CantorBox, FiniteBox)) for b in (self.zbox, self.xbox))
+        return self.zbox.clopen and self.xbox.clopen
 
     def contains(self, u: BoundaryPath) -> bool:
         v = range_vertex(u)
@@ -413,8 +403,6 @@ def _prepend_random_edge(graph, mu: BoundaryPath, rng) -> BoundaryPath:
 def box_index_of_dense_value(backend, x) -> int:
     """Some basic-open index whose representative is the given point; the
     point must occur in the canonical dense sequence."""
-    from .spaces import box_rep_point
-
     limit = backend.basic_count if backend.basic_count is not None else 64
     for b in range(limit):
         if box_rep_point(backend.basic_open(b)) == x:
@@ -566,8 +554,6 @@ class ReductionReport:
 
 
 def isotropy_reduction(mu: BoundaryPath, bound: int) -> ReductionReport:
-    from .spaces import freeness_check
-
     if isinstance(mu, FiniteBoundaryPath):
         return ReductionReport(
             "finite",

@@ -350,11 +350,6 @@ def cokernel_with_unit(matrix, unit_vector=None):
     return FGAbelianGroup(group_rank, torsion, unit)
 
 
-def kernel_rank(matrix) -> int:
-    cols = len(matrix[0]) if matrix else 0
-    return cols - len(invariant_factors(matrix))
-
-
 # ---------------------------------------------------------------------------
 # graph K-theory
 # ---------------------------------------------------------------------------
@@ -391,16 +386,16 @@ def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
         return Z_POINTED, ZERO_GROUP
     if not isinstance(graph, DiscreteGraph):
         raise KTheoryError(f"not a discrete graph: {graph!r}")
-    regular = graph.regular_vertices()
+    matrix, regular = connecting_matrix(graph)
     nverts = len(graph.vertices)
     if not regular:
         return (
             FGAbelianGroup(nverts, (), (1,) * nverts),
             ZERO_GROUP,
         )
-    matrix, _ = connecting_matrix(graph)
     k0 = cokernel_with_unit(matrix, [1] * nverts)
-    k1 = FGAbelianGroup(kernel_rank(matrix))
+    # rank-nullity on the same factorisation: rank M = nverts - rank K_0
+    k1 = FGAbelianGroup(len(regular) - nverts + k0.rank)
     return k0, k1
 
 

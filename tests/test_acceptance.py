@@ -29,7 +29,6 @@ from groupoidlab.boundary import (
 )
 from groupoidlab.cli import parse_config, run_battery
 from groupoidlab.graphs import (
-    Arc,
     FinitePath,
     ModelEdge,
     OneVertexLoopGraph,
@@ -59,6 +58,7 @@ from groupoidlab.ktheory import (
     z_factor_ktheory,
 )
 from groupoidlab.spaces import (
+    Arc,
     CantorBackend,
     CantorBox,
     CircleBackend,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,39 @@ def test_battery_negative_control():
     assert verdicts["principality"] is False
     assert verdicts["ktheory"] is False
     assert verdicts["minimality"] is True  # the control is minimal, just not free
+
+
+# sha256 of the JSON report for seed 1 with samples and axiom_trials at 60,
+# pinned so that refactors of the exact cores cannot change a report byte
+@pytest.mark.parametrize(
+    "z, x, digest",
+    [
+        ("odometer", "point",
+         "626bff7a55b722a30b4052260bf44090e279152dcbe9b492e63282a7e2a14dee"),
+        ("odometer", "cantor",
+         "6f463756a2e944019ca92245c986847d81f1453af75caa4dd14e0202141121bc"),
+        ("odometer", "circle",
+         "5dfa09a38808e928b43defcf7bb6ec166538cc388fc70d777bfdb6fd2e89d9f9"),
+        ("odometer", {"kind": "finite", "size": 3},
+         "a3d8e97974c9d2e284e4e9a0921b160c29733849504662eb1c4fba915efda373"),
+        ("golden-rotation", "point",
+         "488f5b2c2e0a23dfa96e1de17af978eb8783d787524a7a8d6cffe00c40cd0291"),
+        ("golden-rotation", "cantor",
+         "6549cd3277ec6863dd6d6363953bee2e5dfee76c62f6df1c2c26c41e5051531e"),
+        ("golden-rotation", "circle",
+         "598a7fa64072c07d56be7a149e61615b36454cb6ff512ef8a1d036ac374a471f"),
+        ("golden-rotation", {"kind": "finite", "size": 3},
+         "1f25bacad16c4738be6fc359e98f096f977e89ee3a2098ee9b78172e44d2aa8c"),
+        ({"kind": "finite-cyclic", "order": 3}, "point",
+         "511079b1a241691aa30a7dcd3792bd68b44036ce9c7095a3536b22c5c1c00c0e"),
+    ],
+)
+def test_battery_report_digest_pinned(z, x, digest):
+    cfg = parse_config(
+        {"z_backend": z, "x_backend": x, "seeds": [1],
+         "bounds": {"samples": 60, "axiom_trials": 60}}
+    )
+    assert hashlib.sha256(run_battery(cfg).to_json().encode()).hexdigest() == digest
 
 
 def test_battery_finite_x_ktheory_record():
@@ -283,6 +317,19 @@ def test_main_converge_head_only_undecidable(tmp_path, capsys):
         ({"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)"}, "x_last"),
         ({"kind": "base-point", "z_rule": {"kind": "constant", "point": "P:.0"}}, "idx"),
         ({"kind": "base-point", "idx": "5|2"}, "z_rule"),
+        # present but of the wrong JSON type
+        ({"kind": "constant", "path": ["FIN @(P:.0;F:0/1)"]}, "path"),
+        ({"kind": "escaping", "prefix": 5, "x_last": "F:0/1"}, "prefix"),
+        ({"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)", "x_last": 0}, "x_last"),
+        ({"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)", "x_last": "F:0/1",
+          "x_box": "0"}, "x_box"),
+        ({"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)", "x_last": "F:0/1",
+          "rep_start": True}, "rep_start"),
+        ({"kind": "base-point", "idx": 5,
+          "z_rule": {"kind": "constant", "point": "P:.0"}}, "idx"),
+        ({"kind": "base-point", "idx": "5|2", "z_rule": "P:.0"}, "z_rule"),
+        ({"kind": "base-point", "idx": "5|2", "x_last": 1,
+          "z_rule": {"kind": "constant", "point": "P:.0"}}, "x_last"),
     ],
 )
 def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
@@ -294,7 +341,31 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
     }
     path = write_json(tmp_path, "missing.json", doc)
     assert main(["converge", path]) == 2
-    assert f"sequence.tail.{field}: missing" in capsys.readouterr().err
+    problem = "expected" if field in tail else "missing"
+    assert f"sequence.tail.{field}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("converge", {"head": 5}, "sequence.head: expected a list"),
+        ("converge", {"head": [5]}, "sequence.head: expected a list of path lines"),
+        ("converge", {"limit": 5}, "sequence.limit: expected a string"),
+        ("converge", {"model": "odometer"}, "sequence.model: expected an object"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
+                               "z_rule": {"kind": "constant", "point": 0}}},
+         "sequence.tail.z_rule.point: expected a string"),
+        ("run", {"bounds": 5}, "config.bounds: expected an object"),
+    ],
+)
+def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
+    if command == "converge":
+        doc = {"tail": {"kind": "head-only"}, "limit": "FIN @(P:.0;F:0/1)", **doc}
+        argv = ["converge", write_json(tmp_path, "doc.json", doc)]
+    else:
+        argv = [command, "--config", write_json(tmp_path, "doc.json", doc)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_graph_ingestion_diagnostics():
@@ -304,6 +375,10 @@ def test_graph_ingestion_diagnostics():
         discrete_graph_from_obj({"vertices": ["v"], "edges": [["v", "v"]]})
     with pytest.raises(ConfigError, match="graph"):
         discrete_graph_from_obj({"vertices": ["v"], "edges": [["v", "w", "e"]]})
+    with pytest.raises(ConfigError, match=r"graph\.singular"):
+        discrete_graph_from_obj({"vertices": ["a"], "singular": [["a"]]})
+    with pytest.raises(ConfigError, match=r"graph\.edges\[0\]"):
+        discrete_graph_from_obj({"vertices": ["a"], "edges": [[["a"], "a", "e"]]})
 
 
 def test_report_text_format(fast_cfg):

@@ -5,7 +5,6 @@ import pytest
 
 from groupoidlab.qphi import QPhi
 from groupoidlab.graphs import (
-    Arc,
     CompositionError,
     DiscreteGraph,
     EdgeBox,
@@ -21,14 +20,13 @@ from groupoidlab.graphs import (
     make_witness_path_box,
     orbit_plus,
     pitchfork,
-    point_outside_closure,
     vertex_path,
     verify_contracting_witness,
     witness_path,
     WitnessSearchError,
 )
 from groupoidlab.spaces import (
-    CantorBackend,
+    Arc,
     CantorBox,
     CircleBackend,
     CircleBox,
@@ -44,6 +42,7 @@ from groupoidlab.spaces import (
     golden_rotation,
     odometer,
     point_backend,
+    point_outside_closure,
 )
 
 ZERO_2ADIC = PadicPoint((), (0,))
@@ -425,9 +424,9 @@ def test_contracting_preconditions(odo_point, golden_point):
 
 
 def test_exterior_point_construction():
-    assert point_outside_closure(CantorBackend(), CantorBox(((0,),))) == PadicPoint((1,), (0,))
-    assert point_outside_closure(CantorBackend(), CantorBox(((),))) is None
-    pt = point_outside_closure(CircleBackend(), CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)))
+    assert point_outside_closure(CantorBox(((0,),))) == PadicPoint((1,), (0,))
+    assert point_outside_closure(CantorBox(((),))) is None
+    pt = point_outside_closure(CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)))
     assert pt is not None
     # strictly outside the closed arc [0, 1/2]
     assert not Arc(QPhi(0), QPhi(Fraction(1, 2))).contains(pt.value, closed=True)

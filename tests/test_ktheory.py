@@ -19,7 +19,6 @@ from groupoidlab.ktheory import (
     dim_bound,
     graph_ktheory,
     invariant_factors,
-    kernel_rank,
     mat_det,
     mat_mul,
     model_ktheory,
@@ -261,11 +260,6 @@ def test_cokernel_unit_class_reduction():
     k = cokernel_with_unit([[3]], [5])
     assert k.torsion == (3,)
     assert k.unit_class is not None and k.unit_class[0] in range(3)
-
-
-def test_kernel_rank():
-    assert kernel_rank([[1, 1], [1, 1]]) == 1
-    assert kernel_rank([[0, 0]]) == 2
 
 
 # ---------------------------------------------------------------------------

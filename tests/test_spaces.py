@@ -16,7 +16,9 @@ from groupoidlab.spaces import (
     CirclePoint,
     CountableBackend,
     FiniteBackend,
+    FiniteBox,
     FinitePoint,
+    MinimalSystem,
     PadicPoint,
     PairPoint,
     ProductBackend,
@@ -24,6 +26,7 @@ from groupoidlab.spaces import (
     box_contains,
     box_intersect,
     box_rep_point,
+    boxes_cover,
     canonicalize,
     circle_covered_by_arcs,
     circle_rotate,
@@ -438,3 +441,77 @@ def test_basic_open_enumeration_total():
                 i %= backend.basic_count
             box = backend.basic_open(i)
             assert box_contains(box, box_rep_point(box))
+
+
+# ---------------------------------------------------------------------------
+# box translation is derived from the system's own map
+# ---------------------------------------------------------------------------
+
+
+def golden_double() -> MinimalSystem:
+    """Rotation by 2*(phi - 1): an isometry other than the vetted rotation."""
+    return MinimalSystem(
+        "golden-double",
+        CircleBackend(),
+        lambda p, k: circle_rotate(p, 2 * k),
+        minimal=True,
+        free=True,
+        infinite=True,
+        point_like_ktheory=True,
+    )
+
+
+def _random_qphi(rng):
+    return QPhi(Fraction(rng.randrange(-16, 16), rng.randrange(1, 9)),
+                Fraction(rng.randrange(-4, 4), rng.randrange(1, 5)))
+
+
+def _box_and_points(system, rng):
+    """A random box of the system's space plus points that probe it,
+    including the anchors and far ends of its pieces."""
+    backend = system.backend
+    points = [backend.random_point(rng) for _ in range(4)]
+    if isinstance(backend, CircleBackend):
+        arcs = []
+        for _ in range(rng.randrange(1, 4)):
+            length = QPhi(Fraction(rng.randrange(1, 17), 16))
+            arcs.append(Arc(_random_qphi(rng), length))
+        for a in arcs:
+            points += [CirclePoint(a.start), CirclePoint(a.end),
+                       CirclePoint(a.start + a.length / 2)]
+        return CircleBox(tuple(arcs), full=rng.randrange(8) == 0), points
+    if isinstance(backend, CantorBackend):
+        words = [tuple(rng.randrange(2) for _ in range(rng.randrange(0, 6)))
+                 for _ in range(rng.randrange(1, 4))]
+        points += [PadicPoint(w, (rng.randrange(2),)) for w in words]
+        return CantorBox(tuple(words)), points
+    n = backend.size
+    keep = frozenset(i for i in range(n) if rng.randrange(2))
+    return FiniteBox(keep, n), points + [FinitePoint(i, n) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [golden_rotation(), odometer(), finite_cyclic(5), golden_double()],
+    ids=lambda s: s.name,
+)
+@given(seed=st.integers(0, 2**32), k=st.integers(-300, 300))
+@settings(max_examples=150, deadline=None)
+def test_translate_box_commutes_with_the_map(system, seed, k):
+    box, points = _box_and_points(system, random.Random(seed))
+    moved = system.translate_box(box, k)
+    for p in points:
+        assert box_contains(moved, system.power(p, k)) == box_contains(box, p)
+
+
+def test_boxes_cover_open_target_and_closure():
+    quarter = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),))
+    # an open arc lies in itself but its closure does not
+    assert boxes_cover([quarter], quarter, closure=False)
+    assert not boxes_cover([quarter], quarter)
+    halves = [CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)),
+              CircleBox((Arc(QPhi(Fraction(1, 2)), QPhi(Fraction(1, 2))),))]
+    # two open half-circles miss their common end points
+    assert not boxes_cover(halves, CircleBox((), True))
+    assert boxes_cover([CantorBox(((0,),)), CantorBox(((1,),))], CantorBox(((),)))
+    assert not boxes_cover([FiniteBox(frozenset({0}), 2)], FiniteBox(frozenset({0, 1}), 2))
