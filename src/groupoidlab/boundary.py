@@ -13,18 +13,15 @@ for anything outside the supported descriptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .qphi import QPhi
 from .spaces import (
-    CirclePoint,
-    FinitePoint,
-    PadicPoint,
     PairPoint,
     Point,
     _canon_ev_periodic,
     box_rep_point,
     dense_indices_hitting,
+    point_from_token,
+    split_top_level,
 )
 from .graphs import (
     DiscreteEdge,
@@ -85,10 +82,6 @@ class EvPeriodic:
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.item(i) for i in range(n))
-
-
-def constant_sequence(value: int) -> EvPeriodic:
-    return EvPeriodic((), (value,))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +334,9 @@ class ConstantPointRule:
 
 @dataclass(frozen=True)
 class ApproachPointRule:
-    """z_n -> target with d(z_n, target) = 2^-n exactly.
-
-    On the circle: z_n = target + 2^-n.  On the Cantor backend: flip
-    bit n of the target.  Either way convergence is decidable.
+    """z_n -> target with d(z_n, target) = 2^-(n+1) exactly, by the
+    point's own ``approach`` (circle and Cantor points have one), so
+    convergence is decidable.
     """
 
     target: Point
@@ -353,15 +345,10 @@ class ApproachPointRule:
         return self.target
 
     def term(self, n: int) -> Point:
-        t = self.target
-        if isinstance(t, CirclePoint):
-            return CirclePoint((t.value + QPhi(Fraction(1, 1 << (n + 1)))).mod1())
-        if isinstance(t, PadicPoint):
-            # agree on the first n+1 bits, flip the next, pad with zeros
-            bits = list(t.bits(n + 2))
-            bits[n + 1] ^= 1
-            return PadicPoint(tuple(bits), (0,))
-        raise BoundaryError(f"no approach rule on {t!r}")
+        approach = getattr(self.target, "approach", None)
+        if approach is None:
+            raise BoundaryError(f"no approach rule on {self.target!r}")
+        return approach(n)
 
 
 PointSeqRule = ConstantPointRule | ApproachPointRule
@@ -436,15 +423,12 @@ class BasePointTail:
         return isinstance(self.idx, EvPeriodic)
 
     def term(self, n: int) -> BoundaryPath:
-        z = self.z_rule.term(n)
-        if self.is_infinite():
-            return InfiniteModelPath(self.graph, z, self.idx)
-        if self.idx == ():
-            return FiniteBoundaryPath(vertex_path(self.graph, PairPoint(z, self.x_last)))
-        return FiniteBoundaryPath(param_f_k(self.graph, z, self.x_last, self.idx))
+        return self._path_at(self.z_rule.term(n))
 
     def limit_path(self) -> BoundaryPath:
-        z = self.z_rule.limit()
+        return self._path_at(self.z_rule.limit())
+
+    def _path_at(self, z: Point) -> BoundaryPath:
         if self.is_infinite():
             return InfiniteModelPath(self.graph, z, self.idx)
         if self.idx == ():
@@ -509,28 +493,6 @@ class ConvergenceReport:
         return self.verdict == PASS
 
 
-def _limit_range_of_tail(tail: TailRule):
-    """The limit of r(mu^(n)) when the rule determines it; None if the
-    ranges do not converge; UNDECIDABLE sentinel when unsupported."""
-    if isinstance(tail, ConstantTail):
-        return range_vertex(tail.path)
-    if isinstance(tail, EscapingTail):
-        p = tail.prefix.path
-        if len(p) >= 1:
-            return p.r()
-        # single appended edges: r = d(prefix vertex) itself
-        return p.base
-    if isinstance(tail, BasePointTail):
-        z_lim = tail.z_rule.limit()
-        if tail.is_infinite():
-            return PairPoint(z_lim, tail.graph.x_point(tail.idx.item(0)))
-        if tail.idx == ():
-            return PairPoint(z_lim, tail.x_last)
-        first = tail.idx[0]
-        return PairPoint(z_lim, tail.graph.x_point(first))
-    return UNDECIDABLE
-
-
 def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
     """Decide whether the described sequence converges to mu.
 
@@ -551,13 +513,14 @@ def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
             ("no tail rule: convergence is undecidable for this description",),
         )
 
-    # (i) ranges
-    lim = _limit_range_of_tail(tail)
-    if lim is UNDECIDABLE:
-        ranges = UNDECIDABLE
-        notes.append("range limit not determined by the tail rule")
+    # (i) ranges: the terms' ranges converge to the range of this path
+    if isinstance(tail, ConstantTail):
+        anchor = tail.path
+    elif isinstance(tail, EscapingTail):
+        anchor = tail.prefix
     else:
-        ranges = PASS if lim == range_vertex(mu) else FAIL
+        anchor = tail.limit_path()
+    ranges = PASS if range_vertex(anchor) == range_vertex(mu) else FAIL
 
     # (ii) prefixes
     mu_len = path_length(mu)
@@ -674,46 +637,6 @@ def _base_point_prefixes(tail: BasePointTail, mu: BoundaryPath) -> str:
 # ---------------------------------------------------------------------------
 
 
-def point_token(pt: Point) -> str:
-    if isinstance(pt, CirclePoint):
-        return f"C:{pt.value.p}:{pt.value.q}"
-    if isinstance(pt, PadicPoint):
-        pre = "".join(map(str, pt.pre))
-        per = "".join(map(str, pt.per))
-        return f"P:{pre}.{per}"
-    if isinstance(pt, FinitePoint):
-        size = "*" if pt.size is None else str(pt.size)
-        return f"F:{pt.index}/{size}"
-    if isinstance(pt, PairPoint):
-        return f"({point_token(pt.left)};{point_token(pt.right)})"
-    raise TypeError(f"not a point: {pt!r}")
-
-
-def point_from_token(tok: str) -> Point:
-    tok = tok.strip()
-    if tok.startswith("(") and tok.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(tok):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 1:
-                return PairPoint(point_from_token(tok[1:i]), point_from_token(tok[i + 1 : -1]))
-        raise ValueError(f"malformed pair token {tok!r}")
-    kind, _, rest = tok.partition(":")
-    if kind == "C":
-        p, _, q = rest.partition(":")
-        return CirclePoint(QPhi(Fraction(p), Fraction(q)))
-    if kind == "P":
-        pre, _, per = rest.partition(".")
-        return PadicPoint(tuple(map(int, pre)), tuple(map(int, per)))
-    if kind == "F":
-        idx, _, size = rest.partition("/")
-        return FinitePoint(int(idx), None if size == "*" else int(size))
-    raise ValueError(f"unknown point token {tok!r}")
-
-
 def _ev_periodic_token(seq: EvPeriodic) -> str:
     head = ",".join(map(str, seq.head))
     cycle = ",".join(map(str, seq.cycle))
@@ -732,7 +655,7 @@ def path_to_line(mu: BoundaryPath) -> str:
     model paths, ``FIN <edges>`` / ``FIN @<vertex>`` for finite ones, and
     the W-suffixed variants for loop-graph words."""
     if isinstance(mu, InfiniteModelPath):
-        return f"INF z={point_token(mu.z)} idx={_ev_periodic_token(mu.idx)}"
+        return f"INF z={mu.z.token()} idx={_ev_periodic_token(mu.idx)}"
     if isinstance(mu, InfiniteDiscretePath):
         return f"INFW idx={_ev_periodic_token(mu.labels)}"
     p = mu.path
@@ -741,9 +664,8 @@ def path_to_line(mu: BoundaryPath) -> str:
             return "FINW @"
         return "FINW " + " ".join(str(e.label) for e in p.edges)
     if len(p) == 0:
-        v = p.base
-        return f"FIN @({point_token(v.left)};{point_token(v.right)})"
-    toks = [f"({point_token(e.z)};{point_token(e.x)};{e.m})" for e in p.edges]
+        return f"FIN @{p.base.token()}"
+    toks = [f"({e.z.token()};{e.x.token()};{e.m})" for e in p.edges]
     return "FIN " + " ".join(toks)
 
 
@@ -759,6 +681,8 @@ def path_from_line(line: str, graph) -> BoundaryPath:
         idx = _ev_periodic_from_token(rest.removeprefix("idx="))
         return InfiniteDiscretePath(graph, idx)
     if kind == "FINW":
+        if not isinstance(graph, OneVertexLoopGraph):
+            raise BoundaryError(f"a FINW line needs the loop graph, not {graph!r}")
         if rest == "@":
             return FiniteBoundaryPath(vertex_path(graph, graph.vertex))
         edges = tuple(graph.edge(int(t)) for t in rest.split())
@@ -769,20 +693,7 @@ def path_from_line(line: str, graph) -> BoundaryPath:
             return FiniteBoundaryPath(vertex_path(graph, v))
         edges = []
         for tok in rest.split():
-            body = tok[1:-1]
-            depth = 0
-            parts = []
-            last = 0
-            for i, ch in enumerate(body):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == ";" and depth == 0:
-                    parts.append(body[last:i])
-                    last = i + 1
-            parts.append(body[last:])
-            z_tok, x_tok, m_tok = parts
+            z_tok, x_tok, m_tok = split_top_level(tok[1:-1])
             edges.append(ModelEdge(point_from_token(z_tok), point_from_token(x_tok), int(m_tok)))
         return FiniteBoundaryPath(FinitePath(graph, tuple(edges)))
     raise ValueError(f"unknown line kind {kind!r}")

@@ -18,9 +18,7 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
-from .qphi import QPhi
 from .boundary import (
     ApproachPointRule,
     BasePointTail,
@@ -32,7 +30,6 @@ from .boundary import (
     _ev_periodic_from_token,
     converges,
     path_from_line,
-    point_from_token,
 )
 from .graphs import (
     DiscreteGraph,
@@ -57,20 +54,12 @@ from .ktheory import (
 )
 from .reports import PLUMBING, CheckRecord, Report
 from .spaces import (
-    Arc,
-    CantorBackend,
-    CantorBox,
-    CircleBackend,
-    CircleBox,
-    FiniteBackend,
-    FiniteBox,
+    SYSTEM_BUILDERS,
+    X_BACKEND_BUILDERS,
     box_contains,
     eps_dense,
-    finite_cyclic,
     freeness_check,
-    golden_rotation,
-    odometer,
-    point_backend,
+    point_from_token,
 )
 
 
@@ -114,36 +103,34 @@ def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
     return value
 
 
+def _parse_factor(obj: dict, key: str, default: str, builders: dict):
+    """A name of ``builders`` taking no parameter, or ``(kind, n)`` from
+    ``{"kind": kind, <parameter>: n}`` for one that takes one."""
+    value = obj.get(key, default)
+    kind = value.get("kind") if isinstance(value, dict) else value
+    if isinstance(kind, str) and kind in builders:
+        param = builders[kind][1]
+        if isinstance(value, str) and param is None:
+            return value
+        if isinstance(value, dict) and param is not None:
+            n = value.get(param)
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                raise ConfigError(f"config.{key}.{param}: expected a positive integer")
+            return kind, n
+    forms = [
+        repr(name) if param is None else f"{{'kind': {name!r}, {param!r}: n}}"
+        for name, (_build, param) in builders.items()
+    ]
+    raise ConfigError(f"config.{key}: expected {', '.join(forms[:-1])} or {forms[-1]}")
+
+
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
-    cfg = {}
-    z = obj.get("z_backend", "odometer")
-    if z in ("odometer", "golden-rotation"):
-        cfg["z_backend"] = z
-    elif isinstance(z, dict) and z.get("kind") == "finite-cyclic":
-        order = z.get("order")
-        if not isinstance(order, int) or order < 1:
-            raise ConfigError("config.z_backend.order: expected a positive integer")
-        cfg["z_backend"] = ("finite-cyclic", order)
-    else:
-        raise ConfigError(
-            "config.z_backend: expected 'odometer', 'golden-rotation' "
-            "or {'kind': 'finite-cyclic', 'order': n}"
-        )
-    x = obj.get("x_backend", "point")
-    if x in ("point", "cantor", "circle"):
-        cfg["x_backend"] = x
-    elif isinstance(x, dict) and x.get("kind") == "finite":
-        size = x.get("size")
-        if not isinstance(size, int) or size < 1:
-            raise ConfigError("config.x_backend.size: expected a positive integer")
-        cfg["x_backend"] = ("finite", size)
-    else:
-        raise ConfigError(
-            "config.x_backend: expected 'point', 'cantor', 'circle' "
-            "or {'kind': 'finite', 'size': n}"
-        )
+    cfg = {
+        "z_backend": _parse_factor(obj, "z_backend", "odometer", SYSTEM_BUILDERS),
+        "x_backend": _parse_factor(obj, "x_backend", "point", X_BACKEND_BUILDERS),
+    }
     seeds = obj.get("seeds", [7])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config.seeds: expected a non-empty list of integers")
@@ -159,32 +146,27 @@ def parse_config(obj: dict) -> dict:
     return cfg
 
 
+def _build(value, builders: dict):
+    kind, *args = (value,) if isinstance(value, str) else value
+    return builders[kind][0](*args)
+
+
 def build_system(cfg):
-    z = cfg["z_backend"]
-    if z == "odometer":
-        return odometer()
-    if z == "golden-rotation":
-        return golden_rotation()
-    return finite_cyclic(z[1])
+    return _build(cfg["z_backend"], SYSTEM_BUILDERS)
 
 
 def build_x_backend(cfg):
-    x = cfg["x_backend"]
-    if x == "point":
-        return point_backend()
-    if x == "cantor":
-        return CantorBackend()
-    if x == "circle":
-        return CircleBackend()
-    return FiniteBackend(x[1])
+    return _build(cfg["x_backend"], X_BACKEND_BUILDERS)
+
+
+def _echo(value, builders: dict):
+    return value if isinstance(value, str) else {"kind": value[0], builders[value[0]][1]: value[1]}
 
 
 def _config_echo(cfg) -> dict:
-    z = cfg["z_backend"]
-    x = cfg["x_backend"]
     return {
-        "z_backend": z if isinstance(z, str) else {"kind": z[0], "order": z[1]},
-        "x_backend": x if isinstance(x, str) else {"kind": x[0], "size": x[1]},
+        "z_backend": _echo(cfg["z_backend"], SYSTEM_BUILDERS),
+        "x_backend": _echo(cfg["x_backend"], X_BACKEND_BUILDERS),
         "seeds": cfg["seeds"],
         "bounds": cfg["bounds"],
     }
@@ -193,19 +175,6 @@ def _config_echo(cfg) -> dict:
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
-
-
-def _density_resolution(x_backend, depth: int):
-    """(eps, depth) for the vertex-space density check: full resolution
-    over discrete X, coarser when the dense sequence needs a long run-up
-    to fill the X factor."""
-    if isinstance(x_backend, FiniteBackend) and x_backend.size <= depth:
-        return Fraction(1, depth), depth
-    if isinstance(x_backend, CantorBackend):
-        return Fraction(1, 4), depth
-    if isinstance(x_backend, CircleBackend):
-        return Fraction(1, 4), min(depth, 16)
-    return Fraction(1, depth), depth
 
 
 def check_backends(cfg, graph, report):
@@ -231,7 +200,7 @@ def check_backends(cfg, graph, report):
 
 def check_minimality(cfg, graph, report):
     depth = cfg["bounds"]["density_depth"]
-    eps, depth = _density_resolution(graph.x_backend, depth)
+    eps, depth = graph.x_backend.density_resolution(depth)
     ok = True
     tried = 0
     for seed in cfg["seeds"]:
@@ -323,39 +292,6 @@ def check_axioms(cfg, graph, report):
     )
 
 
-def _random_u_box(system, rng):
-    if isinstance(system.backend, CircleBackend):
-        start = QPhi(Fraction(rng.randrange(32), 32))
-        length = QPhi(Fraction(rng.choice([4, 6, 8]), 32))
-        return CircleBox((Arc(start, length),))
-    if isinstance(system.backend, CantorBackend):
-        depth = rng.randrange(1, 4)
-        word = tuple(rng.randrange(2) for _ in range(depth))
-        return CantorBox((word,))
-    if isinstance(system.backend, FiniteBackend):
-        n = system.backend.size
-        keep = frozenset(i for i in range(n) if rng.randrange(2)) or frozenset({0})
-        if len(keep) == n:
-            keep = frozenset(list(keep)[:-1]) or frozenset({0})
-        return FiniteBox(keep, n)
-    raise ConfigError(f"no contracting sampler for {system.backend!r}")
-
-
-def _random_vx_box(graph, rng):
-    backend = graph.x_backend
-    x1 = graph.x_point(1)
-    if isinstance(backend, FiniteBackend):
-        return backend.full_box()
-    if isinstance(backend, CantorBackend):
-        depth = rng.randrange(0, 3)
-        return CantorBox((x1.bits(depth),))
-    if isinstance(backend, CircleBackend):
-        length = QPhi(Fraction(1, rng.choice([4, 8])))
-        start = (x1.value - length / 2).mod1()
-        return CircleBox((Arc(start, length),))
-    raise ConfigError(f"no contracting sampler for {backend!r}")
-
-
 def check_contracting(cfg, graph, report):
     cap = cfg["bounds"]["witness_cap"]
     ok = True
@@ -364,8 +300,8 @@ def check_contracting(cfg, graph, report):
     for seed in cfg["seeds"]:
         rng = random.Random(seed)
         for _ in range(3):
-            u = _random_u_box(graph.z_system, rng)
-            vx = _random_vx_box(graph, rng)
+            u = graph.z_system.backend.random_box(rng)
+            vx = graph.x_backend.random_box_around(graph.x_point(1), rng)
             try:
                 witness = find_contracting_witness(graph, u, vx, cap)
             except WitnessSearchError as exc:
@@ -502,11 +438,32 @@ def run_battery(cfg, only: str | None = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _parsed(where: str, parse, text: str):
+    """``parse(text)``, with bad content reported against the field."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _index_data(tok: str):
+    """``<head>|<cycle>`` for infinite index data, else a finite tuple."""
+    if "|" in tok:
+        idx = _ev_periodic_from_token(tok)
+        values = idx.head + idx.cycle
+    else:
+        idx = values = tuple(int(v) for v in tok.split(",") if v)
+    if any(v < 1 for v in values):
+        raise ValueError("edge indices must be >= 1")
+    return idx
+
+
 def _point_rule_from_obj(obj: dict) -> ConstantPointRule | ApproachPointRule:
     rule = {"constant": ConstantPointRule, "approach": ApproachPointRule}.get(obj.get("kind"))
     if rule is None:
         raise ConfigError(f"sequence.tail.z_rule.kind: unknown kind {obj.get('kind')!r}")
-    return rule(point_from_token(_field(obj, "point", "sequence.tail.z_rule", str)))
+    where = "sequence.tail.z_rule.point"
+    return rule(_parsed(where, point_from_token, _field(obj, "point", "sequence.tail.z_rule", str)))
 
 
 def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
@@ -517,10 +474,14 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
         {"z_backend": model.get("z_backend", "odometer"), "x_backend": model.get("x_backend", "point")}
     )
     graph = build_model_graph(build_system(cfg), build_x_backend(cfg))
+
+    def path_line(where: str, line: str):
+        return _parsed(where, lambda text: path_from_line(text, graph), line)
+
     head_lines = _field(obj, "head", "sequence", list, [])
     if not all(isinstance(line, str) for line in head_lines):
         raise ConfigError("sequence.head: expected a list of path lines")
-    head = tuple(path_from_line(line, graph) for line in head_lines)
+    head = tuple(path_line(f"sequence.head[{i}]", line) for i, line in enumerate(head_lines))
     tail_obj = obj.get("tail")
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise ConfigError("sequence.tail: expected an object with a 'kind'")
@@ -529,33 +490,27 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     def field(key: str, typ: type = str, default=_REQUIRED):
         return _field(tail_obj, key, "sequence.tail", typ, default)
 
+    def point(key: str):
+        return _parsed(f"sequence.tail.{key}", point_from_token, field(key))
+
     if kind == "constant":
-        tail = ConstantTail(path_from_line(field("path"), graph))
+        tail = ConstantTail(path_line("sequence.tail.path", field("path")))
     elif kind == "escaping":
         tail = EscapingTail(
-            path_from_line(field("prefix"), graph),
-            point_from_token(field("x_last")),
+            path_line("sequence.tail.prefix", field("prefix")),
+            point("x_last"),
             field("x_box", int, 0),
             field("rep_start", int, 0),
         )
     elif kind == "base-point":
-        idx_raw = field("idx")
-        if "|" in idx_raw:
-            idx = _ev_periodic_from_token(idx_raw)
-        else:
-            idx = tuple(int(v) for v in idx_raw.split(",") if v)
-        x_last = field("x_last", str, None)
-        tail = BasePointTail(
-            graph,
-            _point_rule_from_obj(field("z_rule", dict)),
-            idx,
-            None if x_last is None else point_from_token(x_last),
-        )
+        idx = _parsed("sequence.tail.idx", _index_data, field("idx"))
+        x_last = point("x_last") if "x_last" in tail_obj else None
+        tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule", dict)), idx, x_last)
     elif kind == "head-only":
         tail = HeadOnlyTail()
     else:
         raise ConfigError(f"sequence.tail.kind: unknown kind {kind!r}")
-    limit = path_from_line(_field(obj, "limit", "sequence", str), graph)
+    limit = path_line("sequence.limit", _field(obj, "limit", "sequence", str))
     return SequenceDescription(head, tail), limit
 
 

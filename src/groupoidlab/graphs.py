@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .spaces import (
     Box,
-    FiniteBackend,
     MinimalSystem,
     PairPoint,
     Point,
@@ -97,7 +96,7 @@ class ModelGraph:
         return True
 
     def x_is_point(self) -> bool:
-        return isinstance(self.x_backend, FiniteBackend) and self.x_backend.size == 1
+        return self.x_backend.basic_count == 1
 
     def __repr__(self):
         return f"<ModelGraph Z={self.z_system.name} X={self.x_backend!r}>"
@@ -168,9 +167,6 @@ class DiscreteGraph:
     def r(self, e: DiscreteEdge) -> str:
         return e.dst
 
-    def indegree(self, vertex) -> int:
-        return self._indegree[vertex]
-
     def is_regular(self, vertex) -> bool:
         if vertex in self.singular_override:
             return False
@@ -197,14 +193,11 @@ TopGraph = ModelGraph | OneVertexLoopGraph | DiscreteGraph
 
 
 def build_model_graph(z_system: MinimalSystem, x_backend: SpaceBackend) -> ModelGraph:
-    """Assemble the model graph; the Z factor must be one of the vetted
-    systems (or the declared negative control)."""
-    if not isinstance(x_backend, FiniteBackend) and x_backend.kind not in (
-        "circle",
-        "cantor",
-    ):
+    """Assemble the model graph; both factors must be spaces that declare
+    themselves model factors (``SpaceBackend.model_factor``)."""
+    if not x_backend.model_factor:
         raise GraphError(f"unsupported X backend {x_backend!r}")
-    if z_system.backend.kind not in ("circle", "cantor", "finite"):
+    if not z_system.backend.model_factor:
         raise GraphError(f"unsupported Z system {z_system!r}")
     return ModelGraph(z_system, x_backend)
 

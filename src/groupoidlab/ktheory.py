@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import DiscreteGraph, OneVertexLoopGraph
-from .spaces import (
-    CantorBackend,
-    CircleBackend,
-    CountableBackend,
-    FiniteBackend,
-    SpaceBackend,
-)
+from .spaces import SpaceBackend
 
 
 class KTheoryError(ValueError):
@@ -277,9 +271,6 @@ class FGAbelianGroup:
             ) + tuple(self.unit_class[len(self.torsion) :])
             object.__setattr__(self, "unit_class", reduced)
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def without_unit(self) -> "FGAbelianGroup":
         return FGAbelianGroup(self.rank, self.torsion, None)
 
@@ -407,34 +398,34 @@ def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 DECLARED = "declared backend metadata, not computed from the topology"
 
 
+def _free_group(rank: int | None, pointed: bool) -> KGroup:
+    if rank is None:
+        return SymbolicGroup("free abelian of countable rank", pointed)
+    return FGAbelianGroup(rank, (), (1,) * rank if pointed else None)
+
+
 def declared_space_ktheory(backend: SpaceBackend) -> tuple[KGroup, KGroup]:
     """The declared K-theory of C(X) (or C_0(X)) for an X backend.
 
-    Computed only for finite discrete spaces; the circle and Cantor
-    values are standard topological facts entered as metadata.
+    The backend declares the ranks of two free groups
+    (``SpaceBackend.ktheory_ranks``); the finite values are computed
+    facts, the others standard topological facts entered as metadata.
+    K_0 carries the unit class, (1, ..., 1), exactly when X is compact.
     """
-    if isinstance(backend, FiniteBackend):
-        n = backend.size
-        return FGAbelianGroup(n, (), (1,) * n), ZERO_GROUP
-    if isinstance(backend, CircleBackend):
-        return FGAbelianGroup(1, (), (1,)), FGAbelianGroup(1)
-    if isinstance(backend, CantorBackend):
-        return SymbolicGroup("free abelian of countable rank", pointed=True), ZERO_GROUP
-    if isinstance(backend, CountableBackend):
-        return SymbolicGroup("free abelian of countable rank", pointed=False), ZERO_GROUP
-    raise KTheoryError(f"no declared K-theory for {backend!r}")
+    if backend.ktheory_ranks is None:
+        raise KTheoryError(f"no declared K-theory for {backend!r}")
+    k0_rank, k1_rank = backend.ktheory_ranks
+    return _free_group(k0_rank, backend.compact), _free_group(k1_rank, False)
 
 
 def z_factor_ktheory(system) -> tuple[KGroup, KGroup]:
     """Declared K-theory of the Z factor's function algebra.  The vetted
     stand-ins declare the K-theory of a point, which is the hypothesis
-    the whole construction rests on."""
+    the whole construction rests on; any other system has the declared
+    K-theory of its space."""
     if system.point_like_ktheory:
         return Z_POINTED, ZERO_GROUP
-    backend = system.backend
-    if isinstance(backend, FiniteBackend):
-        return declared_space_ktheory(backend)
-    raise KTheoryError(f"no declared K-theory for the system {system!r}")
+    return declared_space_ktheory(system.backend)
 
 
 def model_ktheory(x_backend: SpaceBackend, z_meta: tuple[KGroup, KGroup]):
@@ -449,10 +440,7 @@ def model_ktheory(x_backend: SpaceBackend, z_meta: tuple[KGroup, KGroup]):
             "the Z factor must have the K-theory of a point "
             f"(got K0 = {z_meta[0]}, K1 = {z_meta[1]})"
         )
-    k0, k1 = declared_space_ktheory(x_backend)
-    if not x_backend.compact:
-        k0 = k0.without_unit()
-    return k0, k1
+    return declared_space_ktheory(x_backend)
 
 
 def stabilize_ktheory(kpair):

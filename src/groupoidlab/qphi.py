@@ -195,9 +195,6 @@ class QPhi:
         # subtracting an integer keeps gcd(a, b, d) = 1
         return _triple(self._a - n * self._d, self._b, self._d)
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
 
 #: phi itself and the golden rotation angle phi - 1 = 1/phi.
 PHI = QPhi(0, 1)

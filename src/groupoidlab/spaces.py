@@ -34,6 +34,18 @@ class CirclePoint:
     def __post_init__(self):
         object.__setattr__(self, "value", QPhi.coerce(self.value).mod1())
 
+    def token(self) -> str:
+        return f"C:{self.value.p}:{self.value.q}"
+
+    @staticmethod
+    def parse(rest: str) -> "CirclePoint":
+        p, _, q = rest.partition(":")
+        return CirclePoint(QPhi(Fraction(p), Fraction(q)))
+
+    def approach(self, n: int) -> "CirclePoint":
+        """The point at distance exactly 2^-(n+1), further round the circle."""
+        return CirclePoint(self.value + QPhi(Fraction(1, 1 << (n + 1))))
+
 
 def _canon_ev_periodic(head, cycle):
     """Canonical (head, cycle) for an eventually periodic sequence.
@@ -166,6 +178,21 @@ class PadicPoint:
     def from_int(n: int) -> "PadicPoint":
         return PadicPoint._from_rational(n, 1)
 
+    def token(self) -> str:
+        return f"P:{''.join(map(str, self.pre))}.{''.join(map(str, self.per))}"
+
+    @staticmethod
+    def parse(rest: str) -> "PadicPoint":
+        pre, _, per = rest.partition(".")
+        return PadicPoint(tuple(map(int, pre)), tuple(map(int, per)))
+
+    def approach(self, n: int) -> "PadicPoint":
+        """The point at distance exactly 2^-(n+1): agree on the first n+1
+        bits, flip the next, pad with zeros."""
+        bits = list(self.bits(n + 2))
+        bits[n + 1] ^= 1
+        return PadicPoint(tuple(bits), (0,))
+
 
 @dataclass(frozen=True)
 class FinitePoint:
@@ -181,14 +208,60 @@ class FinitePoint:
         if self.size is not None and not 0 <= self.index < self.size:
             raise ValueError(f"index {self.index} out of range for size {self.size}")
 
+    def token(self) -> str:
+        return f"F:{self.index}/{'*' if self.size is None else self.size}"
+
+    @staticmethod
+    def parse(rest: str) -> "FinitePoint":
+        idx, _, size = rest.partition("/")
+        return FinitePoint(int(idx), None if size == "*" else int(size))
+
 
 @dataclass(frozen=True)
 class PairPoint:
     left: "Point"
     right: "Point"
 
+    def token(self) -> str:
+        return f"({self.left.token()};{self.right.token()})"
+
 
 Point = CirclePoint | PadicPoint | FinitePoint | PairPoint
+
+#: the tag before the first ':' of a point token -> parser of the rest
+_POINT_PARSERS = {"C": CirclePoint.parse, "P": PadicPoint.parse, "F": FinitePoint.parse}
+
+
+def split_top_level(text: str) -> list[str]:
+    """``text`` split at each ';' outside parentheses."""
+    depth = 0
+    parts = []
+    last = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            parts.append(text[last:i])
+            last = i + 1
+    parts.append(text[last:])
+    return parts
+
+
+def point_from_token(tok: str) -> Point:
+    """Parse ``Point.token()``: ``C:<p>:<q>``, ``P:<pre>.<per>``,
+    ``F:<index>/<size or *>`` or ``(<point>;<point>)``."""
+    tok = tok.strip()
+    if tok.startswith("(") and tok.endswith(")"):
+        parts = split_top_level(tok[1:-1])
+        if len(parts) != 2:
+            raise ValueError(f"malformed pair token {tok!r}")
+        return PairPoint(point_from_token(parts[0]), point_from_token(parts[1]))
+    kind, _, rest = tok.partition(":")
+    if kind not in _POINT_PARSERS:
+        raise ValueError(f"unknown point token {tok!r}")
+    return _POINT_PARSERS[kind](rest)
 
 
 def canonicalize(pt: Point) -> Point:
@@ -576,14 +649,28 @@ def pair_index(a: int, b: int) -> int:
 
 class SpaceBackend:
     """Base class; concrete backends fix the point type, the metric and
-    a total enumeration of non-empty basic open boxes."""
+    a total enumeration of non-empty basic open boxes.
 
-    kind: str = ""
+    The other modules reach a space kind only through this module: the
+    backend declares its topology and dimension, whether the model
+    graph accepts it as a factor (with the two box samplers of the
+    contracting check), the resolution of the density check, and the
+    K-theory of its function algebra.
+    """
+
     compact: bool = False
     dim: int = 0
 
     # number of basic opens (None = countably many)
     basic_count: int | None = None
+
+    #: the model graph accepts this space as its Z or X factor: compact,
+    #: translated piece by piece (``box_image``), with both box samplers
+    model_factor: bool = False
+
+    #: declared (rank K_0, rank K_1) of the function algebra, both groups
+    #: free, None for countable rank; None when nothing is declared
+    ktheory_ranks: tuple[int | None, int | None] | None = None
 
     def basic_open(self, i: int) -> Box:
         raise NotImplementedError
@@ -597,15 +684,32 @@ class SpaceBackend:
     def dist_le(self, a: Point, b: Point, eps: Fraction) -> bool:
         raise NotImplementedError
 
+    def random_box(self, rng) -> Box:
+        """A random non-empty box for the Z factor of the contracting
+        check, short of the whole space when it has more than one point."""
+        raise NotImplementedError
+
+    def random_box_around(self, x: Point, rng) -> Box:
+        """A random box containing ``x``, for the X factor of the
+        contracting check."""
+        raise NotImplementedError
+
+    def density_resolution(self, depth: int) -> tuple[Fraction, int]:
+        """(eps, depth) for the density check of the model graph over
+        this X: full resolution unless the dense sequence needs a long
+        run-up to fill the space."""
+        return Fraction(1, depth), depth
+
     def __repr__(self):
         return f"<{type(self).__name__}>"
 
 
 class CircleBackend(SpaceBackend):
-    kind = "circle"
     compact = True
     dim = 1
     basic_count = None
+    model_factor = True
+    ktheory_ranks = (1, 1)
 
     def basic_open(self, i: int) -> Box:
         # overlapping dyadic arcs (k/2^l, (k+2)/2^l), l >= 1: a basis.
@@ -627,12 +731,26 @@ class CircleBackend(SpaceBackend):
         # arc distance min(d, 1-d) <= eps
         return d <= QPhi(eps) or QPhi(1) - d <= QPhi(eps)
 
+    def random_box(self, rng) -> CircleBox:
+        start = QPhi(Fraction(rng.randrange(32), 32))
+        length = QPhi(Fraction(rng.choice([4, 6, 8]), 32))
+        return CircleBox((Arc(start, length),))
+
+    def random_box_around(self, x: CirclePoint, rng) -> CircleBox:
+        length = QPhi(Fraction(1, rng.choice([4, 8])))
+        start = (x.value - length / 2).mod1()
+        return CircleBox((Arc(start, length),))
+
+    def density_resolution(self, depth: int) -> tuple[Fraction, int]:
+        return Fraction(1, 4), min(depth, 16)
+
 
 class CantorBackend(SpaceBackend):
-    kind = "cantor"
     compact = True
     dim = 0
     basic_count = None
+    model_factor = True
+    ktheory_ranks = (None, 0)
 
     def basic_open(self, i: int) -> Box:
         # all finite words ordered by length, then binary value
@@ -662,17 +780,28 @@ class CantorBackend(SpaceBackend):
         v = (diff & -diff).bit_length() - 1
         return Fraction(1, 1 << v) <= eps
 
+    def random_box(self, rng) -> CantorBox:
+        depth = rng.randrange(1, 4)
+        return CantorBox((tuple(rng.randrange(2) for _ in range(depth)),))
+
+    def random_box_around(self, x: PadicPoint, rng) -> CantorBox:
+        return CantorBox((x.bits(rng.randrange(0, 3)),))
+
+    def density_resolution(self, depth: int) -> tuple[Fraction, int]:
+        return Fraction(1, 4), depth
+
 
 class FiniteBackend(SpaceBackend):
-    kind = "finite"
     compact = True
     dim = 0
+    model_factor = True
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("finite backend needs at least one point")
         self.size = size
         self.basic_count = size
+        self.ktheory_ranks = (size, 0)
 
     def basic_open(self, i: int) -> Box:
         return FiniteBox(frozenset({i % self.size}), self.size)
@@ -686,6 +815,16 @@ class FiniteBackend(SpaceBackend):
     def dist_le(self, a: FinitePoint, b: FinitePoint, eps: Fraction) -> bool:
         return a == b or eps >= 1
 
+    def random_box(self, rng) -> FiniteBox:
+        n = self.size
+        keep = frozenset(i for i in range(n) if rng.randrange(2)) or frozenset({0})
+        if len(keep) == n:
+            keep = frozenset(list(keep)[:-1]) or frozenset({0})
+        return FiniteBox(keep, n)
+
+    def random_box_around(self, x: FinitePoint, rng) -> FiniteBox:
+        return self.full_box()
+
     def __repr__(self):
         return f"<FiniteBackend({self.size})>"
 
@@ -693,10 +832,10 @@ class FiniteBackend(SpaceBackend):
 class CountableBackend(SpaceBackend):
     """N with the discrete metric; basic opens are singletons."""
 
-    kind = "countable-discrete"
     compact = False
     dim = 0
     basic_count = None
+    ktheory_ranks = (None, 0)
 
     def basic_open(self, i: int) -> Box:
         return FiniteBox(frozenset({i}), None)
@@ -712,8 +851,6 @@ class CountableBackend(SpaceBackend):
 
 
 class ProductBackend(SpaceBackend):
-    kind = "product"
-
     def __init__(self, left: SpaceBackend, right: SpaceBackend):
         self.left = left
         self.right = right
@@ -993,9 +1130,18 @@ def finite_cyclic(n: int) -> MinimalSystem:
     )
 
 
+#: config names of the Z systems and the X spaces -> (builder, the name of
+#: its one positive-integer parameter, or None when it takes none)
 SYSTEM_BUILDERS = {
-    "golden-rotation": golden_rotation,
-    "odometer": odometer,
+    "odometer": (odometer, None),
+    "golden-rotation": (golden_rotation, None),
+    "finite-cyclic": (finite_cyclic, "order"),
+}
+X_BACKEND_BUILDERS = {
+    "point": (point_backend, None),
+    "cantor": (CantorBackend, None),
+    "circle": (CircleBackend, None),
+    "finite": (FiniteBackend, "size"),
 }
 
 

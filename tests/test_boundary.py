@@ -325,6 +325,21 @@ def test_converges_base_point(odo_point):
         assert desc.term(n) != desc.term(n + 1)
 
 
+@pytest.mark.parametrize(
+    "backend, target",
+    [(golden_rotation().backend, CirclePoint(QPhi(Fraction(1, 3), 1))),
+     (odometer().backend, PadicPoint((1, 0), (0, 1, 1)))],
+)
+def test_approach_rule_distance_is_exact(backend, target):
+    rule = ApproachPointRule(target)
+    for n in range(8):
+        z = rule.term(n)
+        assert backend.dist_le(z, target, Fraction(1, 2 ** (n + 1)))
+        assert not backend.dist_le(z, target, Fraction(1, 2 ** (n + 2)))
+    with pytest.raises(BoundaryError):
+        ApproachPointRule(FinitePoint(0, 1)).term(0)
+
+
 def test_converges_head_never_matters(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
     noise = param_f(odo_point, odometer().power(ZERO_2ADIC, 5), EvPeriodic((), (3,)))

@@ -46,6 +46,12 @@ def test_config_field_diagnostics():
         parse_config({"z_backend": "rotation-by-pi"})
     with pytest.raises(ConfigError, match="x_backend.size"):
         parse_config({"x_backend": {"kind": "finite", "size": 0}})
+    with pytest.raises(ConfigError, match="z_backend: expected"):
+        parse_config({"z_backend": {"kind": ["odometer"]}})
+    with pytest.raises(ConfigError, match="x_backend: expected"):
+        parse_config({"x_backend": {"kind": "cantor"}})
+    with pytest.raises(ConfigError, match="x_backend.size"):
+        parse_config({"x_backend": {"kind": "finite", "size": True}})
     with pytest.raises(ConfigError, match="seeds"):
         parse_config({"seeds": []})
     with pytest.raises(ConfigError, match="bounds.samples"):
@@ -356,6 +362,29 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
                                "z_rule": {"kind": "constant", "point": 0}}},
          "sequence.tail.z_rule.point: expected a string"),
         ("run", {"bounds": 5}, "config.bounds: expected an object"),
+        # a string of the right type but with bad content
+        ("converge", {"tail": {"kind": "base-point", "idx": "a|b",
+                               "z_rule": {"kind": "constant", "point": "P:.0"}}},
+         "sequence.tail.idx: invalid literal"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "0|1",
+                               "z_rule": {"kind": "constant", "point": "P:.0"}}},
+         "sequence.tail.idx: edge indices must be >= 1"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
+                               "z_rule": {"kind": "constant", "point": "Q:.0"}}},
+         "sequence.tail.z_rule.point: unknown point token"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "1,2", "x_last": "P:2.0",
+                               "z_rule": {"kind": "constant", "point": "P:.0"}}},
+         "sequence.tail.x_last: bits must be 0 or 1"),
+        ("converge", {"tail": {"kind": "constant", "path": "FIN @(Q:.0;F:0/1)"}},
+         "sequence.tail.path: unknown point token"),
+        ("converge", {"tail": {"kind": "escaping", "prefix": "FIN (P:.0;F:0/1)",
+                               "x_last": "F:0/1"}},
+         "sequence.tail.prefix:"),
+        ("converge", {"head": ["INF z=P:.0"]}, "sequence.head[0]:"),
+        ("converge", {"limit": "FIN @(P:.0;F:0/1;F:0/1)"},
+         "sequence.limit: malformed pair token"),
+        ("converge", {"limit": "FIN @(C:1/0:0;F:0/1)"}, "sequence.limit:"),
+        ("converge", {"limit": "FINW 1"}, "sequence.limit: a FINW line needs the loop graph"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

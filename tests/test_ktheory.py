@@ -30,7 +30,9 @@ from groupoidlab.ktheory import (
 from groupoidlab.spaces import (
     CantorBackend,
     CircleBackend,
+    CountableBackend,
     FiniteBackend,
+    ProductBackend,
     finite_cyclic,
     golden_rotation,
     odometer,
@@ -294,6 +296,14 @@ def test_model_ktheory_is_declared_value():
             assert k0.unit_class is not None  # all four backends are compact
         else:
             assert k0.pointed
+
+
+def test_declared_ktheory_follows_compactness():
+    countable = SymbolicGroup("free abelian of countable rank", pointed=False)
+    assert declared_space_ktheory(CountableBackend()) == (countable, ZERO_GROUP)
+    assert z_factor_ktheory(finite_cyclic(3)) == (FGAbelianGroup(3, (), (1, 1, 1)), ZERO_GROUP)
+    with pytest.raises(KTheoryError):
+        declared_space_ktheory(ProductBackend(CircleBackend(), CircleBackend()))
 
 
 def test_model_ktheory_refuses_wrong_z():

@@ -1,11 +1,15 @@
+import ast
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupoidlab
 from groupoidlab.qphi import QPhi
 from groupoidlab.spaces import (
     Arc,
@@ -39,6 +43,7 @@ from groupoidlab.spaces import (
     odometer_succ,
     orbit_density_check,
     point_backend,
+    point_from_token,
 )
 
 bits = st.integers(min_value=0, max_value=1)
@@ -515,3 +520,45 @@ def test_boxes_cover_open_target_and_closure():
     assert not boxes_cover(halves, CircleBox((), True))
     assert boxes_cover([CantorBox(((0,),)), CantorBox(((1,),))], CantorBox(((),)))
     assert not boxes_cover([FiniteBox(frozenset({0}), 2)], FiniteBox(frozenset({0, 1}), 2))
+
+
+@pytest.mark.parametrize(
+    "point, token",
+    [
+        (CirclePoint(QPhi(Fraction(-1, 2), Fraction(1, 2))), "C:-1/2:1/2"),
+        (PadicPoint((0, 1, 1), (1, 0)), "P:011.10"),
+        (FinitePoint(2, None), "F:2/*"),
+        (PairPoint(PairPoint(PadicPoint((), (0,)), FinitePoint(0, 1)), CirclePoint(QPhi(0))),
+         "((P:.0;F:0/1);C:0:0)"),
+        (PairPoint(FinitePoint(1, 3), PairPoint(FinitePoint(0, 1), FinitePoint(2, None))),
+         "(F:1/3;(F:0/1;F:2/*))"),
+    ],
+)
+def test_point_token_roundtrip(point, token):
+    assert point.token() == token
+    assert point_from_token(token) == point
+
+
+@pytest.mark.parametrize("token", ["Q:.0", "(P:.0;F:0/1;F:0/1)", "((P:.0;F:0/1))", "F:x/1"])
+def test_point_token_rejects(token):
+    with pytest.raises(ValueError):
+        point_from_token(token)
+
+
+# the kind classes of spaces.py, and every module that must reach the
+# space kinds only through backend and point methods
+_KIND_CLASS = re.compile(r"(Circle|Cantor|Padic|Finite|Countable)(Point|Box|Backend)")
+
+
+@pytest.mark.parametrize("module", ["cli", "graphs", "ktheory", "boundary"])
+def test_space_kinds_stay_in_spaces(module):
+    source = Path(groupoidlab.__file__).with_name(f"{module}.py").read_text()
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not sorted(n for n in named if _KIND_CLASS.fullmatch(n))
