@@ -43,6 +43,10 @@ class ShiftDomainError(BoundaryError):
     """Raised when shifting a zero-length path (a singular vertex)."""
 
 
+# frozen dataclasses set their fields through this
+_set = object.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # eventually periodic integer sequences
 # ---------------------------------------------------------------------------
@@ -75,7 +79,17 @@ class EvPeriodic:
         if n:
             n %= len(cycle)
             cycle = cycle[n:] + cycle[:n]
-        return EvPeriodic(head, cycle)
+        return EvPeriodic._canonical(head, cycle)
+
+    @staticmethod
+    def _canonical(head: tuple[int, ...], cycle: tuple[int, ...]) -> "EvPeriodic":
+        """A sequence from a pair that is already canonical, such as a
+        suffix of a canonical one: the head keeps its last item, or it is
+        empty and the cycle is a rotation of a primitive word."""
+        seq = object.__new__(EvPeriodic)
+        _set(seq, "head", head)
+        _set(seq, "cycle", cycle)
+        return seq
 
     def cons(self, value: int) -> "EvPeriodic":
         return EvPeriodic((value,) + self.head, self.cycle)
@@ -120,6 +134,15 @@ class InfiniteModelPath:
     def __post_init__(self):
         if any(v < 1 for v in self.idx.head + self.idx.cycle):
             raise BoundaryError("edge indices must be >= 1")
+
+    @staticmethod
+    def _unchecked(graph: ModelGraph, z: Point, idx: EvPeriodic) -> "InfiniteModelPath":
+        """A path whose indices are known to be >= 1, such as a shift."""
+        mu = object.__new__(InfiniteModelPath)
+        _set(mu, "graph", graph)
+        _set(mu, "z", z)
+        _set(mu, "idx", idx)
+        return mu
 
     def edge_at(self, i: int) -> ModelEdge:
         """The i-th edge, i >= 1."""
@@ -167,6 +190,14 @@ class InfiniteDiscretePath:
                     raise BoundaryError(f"labels {i + 1} and {i + 2} do not compose")
             return
         raise BoundaryError(f"unsupported graph {g!r}")
+
+    @staticmethod
+    def _unchecked(graph, labels: EvPeriodic) -> "InfiniteDiscretePath":
+        """A word known to compose, such as a shift of one that does."""
+        mu = object.__new__(InfiniteDiscretePath)
+        _set(mu, "graph", graph)
+        _set(mu, "labels", labels)
+        return mu
 
     def edge_at(self, i: int) -> DiscreteEdge:
         g = self.graph
@@ -229,21 +260,20 @@ def shift(mu: BoundaryPath) -> BoundaryPath:
         if len(p) == 1:
             return FiniteBoundaryPath(vertex_path(p.graph, p.d()))
         return FiniteBoundaryPath(FinitePath(p.graph, p.edges[1:]))
-    if isinstance(mu, InfiniteModelPath):
-        sys = mu.graph.z_system
-        return InfiniteModelPath(mu.graph, sys.power(mu.z, -1), mu.idx.shifted())
-    return InfiniteDiscretePath(mu.graph, mu.labels.shifted())
+    return shift_power(mu, 1)
 
 
 def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
     if n < 0:
         raise ValueError("n must be >= 0")
+    # the indices (labels) of a shifted infinite path are a suffix of valid
+    # ones, so the path is built without validating them again
     if isinstance(mu, InfiniteModelPath) and n:
-        return InfiniteModelPath(
+        return InfiniteModelPath._unchecked(
             mu.graph, mu.graph.z_system.power(mu.z, -n), mu.idx.shifted(n)
         )
     if isinstance(mu, InfiniteDiscretePath) and n:
-        return InfiniteDiscretePath(mu.graph, mu.labels.shifted(n))
+        return InfiniteDiscretePath._unchecked(mu.graph, mu.labels.shifted(n))
     out = mu
     for _ in range(n):
         out = shift(out)

@@ -90,6 +90,12 @@ _REQUIRED = object()
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` in Python, but JSON ``true``
+    is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
     """``obj[key]`` checked to be of JSON type ``kind``; a missing key
     gives ``default``, or an error naming the field when it is required."""
@@ -114,7 +120,7 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict):
             return value
         if isinstance(value, dict) and param is not None:
             n = value.get(param)
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ConfigError(f"config.{key}.{param}: expected a positive integer")
             return kind, n
     forms = [
@@ -132,14 +138,17 @@ def parse_config(obj: dict) -> dict:
         "x_backend": _parse_factor(obj, "x_backend", "point", X_BACKEND_BUILDERS),
     }
     seeds = obj.get("seeds", [7])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config.seeds: expected a non-empty list of integers")
+    for i, seed in enumerate(seeds):
+        if not _is_int(seed):
+            raise ConfigError(f"config.seeds[{i}]: expected an integer")
     cfg["seeds"] = seeds
     bounds = dict(DEFAULT_BOUNDS)
     for key, value in _field(obj, "bounds", "config", dict, {}).items():
         if key not in DEFAULT_BOUNDS:
             raise ConfigError(f"config.bounds.{key}: unknown bound")
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigError(f"config.bounds.{key}: expected a positive integer")
         bounds[key] = value
     cfg["bounds"] = bounds
@@ -493,14 +502,20 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     def point(key: str):
         return _parsed(f"sequence.tail.{key}", point_from_token, field(key))
 
+    def count(key: str):
+        value = field(key, int, 0)
+        if value < 0:
+            raise ConfigError(f"sequence.tail.{key}: expected a non-negative integer")
+        return value
+
     if kind == "constant":
         tail = ConstantTail(path_line("sequence.tail.path", field("path")))
     elif kind == "escaping":
         tail = EscapingTail(
             path_line("sequence.tail.prefix", field("prefix")),
             point("x_last"),
-            field("x_box", int, 0),
-            field("rep_start", int, 0),
+            count("x_box"),
+            count("rep_start"),
         )
     elif kind == "base-point":
         idx = _parsed("sequence.tail.idx", _index_data, field("idx"))

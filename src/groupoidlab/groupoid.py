@@ -4,8 +4,9 @@ Elements are triples (x, k, y) with a witness (n, m), n - m = k, such
 that the n-th shift of x equals the m-th shift of y exactly.  Witnesses
 are always reduced to the minimal pair, so equality of elements is
 structural.  Principality is certified two ways on the model graph: a
-seeded sampling search for isotropy, and an exact reduction of the
-infinite-path case to freeness of the base dynamics.
+seeded sampling search for isotropy up to a bound, and an exact
+reduction of the infinite-path case to freeness of the base dynamics,
+which the system's declared ``period`` decides outright.
 """
 
 from __future__ import annotations
@@ -530,10 +531,10 @@ def isotropy_search(mu: BoundaryPath, bound: int) -> list[tuple[int, int]]:
     groups: dict = {}
     found = []
     for n in range(top + 1):
-        key = shift_power(mu, n)
-        for m in groups.get(key, ()):
+        bucket = groups.setdefault(shift_power(mu, n), [])
+        for m in bucket:
             found.append((n, m))
-        groups.setdefault(key, []).append(n)
+        bucket.append(n)
     return found
 
 
@@ -544,7 +545,8 @@ class ReductionReport:
     Finite paths: shifts of different exponents have different lengths.
     Infinite model paths: equality of shifted paths forces equality of
     inverse orbit points of the base, hence a period of the dynamics;
-    an empty freeness certificate rules that out.
+    the system's exact ``period`` rules that out at every exponent, not
+    only up to the bound.  ``periods`` lists the periods up to the bound.
     """
 
     case: str
@@ -563,11 +565,10 @@ def isotropy_reduction(mu: BoundaryPath, bound: int) -> ReductionReport:
         )
     if isinstance(mu, InfiniteModelPath):
         system = mu.graph.z_system
-        periods = tuple(freeness_check(system, mu.z, bound))
         return ReductionReport(
             "infinite",
-            periods,
-            not periods,
+            tuple(freeness_check(system, mu.z, bound)),
+            system.period(mu.z) is None,
             "equal shifted paths force an exact period of the base dynamics",
         )
     # infinite word in a discrete graph: no dynamics to reduce to

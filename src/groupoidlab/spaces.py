@@ -1056,23 +1056,32 @@ class MinimalSystem:
     the image of its anchor): box translation is derived from the map on
     anchor points alone, which is exact only under that precondition.
 
+    ``period(p)`` is the least ``k >= 1`` with ``map^k(p) = p``, or
+    ``None`` when no such ``k`` exists; the system is free exactly when
+    it is ``None`` at every point.  It is declared with the map, from an
+    exact argument about that map, so freeness is certified outright
+    rather than by walking the orbit up to a bound.
+
     ``point_like_ktheory`` marks systems standing in for an infinite
     compact space whose function algebra has the K-theory of a point;
     that declared value, not the K-theory of the carrier space itself,
     is what the K-theory pipeline consumes.
     """
 
-    def __init__(self, name, backend, power, *, minimal, free, infinite, point_like_ktheory):
+    def __init__(self, name, backend, power, *, minimal, period, infinite, point_like_ktheory):
         self.name = name
         self.backend = backend
         self._power = power
+        self._period = period
         self.minimal = minimal
-        self.free = free
         self.infinite = infinite
         self.point_like_ktheory = point_like_ktheory
 
     def power(self, p: Point, k: int) -> Point:
         return self._power(p, k)
+
+    def period(self, p: Point) -> int | None:
+        return self._period(p)
 
     def forward(self, p: Point) -> Point:
         return self._power(p, 1)
@@ -1091,40 +1100,43 @@ class MinimalSystem:
 
 def golden_rotation() -> MinimalSystem:
     """Rotation by phi - 1 on the circle: free and minimal, with exact
-    Q(phi) arithmetic."""
+    Q(phi) arithmetic.  No point has a period: k*(phi - 1) has phi
+    coefficient k, so it is an integer only for k = 0."""
     return MinimalSystem(
         "golden-rotation",
         CircleBackend(),
         lambda p, k: circle_rotate(p, k),
         minimal=True,
-        free=True,
+        period=lambda p: None,
         infinite=True,
         point_like_ktheory=True,
     )
 
 
 def odometer() -> MinimalSystem:
-    """The 2-adic odometer (+1 with carry): a free minimal Cantor system."""
+    """The 2-adic odometer (+1 with carry): a free minimal Cantor system.
+    No point has a period: z + k = z in Z_2 only for k = 0."""
     return MinimalSystem(
         "odometer",
         CantorBackend(),
         lambda p, k: odometer_succ(p, k),
         minimal=True,
-        free=True,
+        period=lambda p: None,
         infinite=True,
         point_like_ktheory=True,
     )
 
 
 def finite_cyclic(n: int) -> MinimalSystem:
-    """Cyclic shift on n points: minimal but not free; negative control."""
+    """Cyclic shift on n points: minimal but not free, since every point
+    has period n; negative control."""
     backend = FiniteBackend(n)
     return MinimalSystem(
         f"finite-cyclic-{n}",
         backend,
         lambda p, k: FinitePoint((p.index + k) % n, n),
         minimal=True,
-        free=False,
+        period=lambda p: n,
         infinite=False,
         point_like_ktheory=False,
     )
@@ -1168,14 +1180,11 @@ def orbit_density_check(system: MinimalSystem, z: Point, eps: Fraction, max_iter
 
 
 def freeness_check(system: MinimalSystem, z: Point, bound: int) -> list[int]:
-    """All periods 1 <= k <= bound with map^k(z) = z, by exact equality.
-    An empty list certifies freeness at z up to the bound."""
+    """All periods 1 <= k <= bound with map^k(z) = z: the multiples of the
+    system's exact least period at z.  An empty list means no period up
+    to the bound; ``system.period(z) is None`` certifies that z has none
+    at all."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    periods = []
-    w = z
-    for k in range(1, bound + 1):
-        w = system.forward(w)
-        if w == z:
-            periods.append(k)
-    return periods
+    period = system.period(z)
+    return [] if period is None else list(range(period, bound + 1, period))

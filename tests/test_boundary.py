@@ -43,11 +43,14 @@ from groupoidlab.spaces import (
     PairPoint,
     golden_rotation,
     odometer,
+    odometer_succ,
     point_backend,
 )
 
 ZERO_2ADIC = PadicPoint((), (0,))
 ZERO_CIRCLE = CirclePoint(QPhi(0))
+ODO_POINT = build_model_graph(odometer(), point_backend())
+LOOP = OneVertexLoopGraph()
 
 
 @pytest.fixture
@@ -117,6 +120,32 @@ def test_ev_periodic_shift_consistent(head, cycle, n):
     s = EvPeriodic(tuple(head), tuple(cycle))
     shifted = s.shifted(n)
     assert [shifted.item(i) for i in range(8)] == [s.item(i + n) for i in range(8)]
+
+
+@given(
+    st.lists(small_ints, max_size=4),
+    st.lists(small_ints, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_fast_shift_equals_canonicalised_suffix(head, cycle, n):
+    """Shifts skip canonicalisation; the public constructor on the raw
+    suffix must give the same fields and hash, for sequences and paths."""
+    head, cycle = tuple(head), tuple(cycle)
+    s = EvPeriodic(head, cycle)
+    if n <= len(head):
+        slow = EvPeriodic(head[n:], cycle)
+    else:
+        r = (n - len(head)) % len(cycle)
+        slow = EvPeriodic((), cycle[r:] + cycle[:r])
+    fast = s.shifted(n)
+    assert (fast.head, fast.cycle) == (slow.head, slow.cycle)
+    assert fast == slow and hash(fast) == hash(slow)
+    word = shift_power(InfiniteDiscretePath(LOOP, s), n)
+    assert word == InfiniteDiscretePath(LOOP, slow) and word.labels.cycle == slow.cycle
+    path = shift_power(param_f(ODO_POINT, ZERO_2ADIC, s), n)
+    expected = param_f(ODO_POINT, odometer_succ(ZERO_2ADIC, -n), slow)
+    assert path == expected and hash(path) == hash(expected)
 
 
 def test_ev_periodic_shift():

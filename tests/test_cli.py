@@ -58,6 +58,13 @@ def test_config_field_diagnostics():
         parse_config({"bounds": {"samples": -1}})
     with pytest.raises(ConfigError, match="bounds.frobnicate"):
         parse_config({"bounds": {"frobnicate": 3}})
+    # JSON true is not the integer 1
+    with pytest.raises(ConfigError, match=r"config\.seeds\[0\]: expected an integer"):
+        parse_config({"seeds": [True]})
+    with pytest.raises(ConfigError, match=r"config\.seeds\[1\]: expected an integer"):
+        parse_config({"seeds": [3, False]})
+    with pytest.raises(ConfigError, match=r"config\.bounds\.samples: expected a positive integer"):
+        parse_config({"bounds": {"samples": True}})
 
 
 def test_json_parse_diagnostics(tmp_path):
@@ -105,6 +112,8 @@ def test_battery_negative_control():
     verdicts = {r.name: r.verdict for r in report.records}
     assert not report.overall
     assert verdicts["freeness"] is False
+    freeness = next(r for r in report.records if r.name == "freeness")
+    assert freeness.evidence["periods_found"] == [3, 6, 9, 12, 15, 18]
     assert verdicts["principality"] is False
     assert verdicts["ktheory"] is False
     assert verdicts["minimality"] is True  # the control is minimal, just not free
@@ -385,6 +394,16 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
          "sequence.limit: malformed pair token"),
         ("converge", {"limit": "FIN @(C:1/0:0;F:0/1)"}, "sequence.limit:"),
         ("converge", {"limit": "FINW 1"}, "sequence.limit: a FINW line needs the loop graph"),
+        # integers out of range
+        ("converge", {"model": {"x_backend": "circle"}, "limit": "FIN @(P:.0;C:0:0)",
+                      "tail": {"kind": "escaping", "prefix": "FIN @(P:.0;C:0:0)",
+                               "x_last": "C:0:0", "x_box": -1}},
+         "sequence.tail.x_box: expected a non-negative integer"),
+        ("converge", {"tail": {"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)",
+                               "x_last": "F:0/1", "rep_start": -2}},
+         "sequence.tail.rep_start: expected a non-negative integer"),
+        ("check", {"seeds": [True], "bounds": {"samples": 4}}, "config.seeds[0]: expected an integer"),
+        ("check", {"bounds": {"samples": True}}, "config.bounds.samples: expected a positive integer"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
@@ -393,6 +412,7 @@ def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
         argv = ["converge", write_json(tmp_path, "doc.json", doc)]
     else:
         argv = [command, "--config", write_json(tmp_path, "doc.json", doc)]
+        argv += ["principality"] if command == "check" else []
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 

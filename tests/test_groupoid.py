@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from groupoidlab.boundary import (
     FiniteBoundaryPath,
     InfiniteDiscretePath,
     param_f,
+    path_to_line,
     range_vertex,
     shift,
     shift_power,
@@ -218,6 +220,10 @@ def test_isotropy_nonfree_base():
     mu = param_f(graph, FinitePoint(0, 3), EvPeriodic((), (1,)))
     pairs = isotropy_search(mu, 10)
     assert (3, 0) in pairs
+    assert isotropy_reduction(mu, 10).periods == (3, 6, 9)
+    # the period is exact: below the bound the reduction still fails
+    short = isotropy_reduction(mu, 2)
+    assert short.periods == () and not short.ok
 
 
 @pytest.mark.parametrize("make_system", [golden_rotation, odometer])
@@ -232,6 +238,23 @@ def test_principality_loop_graph_control(loop_graph):
     for seed in range(10):
         rep = principality_sample(loop_graph, 100, 20, seed)
         assert not rep.ok
+
+
+def test_principality_sample_pinned():
+    """Verdicts, hit path lines and isotropy pairs at bound 320, pinned by
+    a sha256 recorded while shifts still re-canonicalised every result."""
+    lines = []
+    for system, samples, seed in (
+        (golden_rotation(), 60, 1), (golden_rotation(), 60, 2),
+        (odometer(), 60, 1), (odometer(), 60, 2),
+        (finite_cyclic(3), 40, 5), (None, 20, 7),
+    ):
+        graph = OneVertexLoopGraph() if system is None else build_model_graph(system, point_backend())
+        rep = principality_sample(graph, samples, 320, seed)
+        lines.append(f"{rep.ok} {rep.reductions_ok}")
+        lines.extend(f"{path_to_line(mu)} {pairs}" for mu, pairs in rep.isotropy)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1decc014e6a95e726c5361b59aae9fcd8813734de1232c74245ad5bc7b0dd9e6"
 
 
 # ---------------------------------------------------------------------------

@@ -365,12 +365,23 @@ def test_freeness_examples():
     assert freeness_check(finite_cyclic(3), FinitePoint(0, 3), 7) == [3, 6]
 
 
+def _periods_by_walk(system, z, bound):
+    """The reference for the declared period: the orbit walk it replaced."""
+    return [k for k in range(1, bound + 1) if system.power(z, k) == z]
+
+
 def test_freeness_random_points():
     rng = random.Random(23)
-    for sys in (golden_rotation(), odometer()):
+    systems = [(golden_rotation(), None), (odometer(), None), (golden_double(), None)]
+    systems += [(finite_cyclic(n), n) for n in range(1, 7)]
+    for sys, period in systems:
         for _ in range(100):
             z = sys.backend.random_point(rng)
-            assert freeness_check(sys, z, 50) == []
+            assert sys.period(z) == period
+            for bound in (rng.randrange(1, 50), 50):
+                walk = _periods_by_walk(sys, z, bound)
+                assert freeness_check(sys, z, bound) == walk
+                assert walk[:1] == ([] if period is None or period > bound else [period])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +471,7 @@ def golden_double() -> MinimalSystem:
         CircleBackend(),
         lambda p, k: circle_rotate(p, 2 * k),
         minimal=True,
-        free=True,
+        period=lambda p: None,
         infinite=True,
         point_like_ktheory=True,
     )
