@@ -84,6 +84,8 @@ def load_json(path: str):
         raise ConfigError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # e.g. an integer past the digit limit on conversion
+        raise ConfigError(f"{path}: {exc}")
 
 
 _REQUIRED = object()

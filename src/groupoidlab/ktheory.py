@@ -98,123 +98,60 @@ def validate_matrix(entries) -> list[list[int]]:
     return [row[:] for row in entries]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def snf(matrix):
     """Smith normal form: returns (D, P, Q) with P * M * Q = D, P and Q
     unimodular, and D diagonal with a divisibility chain d1 | d2 | ...
 
-    Pivots are cleared with 2x2 Bezout transforms (determinant one), so
-    each step replaces the pivot by a gcd; this terminates quickly and
-    avoids the coefficient explosion of quotient-only elimination.
+    Euclidean elimination.  The pivot is the nonzero entry of least
+    absolute value in the remaining block; quotient multiples of its row
+    and column are subtracted from the others, and while a nonzero
+    remainder is left the block is re-pivoted on a strictly smaller
+    entry.  A pivot that misses some entry of the block has that entry's
+    row folded into its own first.  D is canonical; P and Q are one
+    valid choice of transforms.  Least-remainder pivoting keeps the
+    transforms small in practice but has no proven size bound; Kannan
+    and Bachem (SIAM J. Comput. 8, 1979) give a polynomial algorithm.
     """
     a = [row[:] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     p = _ident(rows)
     q = _ident(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def row_combine(t, i):
-        """Unimodular rows transform making a[t][t] = gcd, a[i][t] = 0."""
-        at, ai = a[t][t], a[i][t]
-        if ai == 0:
-            return
-        if at and ai % at == 0:
-            f = ai // at
-            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            p[i] = [x - f * y for x, y in zip(p[i], p[t])]
-            return
-        g, x, y = _xgcd(at, ai)
-        u, v = -(ai // g), at // g
-        a[t], a[i] = (
-            [x * rt + y * ri for rt, ri in zip(a[t], a[i])],
-            [u * rt + v * ri for rt, ri in zip(a[t], a[i])],
-        )
-        p[t], p[i] = (
-            [x * rt + y * ri for rt, ri in zip(p[t], p[i])],
-            [u * rt + v * ri for rt, ri in zip(p[t], p[i])],
-        )
-
-    def col_combine(t, j):
-        """Unimodular columns transform making a[t][t] = gcd, a[t][j] = 0."""
-        at, aj = a[t][t], a[t][j]
-        if aj == 0:
-            return
-        if at and aj % at == 0:
-            f = aj // at
-            for row in a:
-                row[j] -= f * row[t]
-            for row in q:
-                row[j] -= f * row[t]
-            return
-        g, x, y = _xgcd(at, aj)
-        u, v = -(aj // g), at // g
-        for row in a:
-            row[t], row[j] = x * row[t] + y * row[j], u * row[t] + v * row[j]
-        for row in q:
-            row[t], row[j] = x * row[t] + y * row[j], u * row[t] + v * row[j]
-
     t = 0
     while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        nonzero = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
+        if not nonzero:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, rows):
-                row_combine(t, i)
-            for j in range(t + 1, cols):
-                col_combine(t, j)
-            # Bezout column steps can reintroduce entries below the pivot
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        if a[t][t] < 0:
+        _size, i, j = min(nonzero)
+        a[t], a[i] = a[i], a[t]
+        p[t], p[i] = p[i], p[t]
+        for row in a + q:
+            row[t], row[j] = row[j], row[t]
+        pivot = a[t][t]
+        for i in range(t + 1, rows):
+            f = a[i][t] // pivot
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                p[i] = [x - f * y for x, y in zip(p[i], p[t])]
+        for j in range(t + 1, cols):
+            f = a[t][j] // pivot
+            if f:
+                for row in a + q:
+                    row[j] -= f * row[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+            continue  # re-pivot on a remainder, smaller than |pivot|
+        if pivot < 0:
             a[t] = [-x for x in a[t]]
             p[t] = [-x for x in p[t]]
-        # enforce divisibility: fold in any entry the pivot misses
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            p[t] = [x + y for x, y in zip(p[t], p[offender])]
-            continue
-        t += 1
+            pivot = -pivot
+        missed = next(
+            (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])), None
+        )
+        if missed is None:
+            t += 1
+        else:
+            a[t] = [x + y for x, y in zip(a[t], a[missed])]
+            p[t] = [x + y for x, y in zip(p[t], p[missed])]
     if rows <= 8 and cols <= 8:
         # per-call self-check on small inputs: the factorization really
         # holds and the transforms really are unimodular

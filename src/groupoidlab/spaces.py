@@ -1068,13 +1068,11 @@ class MinimalSystem:
     is what the K-theory pipeline consumes.
     """
 
-    def __init__(self, name, backend, power, *, minimal, period, infinite, point_like_ktheory):
+    def __init__(self, name, backend, power, *, period, point_like_ktheory):
         self.name = name
         self.backend = backend
         self._power = power
         self._period = period
-        self.minimal = minimal
-        self.infinite = infinite
         self.point_like_ktheory = point_like_ktheory
 
     def power(self, p: Point, k: int) -> Point:
@@ -1106,9 +1104,7 @@ def golden_rotation() -> MinimalSystem:
         "golden-rotation",
         CircleBackend(),
         lambda p, k: circle_rotate(p, k),
-        minimal=True,
         period=lambda p: None,
-        infinite=True,
         point_like_ktheory=True,
     )
 
@@ -1120,9 +1116,7 @@ def odometer() -> MinimalSystem:
         "odometer",
         CantorBackend(),
         lambda p, k: odometer_succ(p, k),
-        minimal=True,
         period=lambda p: None,
-        infinite=True,
         point_like_ktheory=True,
     )
 
@@ -1135,9 +1129,7 @@ def finite_cyclic(n: int) -> MinimalSystem:
         f"finite-cyclic-{n}",
         backend,
         lambda p, k: FinitePoint((p.index + k) % n, n),
-        minimal=True,
         period=lambda p: n,
-        infinite=False,
         point_like_ktheory=False,
     )
 

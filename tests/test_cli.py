@@ -74,6 +74,20 @@ def test_json_parse_diagnostics(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config"], ["check", "ktheory", "--config"], ["ktheory"], ["snf"], ["converge"]],
+)
+def test_oversized_integer_names_the_file(tmp_path, capsys, argv):
+    # an integer past Python's 4300-digit conversion limit is not a
+    # JSONDecodeError, but it is still a bad input file
+    bad = tmp_path / "huge.json"
+    bad.write_text("[" + "7" * 4301 + "]")
+    assert main(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: Exceeds the limit (4300 digits)")
+
+
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------

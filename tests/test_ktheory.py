@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from groupoidlab.cli import main
 from groupoidlab.graphs import DiscreteGraph, OneVertexLoopGraph
 from groupoidlab.ktheory import (
     DimBudget,
@@ -72,27 +74,63 @@ def test_snf_zero_matrix():
     assert p == [[1, 0], [0, 1]] and q == [[1, 0], [0, 1]]
 
 
+def assert_snf_contract(m, d, p, q):
+    """P*M*Q = D, unimodular transforms, D diagonal and non-negative with
+    a divisibility chain."""
+    rows, cols = len(m), len(m[0])
+    assert mat_mul(mat_mul(p, m), q) == d
+    assert abs(mat_det(p)) == 1
+    assert abs(mat_det(q)) == 1
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    for i in range(rows):
+        for j in range(cols):
+            if i != j:
+                assert d[i][j] == 0
+    for a, b in zip(diag, diag[1:]):
+        if b != 0:
+            assert a != 0 and b % a == 0
+    assert all(v >= 0 for v in diag)
+
+
+def transform_bits(p, q):
+    return max(abs(x).bit_length() for m in (p, q) for row in m for x in row)
+
+
 def test_snf_random_contract():
-    """P*M*Q = D, unimodular transforms, divisibility chain; matrices up
-    to 8x8 as the contract promises."""
+    """The contract on matrices up to 8x8, the size snf also checks
+    itself."""
     rng = random.Random(99)
     for _ in range(200):
         rows = rng.randrange(1, 9)
         cols = rng.randrange(1, 9)
         m = [[rng.randrange(-30, 31) for _ in range(cols)] for _ in range(rows)]
-        d, p, q = snf(m)
-        assert mat_mul(mat_mul(p, m), q) == d
-        assert abs(mat_det(p)) == 1
-        assert abs(mat_det(q)) == 1
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        assert all(v >= 0 for v in diag)
+        assert_snf_contract(m, *snf(m))
+
+
+def snf32(i):
+    rng = random.Random(f"snf32-{i}")
+    return [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)]
+
+
+@pytest.mark.parametrize("i", range(14))
+def test_snf_large_contract(i):
+    """32x32 matrices with entries -9..9, past the self-checked size: the
+    contract holds and the transforms stay far below the 4300-digit
+    limit on printing an integer."""
+    m = snf32(i)
+    d, p, q = snf(m)
+    assert_snf_contract(m, d, p, q)
+    assert transform_bits(p, q) < 4000
+
+
+def test_main_snf_large_matrix(tmp_path, capsys):
+    m = snf32(10)
+    path = tmp_path / "snf32-10.json"
+    path.write_text(json.dumps(m))
+    assert main(["snf", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert_snf_contract(m, out["D"], out["P"], out["Q"])
+    assert transform_bits(out["P"], out["Q"]) < 4000
 
 
 def minors_divisor_oracle(m):
@@ -238,10 +276,24 @@ def graph_from_adjacency(mat_rows):
     return DiscreteGraph(verts, edges)
 
 
+def class_order(group):
+    """Order of the unit class in its own coordinates; None if infinite."""
+    if any(group.unit_class[len(group.torsion) :]):
+        return None
+    out = 1
+    for d, u in zip(group.torsion, group.unit_class):
+        k = d // gcd(d, u)
+        out = out * k // gcd(out, k)
+    return out
+
+
 def test_exhaustive_small_graphs_against_oracle():
     """All graphs with <= 3 vertices and <= 4 outgoing edges per vertex:
     the Smith-normal-form route agrees with the determinantal-divisor
-    oracle on ranks and invariant factors."""
+    oracle on ranks and invariant factors, and on the order of the unit
+    class, which does not depend on the coordinates SNF picks: the
+    order of v in coker M is prod(inv(M)) / prod(inv([M | v])) when both
+    have the same rank, and infinite otherwise."""
     for n in (1, 2, 3):
         rows = [c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4]
         for mat_rows in itertools.product(rows, repeat=n):
@@ -250,11 +302,17 @@ def test_exhaustive_small_graphs_against_oracle():
             m, regular = connecting_matrix(g)
             if not regular:
                 assert k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
+                assert class_order(k0) is None
                 continue
             inv = minors_divisor_oracle(m)
             assert k0.torsion == tuple(d for d in inv if d >= 2), mat_rows
             assert k0.rank == n - len(inv), mat_rows
             assert k1.rank == len(regular) - len(inv), mat_rows
+            inv_unit = minors_divisor_oracle([row + [1] for row in m])
+            order = None
+            if len(inv_unit) == len(inv):
+                order = prod(inv) // prod(inv_unit)
+            assert class_order(k0) == order, mat_rows
 
 
 def test_cokernel_unit_class_reduction():

@@ -470,9 +470,7 @@ def golden_double() -> MinimalSystem:
         "golden-double",
         CircleBackend(),
         lambda p, k: circle_rotate(p, 2 * k),
-        minimal=True,
         period=lambda p: None,
-        infinite=True,
         point_like_ktheory=True,
     )
 
