@@ -18,6 +18,7 @@ from .spaces import (
     PairPoint,
     Point,
     _canon_ev_periodic,
+    _set,
     box_rep_point,
     dense_indices_hitting,
     point_from_token,
@@ -41,10 +42,6 @@ class BoundaryError(GraphError):
 
 class ShiftDomainError(BoundaryError):
     """Raised when shifting a zero-length path (a singular vertex)."""
-
-
-# frozen dataclasses set their fields through this
-_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +111,21 @@ class FiniteBoundaryPath:
         if not g.is_singular(self.path.d()):
             raise BoundaryError(f"domain vertex {self.path.d()!r} is regular")
 
+    @staticmethod
+    def _unchecked(path: FinitePath) -> "FiniteBoundaryPath":
+        """A path whose domain is known to be singular: the domain of a
+        boundary path it was cut from or extended at the range end."""
+        mu = object.__new__(FiniteBoundaryPath)
+        _set(mu, "path", path)
+        return mu
+
     @property
     def graph(self):
         return self.path.graph
+
+    def edge_at(self, i: int):
+        """The i-th edge, 1 <= i <= len."""
+        return self.path.edges[i - 1]
 
     def __len__(self):
         return len(self.path)
@@ -245,7 +254,7 @@ def prefix_path(mu: BoundaryPath, k: int) -> FinitePath:
     if isinstance(mu, FiniteBoundaryPath):
         if k > len(mu.path):
             raise BoundaryError("prefix longer than the path")
-        return FinitePath(mu.path.graph, mu.path.edges[:k])
+        return FinitePath._unchecked(mu.path.graph, mu.path.edges[:k])
     if isinstance(mu, InfiniteModelPath):
         return mu.expand(k)
     return FinitePath(mu.graph, tuple(mu.edge_at(i) for i in range(1, k + 1)))
@@ -253,31 +262,31 @@ def prefix_path(mu: BoundaryPath, k: int) -> FinitePath:
 
 def shift(mu: BoundaryPath) -> BoundaryPath:
     """Remove the first edge; defined away from the singular vertices."""
-    if isinstance(mu, FiniteBoundaryPath):
-        p = mu.path
-        if len(p) == 0:
-            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
-        if len(p) == 1:
-            return FiniteBoundaryPath(vertex_path(p.graph, p.d()))
-        return FiniteBoundaryPath(FinitePath(p.graph, p.edges[1:]))
     return shift_power(mu, 1)
 
 
 def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
+    """Remove the first n edges; a finite path must have at least n.
+
+    A shift is a suffix of a valid path with the same domain, so it is
+    built without validating its edges, indices (labels) or domain again.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    # the indices (labels) of a shifted infinite path are a suffix of valid
-    # ones, so the path is built without validating them again
-    if isinstance(mu, InfiniteModelPath) and n:
+    if n == 0:
+        return mu
+    if isinstance(mu, FiniteBoundaryPath):
+        p = mu.path
+        if n > len(p):
+            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
+        if n == len(p):
+            return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
+        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
+    if isinstance(mu, InfiniteModelPath):
         return InfiniteModelPath._unchecked(
             mu.graph, mu.graph.z_system.power(mu.z, -n), mu.idx.shifted(n)
         )
-    if isinstance(mu, InfiniteDiscretePath) and n:
-        return InfiniteDiscretePath._unchecked(mu.graph, mu.labels.shifted(n))
-    out = mu
-    for _ in range(n):
-        out = shift(out)
-    return out
+    return InfiniteDiscretePath._unchecked(mu.graph, mu.labels.shifted(n))
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,10 @@ def main(argv=None) -> int:
             entries = load_json(args.matrix)
             if isinstance(entries, dict):
                 entries = entries.get("entries")
-            matrix = validate_matrix(entries)
+            try:
+                matrix = validate_matrix(entries)
+            except KTheoryError as exc:
+                raise ConfigError(f"{args.matrix}: {exc}")
             d, p, q = snf(matrix)
             _emit(json.dumps({"D": d, "P": p, "Q": q}, sort_keys=True, indent=2) + "\n", args.out)
             return 0

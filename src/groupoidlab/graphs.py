@@ -26,6 +26,7 @@ from .spaces import (
     Point,
     ProductBackend,
     SpaceBackend,
+    _set,
     box_contains,
     box_intersect,
     box_rep_point,
@@ -213,6 +214,12 @@ class FinitePath:
 
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
+
+    Public construction checks every junction.  Slices of a valid path
+    (shifts and prefixes) and concatenations of two valid paths whose one
+    junction has been checked are built by ``_unchecked`` instead: every
+    junction inside them was checked when their parts were built, so a
+    second check could not fail.
     """
 
     graph: TopGraph
@@ -229,6 +236,16 @@ class FinitePath:
                     f"edges {i + 1} and {i + 2} do not compose: "
                     f"d = {g.d(self.edges[i])!r} vs r = {g.r(self.edges[i + 1])!r}"
                 )
+
+    @staticmethod
+    def _unchecked(graph: TopGraph, edges: tuple[Edge, ...], base=None) -> "FinitePath":
+        """A path whose junctions are known to compose (see the class
+        docstring); ``base`` is the vertex of a zero-length path."""
+        path = object.__new__(FinitePath)
+        _set(path, "graph", graph)
+        _set(path, "edges", edges)
+        _set(path, "base", base)
+        return path
 
     def __len__(self):
         return len(self.edges)
@@ -270,7 +287,7 @@ def compose_paths(mu: FinitePath, nu: FinitePath) -> FinitePath:
         return mu
     if len(mu) == 0:
         return nu
-    return FinitePath(mu.graph, mu.edges + nu.edges)
+    return FinitePath._unchecked(mu.graph, mu.edges + nu.edges)
 
 
 def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:

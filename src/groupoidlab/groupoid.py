@@ -68,7 +68,11 @@ def _shift_defined(mu: BoundaryPath, n: int) -> bool:
 
 def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidElement:
     """Validate shift^n(x) = shift^m(y) exactly and store the element with
-    the minimal witness."""
+    the minimal witness.
+
+    Given equal shifts, shift^(n-1)(x) and shift^(m-1)(y) prepend the
+    edges x_n and y_m to the same path, so they are equal exactly when
+    those two edges are: the witness is lowered edge by edge."""
     if n < 0 or m < 0:
         raise GroupoidError("witness exponents must be non-negative")
     if not _shift_defined(x, n):
@@ -77,7 +81,7 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
         raise GroupoidError(f"shift^{m} undefined on a path of length {path_length(y)}")
     if shift_power(x, n) != shift_power(y, m):
         raise GroupoidError("shifted paths differ; not a groupoid element")
-    while n > 0 and m > 0 and shift_power(x, n - 1) == shift_power(y, m - 1):
+    while n > 0 and m > 0 and x.edge_at(n) == y.edge_at(m):
         n -= 1
         m -= 1
     return GroupoidElement(x, n - m, y, n, m)
@@ -386,19 +390,20 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
 
 def _prepend_random_edge(graph, mu: BoundaryPath, rng) -> BoundaryPath:
     """Prepend one random edge e with d(e) = r(mu); the new first index is
-    free, so this always succeeds."""
+    free, so this always succeeds.  The junction holds by construction and
+    the domain of mu is kept, so a finite result is not validated again."""
     if isinstance(graph, OneVertexLoopGraph):
         label = rng.randrange(1, 6)
         if isinstance(mu, InfiniteDiscretePath):
             return InfiniteDiscretePath(graph, mu.labels.cons(label))
         edges = (graph.edge(label),) + mu.path.edges
-        return FiniteBoundaryPath(FinitePath(graph, edges))
+        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(graph, edges))
     j = rng.randrange(1, 8)
     if isinstance(mu, InfiniteModelPath):
         return InfiniteModelPath(graph, graph.z_system.forward(mu.z), mu.idx.cons(j))
     v = range_vertex(mu)
     e = ModelEdge(v.left, v.right, j)
-    return FiniteBoundaryPath(FinitePath(graph, (e,) + mu.path.edges))
+    return FiniteBoundaryPath._unchecked(FinitePath._unchecked(graph, (e,) + mu.path.edges))
 
 
 def box_index_of_dense_value(backend, x) -> int:
@@ -701,10 +706,12 @@ def concat_prefix(graph, prefix: FinitePath, tail: BoundaryPath) -> BoundaryPath
         if len(tail.path) == 0:
             if prefix.d() != tail.path.base:
                 raise GraphError("prefix does not reach the tail vertex")
-            return FiniteBoundaryPath(prefix)
+            return FiniteBoundaryPath._unchecked(prefix)
         if prefix.d() != tail.path.r():
             raise GraphError("prefix and tail do not compose")
-        return FiniteBoundaryPath(FinitePath(graph, prefix.edges + tail.path.edges))
+        return FiniteBoundaryPath._unchecked(
+            FinitePath._unchecked(graph, prefix.edges + tail.path.edges)
+        )
     if isinstance(tail, InfiniteModelPath):
         out = tail
         for e in reversed(prefix.edges):

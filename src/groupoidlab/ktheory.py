@@ -82,19 +82,21 @@ def mat_det(m) -> int:
 
 
 def validate_matrix(entries) -> list[list[int]]:
+    """A copy of a non-empty rectangular integer matrix; errors name the
+    bad field as ``matrix``, ``matrix[r]`` or ``matrix[r][c]``."""
     if not isinstance(entries, list) or not entries:
-        raise KTheoryError("matrix must be a non-empty list of rows")
+        raise KTheoryError("matrix: expected a non-empty list of rows")
     width = None
     for r, row in enumerate(entries):
         if not isinstance(row, list) or not row:
-            raise KTheoryError(f"row {r} is not a non-empty list")
+            raise KTheoryError(f"matrix[{r}]: expected a non-empty list of integers")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise KTheoryError(f"row {r} has length {len(row)}, expected {width}")
+            raise KTheoryError(f"matrix[{r}]: has length {len(row)}, expected {width}")
         for c, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise KTheoryError(f"entry ({r}, {c}) is not an integer")
+                raise KTheoryError(f"matrix[{r}][{c}]: expected an integer")
     return [row[:] for row in entries]
 
 

@@ -187,6 +187,13 @@ class QPhi:
         t = 2 * a + b + (r if b >= 0 else -r - 1)
         return t // (2 * self._d)
 
+    def add_golden_angles(self, k: int) -> "QPhi":
+        """``self + k*(phi - 1)`` by one integer update: over the same ``d``
+        the triple becomes ``(a - k*d, b + k*d, d)``, which stays reduced
+        because ``gcd(a - k*d, b + k*d, d) = gcd(a, b, d) = 1``."""
+        kd = k * self._d
+        return _triple(self._a - kd, self._b + kd, self._d)
+
     def mod1(self) -> "QPhi":
         """Reduce into the fundamental domain [0, 1) of the circle."""
         n = self.__floor__()

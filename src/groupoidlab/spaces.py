@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .qphi import QPhi
 
-# PadicPoint blocks attribute assignment; it sets its own slots through this
+# frozen dataclasses and PadicPoint, which blocks attribute assignment,
+# set their own fields through this
 _set = object.__setattr__
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,13 @@ class CirclePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "value", QPhi.coerce(self.value).mod1())
+
+    @staticmethod
+    def _unchecked(value: QPhi) -> "CirclePoint":
+        # value must already be a QPhi in [0, 1)
+        t = object.__new__(CirclePoint)
+        _set(t, "value", value)
+        return t
 
     def token(self) -> str:
         return f"C:{self.value.p}:{self.value.q}"
@@ -1033,12 +1041,9 @@ def _product_dense(backend: ProductBackend, points, eps: Fraction) -> bool:
 
 
 def circle_rotate(t: CirclePoint, steps: int) -> CirclePoint:
-    """Rotate by steps * (phi - 1) on the circle, exactly.
-
-    steps * (phi - 1) = -steps + steps*phi, so both coefficients shift
-    by an integer; the constructor reduces mod 1.
-    """
-    return CirclePoint(t.value + QPhi(-steps, steps))
+    """Rotate by steps * (phi - 1) on the circle, exactly: one integer
+    update of the reduced triple, then one reduction mod 1."""
+    return CirclePoint._unchecked(t.value.add_golden_angles(steps).mod1())
 
 
 def odometer_succ(x: PadicPoint, steps: int) -> PadicPoint:

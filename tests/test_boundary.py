@@ -28,6 +28,7 @@ from groupoidlab.boundary import (
     shift_power,
 )
 from groupoidlab.graphs import (
+    CompositionError,
     DiscreteGraph,
     FinitePath,
     ModelEdge,
@@ -36,6 +37,7 @@ from groupoidlab.graphs import (
     vertex_path,
 )
 from groupoidlab.spaces import (
+    CircleBackend,
     CirclePoint,
     FiniteBackend,
     FinitePoint,
@@ -179,6 +181,67 @@ def test_shift_vertex_is_domain_error(odo_point):
     v = FiniteBoundaryPath(vertex_path(odo_point, PairPoint(ZERO_2ADIC, FinitePoint(0, 1))))
     with pytest.raises(ShiftDomainError):
         shift(v)
+
+
+def _finite_boundary_paths(rng):
+    """Finite boundary paths of every length up to 6 on model, loop and
+    finite discrete graphs, each built through the validating constructor."""
+    out = []
+    for graph in (
+        ODO_POINT,
+        build_model_graph(golden_rotation(), FiniteBackend(2)),
+        build_model_graph(golden_rotation(), CircleBackend()),
+    ):
+        for k in range(7):
+            z = graph.z_system.backend.random_point(rng)
+            x = graph.x_backend.random_point(rng)
+            idx = tuple(rng.randrange(1, 6) for _ in range(k))
+            out.append(FiniteBoundaryPath(param_f_k(graph, z, x, idx)))
+    for k in range(7):
+        labels = [rng.randrange(1, 6) for _ in range(k)]
+        out.append(FiniteBoundaryPath(
+            FinitePath(LOOP, tuple(LOOP.edge(m) for m in labels)) if k else vertex_path(LOOP, "*")
+        ))
+    # a -> b -> c with a loop at c; the source a receives no edge, so it is singular
+    g = DiscreteGraph(["a", "b", "c"], [("a", "b", "ab"), ("b", "c", "bc"), ("c", "c", "cc")])
+    ab, bc, cc = g.edges
+    for k in range(7):
+        edges = (cc,) * max(k - 2, 0) + (bc, ab)[max(2 - k, 0):]
+        out.append(FiniteBoundaryPath(FinitePath(g, edges) if k else vertex_path(g, "a")))
+    return out
+
+
+def test_finite_shift_matches_validated_suffix():
+    """shift_power slices finite paths without validating them again; the
+    public constructors on the raw suffix must give an equal path, with the
+    same fields and hash, and the shift must fail exactly past the length."""
+    for mu in _finite_boundary_paths(random.Random(8)):
+        p = mu.path
+        for n in range(len(p) + 1):
+            fast = shift_power(mu, n)
+            slow = FiniteBoundaryPath(
+                FinitePath(p.graph, p.edges[n:], None if n < len(p) else p.d())
+            )
+            assert fast == slow and hash(fast) == hash(slow)
+            assert (fast.path.graph, fast.path.edges, fast.path.base) == (
+                slow.path.graph, slow.path.edges, slow.path.base
+            )
+            if n:
+                assert shift(shift_power(mu, n - 1)) == fast
+        for n in (len(p) + 1, len(p) + 2):
+            with pytest.raises(ShiftDomainError):
+                shift_power(mu, n)
+
+
+def test_public_finite_path_still_validates():
+    g = DiscreteGraph(["a", "b", "c"], [("a", "b", "ab"), ("b", "c", "bc")])
+    ab, bc = g.edges
+    FinitePath(g, (bc, ab))
+    with pytest.raises(CompositionError):
+        FinitePath(g, (ab, bc))
+    e = ModelEdge(ZERO_2ADIC, FinitePoint(0, 1), 2)
+    with pytest.raises(CompositionError):
+        FinitePath(ODO_POINT, (e, e))  # d(e) = (0, x) but r(e) = (1, x_2)
 
 
 # ---------------------------------------------------------------------------

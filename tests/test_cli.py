@@ -293,6 +293,21 @@ def test_main_snf_rejects_ragged(tmp_path):
     assert main(["snf", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"entries": 5}, "matrix: expected a non-empty list of rows"),
+        ([[1, 2], 5], "matrix[1]: expected a non-empty list of integers"),
+        ([[1, 2], [3]], "matrix[1]: has length 1, expected 2"),
+        ({"entries": [[1, True]]}, "matrix[0][1]: expected an integer"),
+    ],
+)
+def test_main_snf_names_file_and_field(tmp_path, capsys, doc, message):
+    path = write_json(tmp_path, "m.json", doc)
+    assert main(["snf", path]) == 2
+    assert f"error: {path}: {message}\n" == capsys.readouterr().err
+
+
 def test_main_converge_subcommand(tmp_path, capsys):
     doc = {
         "model": {"z_backend": "odometer", "x_backend": "point"},

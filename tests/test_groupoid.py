@@ -9,6 +9,7 @@ from groupoidlab.boundary import (
     FiniteBoundaryPath,
     InfiniteDiscretePath,
     param_f,
+    path_length,
     path_to_line,
     range_vertex,
     shift,
@@ -40,12 +41,14 @@ from groupoidlab.groupoid import (
     principality_sample,
     product,
     random_boundary_path,
+    random_element_at,
     reduce_clopen,
     unit,
 )
 from groupoidlab.spaces import (
     CANTOR_FULL,
     CirclePoint,
+    FiniteBackend,
     FiniteBox,
     FinitePoint,
     PadicPoint,
@@ -110,6 +113,47 @@ def test_witness_minimized(odo_point):
     # (2, 1) reduces to (1, 0) since shifting once already aligns
     g = make_element(mu, 2, 1, shift(mu))
     assert (g.n, g.m) == (1, 0)
+
+
+def reference_witness(x, n, m, y):
+    """The minimal witness by re-shifting both paths on every step."""
+    while n > 0 and m > 0 and shift_power(x, n - 1) == shift_power(y, m - 1):
+        n -= 1
+        m -= 1
+    return n, m
+
+
+@pytest.mark.parametrize("kind", ["finite", "infinite"])
+def test_witness_minimisation_matches_reshifting(kind):
+    """make_element lowers the witness edge by edge; lifting random
+    elements (and units, and isotropy of periodic words) by j extra shifts
+    on both sides must come back to the witness the re-shifting loop finds."""
+    rng = random.Random(29)
+    loop = OneVertexLoopGraph()
+    graphs = [
+        build_model_graph(golden_rotation(), point_backend()),
+        build_model_graph(golden_rotation(), FiniteBackend(2)),
+        build_model_graph(odometer(), point_backend()),
+        loop,
+    ]
+    checked = 0
+    for graph in graphs:
+        for _ in range(60):
+            x = random_boundary_path(graph, rng, force=kind)
+            g = random_element_at(graph, x, rng)
+            pairs = [(g.x, g.n, g.m, g.y), (x, 0, 0, x)]
+            if isinstance(x, InfiniteDiscretePath):
+                p = len(x.labels.cycle)
+                pairs.append((x, len(x.labels.head) + 2 * p, len(x.labels.head), x))
+            for a, n, m, b in pairs:
+                for j in range(4):
+                    if path_length(a) < n + j or path_length(b) < m + j:
+                        break
+                    e = make_element(a, n + j, m + j, b)
+                    assert (e.n, e.m) == reference_witness(a, n + j, m + j, b)
+                    assert (e.x, e.y, e.k) == (a, b, n - m)
+                    checked += 1
+    assert checked > 600
 
 
 def test_compose_formula(odo_point):

@@ -1,4 +1,5 @@
 import ast
+import math
 import pickle
 import random
 import re
@@ -192,6 +193,29 @@ def test_rotation_examples():
 def test_rotation_is_additive():
     t = CirclePoint(QPhi(Fraction(1, 3), Fraction(1, 5)))
     assert circle_rotate(circle_rotate(t, 3), 4) == circle_rotate(t, 7)
+
+
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=-10**6, max_value=10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_rotation_matches_field_addition(a, da, b, db, k):
+    """circle_rotate updates the reduced triple in place; the public
+    constructor on the field sum must give the same point, in [0, 1) and
+    with a reduced triple.  The odd numerator over an even denominator
+    keeps the point's denominator above 1."""
+    t = CirclePoint(QPhi(Fraction(2 * a + 1, 2 * da), Fraction(b, db)))
+    assert t.value.p.denominator > 1
+    for steps in (k, -k, 10**6, -10**6):
+        r = circle_rotate(t, steps)
+        assert r == CirclePoint(t.value + QPhi(-steps, steps))
+        assert QPhi(0) <= r.value < QPhi(1)
+        v = r.value
+        assert v._d > 0 and math.gcd(v._a, v._b, v._d) == 1
 
 
 def test_rotation_bijection_sampled():
