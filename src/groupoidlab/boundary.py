@@ -21,7 +21,7 @@ from .spaces import (
     _set,
     box_rep_point,
     dense_indices_hitting,
-    point_from_token,
+    factor_point,
     split_top_level,
 )
 from .graphs import (
@@ -399,6 +399,15 @@ class ConstantTail:
 
     path: BoundaryPath
 
+    escape_note = "a constant longer path keeps its next edge inside a compact set"
+    stabilise_note = None
+
+    def anchor(self) -> BoundaryPath:
+        return self.path
+
+    def term(self, n: int) -> BoundaryPath:
+        return self.path
+
 
 @dataclass(frozen=True)
 class EscapingTail:
@@ -415,6 +424,9 @@ class EscapingTail:
     x_box_index: int = 0
     rep_start: int = 0
 
+    escape_note = "the edge after position |mu| is eventually constant"
+    stabilise_note = "the appended edges never stabilise: their indices escape"
+
     def __post_init__(self):
         if not isinstance(self.prefix, FiniteBoundaryPath):
             raise BoundaryError("escaping tails extend a finite prefix")
@@ -428,6 +440,9 @@ class EscapingTail:
                 "do not compose"
             )
 
+    def anchor(self) -> BoundaryPath:
+        return self.prefix
+
     def graph(self) -> ModelGraph:
         return self.prefix.path.graph
 
@@ -439,12 +454,8 @@ class EscapingTail:
         return ModelEdge(g.z_system.power(target.left, -1), self.x_last, idx)
 
     def term(self, n: int) -> FiniteBoundaryPath:
-        g = self.graph()
-        e = self.appended_edge(n)
-        tail = FinitePath(g, (e,))
-        p = self.prefix.path
-        full = tail if len(p) == 0 else FinitePath(g, p.edges + (e,))
-        return FiniteBoundaryPath(full)
+        edges = self.prefix.path.edges + (self.appended_edge(n),)
+        return FiniteBoundaryPath(FinitePath(self.graph(), edges))
 
 
 @dataclass(frozen=True)
@@ -458,8 +469,19 @@ class BasePointTail:
     idx: EvPeriodic | tuple[int, ...]
     x_last: Point | None = None
 
+    stabilise_note = None
+
     def is_infinite(self) -> bool:
         return isinstance(self.idx, EvPeriodic)
+
+    @property
+    def escape_note(self) -> str:
+        if self.is_infinite():
+            return "infinite terms with fixed indices stay in a compact set"
+        return "terms extend past |mu| with a fixed index inside a compact space"
+
+    def anchor(self) -> BoundaryPath:
+        return self.limit_path()
 
     def term(self, n: int) -> BoundaryPath:
         return self._path_at(self.z_rule.term(n))
@@ -470,8 +492,6 @@ class BasePointTail:
     def _path_at(self, z: Point) -> BoundaryPath:
         if self.is_infinite():
             return InfiniteModelPath(self.graph, z, self.idx)
-        if self.idx == ():
-            return FiniteBoundaryPath(vertex_path(self.graph, PairPoint(z, self.x_last)))
         return FiniteBoundaryPath(param_f_k(self.graph, z, self.x_last, self.idx))
 
 
@@ -479,6 +499,9 @@ class BasePointTail:
 class HeadOnlyTail:
     """No tail rule: only finitely many entries are described.  Every
     convergence question about such a description is undecidable."""
+
+    def term(self, n: int) -> BoundaryPath:
+        raise BoundaryError("head-only description has no tail terms")
 
 
 TailRule = ConstantTail | EscapingTail | BasePointTail | HeadOnlyTail
@@ -495,12 +518,7 @@ class SequenceDescription:
     def term(self, n: int) -> BoundaryPath:
         if n < len(self.head):
             return self.head[n]
-        shifted = n - len(self.head)
-        if isinstance(self.tail, ConstantTail):
-            return self.tail.path
-        if isinstance(self.tail, (EscapingTail, BasePointTail)):
-            return self.tail.term(shifted)
-        raise BoundaryError("head-only description has no tail terms")
+        return self.tail.term(n - len(self.head))
 
 
 PASS = "pass"
@@ -540,10 +558,17 @@ def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
     eventually matched; (escape) when mu is finite, the edges one past
     its length leave every compact subset of the edge space.  The
     verdict never depends on the explicit head entries.
+
+    Every tail rule has an anchor path nu: past the head, the terms
+    share nu's range and its prefixes, and beyond |nu| their edges
+    either escape (the escaping tail's appended edge) or stop.  So one
+    rule decides all tails: the ranges converge iff r(nu) = r(mu); an
+    infinite mu is the limit iff nu = mu; a finite mu of length k needs
+    k = 0 or the same first k edges as nu, and escape holds iff
+    |nu| <= k, since terms that carry a fixed edge past k keep it
+    inside a compact set.
     """
     tail = desc.tail
-    notes: list[str] = []
-
     if isinstance(tail, HeadOnlyTail):
         return ConvergenceReport(
             UNDECIDABLE,
@@ -551,124 +576,19 @@ def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
             UNDECIDABLE,
             ("no tail rule: convergence is undecidable for this description",),
         )
-
-    # (i) ranges: the terms' ranges converge to the range of this path
-    if isinstance(tail, ConstantTail):
-        anchor = tail.path
-    elif isinstance(tail, EscapingTail):
-        anchor = tail.prefix
-    else:
-        anchor = tail.limit_path()
-    ranges = PASS if range_vertex(anchor) == range_vertex(mu) else FAIL
-
-    # (ii) prefixes
-    mu_len = path_length(mu)
-    if isinstance(tail, ConstantTail):
-        nu = tail.path
-        nu_len = path_length(nu)
-        if mu_len == INFINITE:
-            prefixes = PASS if nu == mu else FAIL
-        else:
-            if nu_len < mu_len:
-                prefixes = FAIL
-            else:
-                prefixes = (
-                    PASS
-                    if (mu_len == 0 or prefix_path(nu, int(mu_len)) == prefix_path(mu, int(mu_len)))
-                    else FAIL
-                )
-    elif isinstance(tail, EscapingTail):
-        pref = tail.prefix
-        pl = len(pref.path)
-        if mu_len == INFINITE or mu_len > pl + 1:
-            prefixes = FAIL  # lengths are bounded by |prefix| + 1
-        elif mu_len <= pl:
-            prefixes = (
-                PASS
-                if (mu_len == 0 or prefix_path(pref, int(mu_len)) == prefix_path(mu, int(mu_len)))
-                else FAIL
-            )
-        else:
-            # mu_len == pl + 1: the last compared edge has escaping index
-            prefixes = FAIL
-            notes.append("the appended edges never stabilise: their indices escape")
-    else:  # BasePointTail
-        if tail.is_infinite():
-            if mu_len != INFINITE:
-                prefixes = PASS if mu_len == 0 else _base_point_prefixes(tail, mu)
-            else:
-                prefixes = (
-                    PASS
-                    if (
-                        isinstance(mu, InfiniteModelPath)
-                        and mu.graph is tail.graph
-                        and mu.idx == tail.idx
-                        and mu.z == tail.z_rule.limit()
-                    )
-                    else FAIL
-                )
-        else:
-            k = len(tail.idx)
-            if mu_len == INFINITE or mu_len > k:
-                prefixes = FAIL
-            else:
-                prefixes = PASS if mu_len == 0 else _base_point_prefixes(tail, mu)
-
-    # (iii) escape
-    if mu_len == INFINITE:
-        escape = PASS
-    else:
-        mu_len = int(mu_len)
-        if isinstance(tail, ConstantTail):
-            nu_len = path_length(tail.path)
-            if nu_len <= mu_len:
-                escape = PASS
-            else:
-                escape = FAIL
-                notes.append(
-                    "a constant longer path keeps its next edge inside a compact set"
-                )
-        elif isinstance(tail, EscapingTail):
-            pl = len(tail.prefix.path)
-            if pl < mu_len:
-                escape = PASS  # terms are shorter than mu past that point
-            elif pl == mu_len:
-                escape = PASS  # appended edge indices are unbounded
-            else:
-                escape = FAIL
-                notes.append("the edge after position |mu| is eventually constant")
-        else:
-            if tail.is_infinite():
-                escape = FAIL
-                notes.append("infinite terms with fixed indices stay in a compact set")
-            else:
-                k = len(tail.idx)
-                if k <= mu_len:
-                    escape = PASS
-                else:
-                    escape = FAIL
-                    notes.append(
-                        "terms extend past |mu| with a fixed index inside a compact space"
-                    )
-
-    return ConvergenceReport(ranges, prefixes, escape, tuple(notes))
-
-
-def _base_point_prefixes(tail: BasePointTail, mu: BoundaryPath) -> str:
-    """Prefix condition for moving-base terms: mu must match the
-    parameterised path at the limit base point, up to its length."""
-    mu_len = path_length(mu)
-    limit = tail.limit_path()
-    if mu_len == INFINITE:
-        return PASS if limit == mu else FAIL
-    k = int(mu_len)
-    if k == 0:
-        return PASS
-    try:
-        lim_prefix = prefix_path(limit, k)
-    except BoundaryError:
-        return FAIL
-    return PASS if lim_prefix == prefix_path(mu, k) else FAIL
+    nu = tail.anchor()
+    ranges = PASS if range_vertex(nu) == range_vertex(mu) else FAIL
+    k, nu_len = path_length(mu), path_length(nu)
+    if k == INFINITE:
+        return ConvergenceReport(ranges, PASS if nu == mu else FAIL, PASS)
+    matched = k == 0 or (nu_len >= k and prefix_path(nu, k) == prefix_path(mu, k))
+    notes = []
+    if tail.stabilise_note and k == nu_len + 1:
+        notes.append(tail.stabilise_note)
+    escape = PASS if nu_len <= k else FAIL
+    if escape == FAIL:
+        notes.append(tail.escape_note)
+    return ConvergenceReport(ranges, PASS if matched else FAIL, escape, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +629,15 @@ def path_to_line(mu: BoundaryPath) -> str:
 
 
 def path_from_line(line: str, graph) -> BoundaryPath:
+    """Parse ``path_to_line``; every point must belong to the factor it
+    stands for (an edge's z and x, a vertex's (z; x), the base point z)."""
     line = line.strip()
     kind, _, rest = line.partition(" ")
+    if kind in ("INF", "FIN") and not isinstance(graph, ModelGraph):
+        raise BoundaryError(f"a {kind} line needs a model graph, not {graph!r}")
     if kind == "INF":
         z_part, idx_part = rest.split(" ")
-        z = point_from_token(z_part.removeprefix("z="))
+        z = factor_point(graph.z_system.backend, z_part.removeprefix("z="), "the Z factor")
         idx = _ev_periodic_from_token(idx_part.removeprefix("idx="))
         return InfiniteModelPath(graph, z, idx)
     if kind == "INFW":
@@ -728,11 +652,13 @@ def path_from_line(line: str, graph) -> BoundaryPath:
         return FiniteBoundaryPath(FinitePath(graph, edges))
     if kind == "FIN":
         if rest.startswith("@"):
-            v = point_from_token(rest[1:])
+            v = factor_point(graph.vertex_backend, rest[1:], "the vertex space Z x X")
             return FiniteBoundaryPath(vertex_path(graph, v))
+        z_backend, x_backend = graph.z_system.backend, graph.x_backend
         edges = []
         for tok in rest.split():
             z_tok, x_tok, m_tok = split_top_level(tok[1:-1])
-            edges.append(ModelEdge(point_from_token(z_tok), point_from_token(x_tok), int(m_tok)))
+            z = factor_point(z_backend, z_tok, "the Z factor")
+            edges.append(ModelEdge(z, factor_point(x_backend, x_tok, "the X factor"), int(m_tok)))
         return FiniteBoundaryPath(FinitePath(graph, tuple(edges)))
     raise ValueError(f"unknown line kind {kind!r}")

@@ -26,10 +26,13 @@ from .boundary import (
     ConstantTail,
     EscapingTail,
     HeadOnlyTail,
+    INFINITE,
+    BoundaryError,
     SequenceDescription,
     _ev_periodic_from_token,
     converges,
     path_from_line,
+    path_length,
 )
 from .graphs import (
     DiscreteGraph,
@@ -58,8 +61,8 @@ from .spaces import (
     X_BACKEND_BUILDERS,
     box_contains,
     eps_dense,
+    factor_point,
     freeness_check,
-    point_from_token,
 )
 
 
@@ -457,6 +460,11 @@ def _parsed(where: str, parse, text: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _factor_point(where: str, backend, factor: str, text: str):
+    """A point token that must belong to ``backend``, the named factor."""
+    return _parsed(where, lambda tok: factor_point(backend, tok, factor), text)
+
+
 def _index_data(tok: str):
     """``<head>|<cycle>`` for infinite index data, else a finite tuple."""
     if "|" in tok:
@@ -469,12 +477,14 @@ def _index_data(tok: str):
     return idx
 
 
-def _point_rule_from_obj(obj: dict) -> ConstantPointRule | ApproachPointRule:
-    rule = {"constant": ConstantPointRule, "approach": ApproachPointRule}.get(obj.get("kind"))
-    if rule is None:
-        raise ConfigError(f"sequence.tail.z_rule.kind: unknown kind {obj.get('kind')!r}")
+def _point_rule_from_obj(obj: dict, graph) -> ConstantPointRule | ApproachPointRule:
+    rules = {"constant": ConstantPointRule, "approach": ApproachPointRule}
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in rules:
+        raise ConfigError(f"sequence.tail.z_rule.kind: unknown kind {kind!r}")
+    token = _field(obj, "point", "sequence.tail.z_rule", str)
     where = "sequence.tail.z_rule.point"
-    return rule(_parsed(where, point_from_token, _field(obj, "point", "sequence.tail.z_rule", str)))
+    return rules[kind](_factor_point(where, graph.z_system.backend, "the Z factor", token))
 
 
 def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
@@ -501,8 +511,9 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     def field(key: str, typ: type = str, default=_REQUIRED):
         return _field(tail_obj, key, "sequence.tail", typ, default)
 
-    def point(key: str):
-        return _parsed(f"sequence.tail.{key}", point_from_token, field(key))
+    def x_last():
+        where = "sequence.tail.x_last"
+        return _factor_point(where, graph.x_backend, "the X factor", field("x_last"))
 
     def count(key: str):
         value = field(key, int, 0)
@@ -513,16 +524,19 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if kind == "constant":
         tail = ConstantTail(path_line("sequence.tail.path", field("path")))
     elif kind == "escaping":
-        tail = EscapingTail(
-            path_line("sequence.tail.prefix", field("prefix")),
-            point("x_last"),
-            count("x_box"),
-            count("rep_start"),
-        )
+        prefix = path_line("sequence.tail.prefix", field("prefix"))
+        if path_length(prefix) == INFINITE:
+            raise ConfigError("sequence.tail.prefix: escaping tails extend a finite prefix")
+        args = (prefix, x_last(), count("x_box"), count("rep_start"))
+        try:
+            tail = EscapingTail(*args)
+        except BoundaryError as exc:
+            raise ConfigError(f"sequence.tail.x_box: {exc}") from None
     elif kind == "base-point":
         idx = _parsed("sequence.tail.idx", _index_data, field("idx"))
-        x_last = point("x_last") if "x_last" in tail_obj else None
-        tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule", dict)), idx, x_last)
+        # finite index data ends in an edge with x coordinate x_last
+        last = x_last() if isinstance(idx, tuple) or "x_last" in tail_obj else None
+        tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule", dict), graph), idx, last)
     elif kind == "head-only":
         tail = HeadOnlyTail()
     else:

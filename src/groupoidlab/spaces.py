@@ -272,6 +272,15 @@ def point_from_token(tok: str) -> Point:
     return _POINT_PARSERS[kind](rest)
 
 
+def factor_point(backend: "SpaceBackend", tok: str, factor: str) -> Point:
+    """``point_from_token(tok)``, which must be a point of ``backend``,
+    the space a document names ``factor``."""
+    pt = point_from_token(tok)
+    if not backend.has_point(pt):
+        raise ValueError(f"{tok.strip()} is not a point of {factor}")
+    return pt
+
+
 def canonicalize(pt: Point) -> Point:
     """Rebuild a point through its constructor; idempotent by design."""
     if isinstance(pt, CirclePoint):
@@ -689,6 +698,12 @@ class SpaceBackend:
     def random_point(self, rng) -> Point:
         raise NotImplementedError
 
+    def has_point(self, pt) -> bool:
+        """Whether ``pt`` is a point of this space.  Documents are checked
+        with it where they are read, so a point of the wrong kind never
+        reaches the dynamics; paths and edges do not check it again."""
+        raise NotImplementedError
+
     def dist_le(self, a: Point, b: Point, eps: Fraction) -> bool:
         raise NotImplementedError
 
@@ -733,6 +748,9 @@ class CircleBackend(SpaceBackend):
         p = Fraction(rng.randrange(-64, 64), rng.randrange(1, 16))
         q = Fraction(rng.randrange(-8, 8), rng.randrange(1, 8))
         return CirclePoint(QPhi(p, q))
+
+    def has_point(self, pt) -> bool:
+        return isinstance(pt, CirclePoint)
 
     def dist_le(self, a: CirclePoint, b: CirclePoint, eps: Fraction) -> bool:
         d = (a.value - b.value).mod1()
@@ -779,6 +797,9 @@ class CantorBackend(SpaceBackend):
         per = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
         return PadicPoint(pre, per)
 
+    def has_point(self, pt) -> bool:
+        return isinstance(pt, PadicPoint)
+
     def dist_le(self, a: PadicPoint, b: PadicPoint, eps: Fraction) -> bool:
         # d(a, b) = 2^-(longest common prefix) = 2^-v, v the 2-adic
         # valuation of a - b; the odd denominators do not change v
@@ -820,6 +841,9 @@ class FiniteBackend(SpaceBackend):
     def random_point(self, rng) -> FinitePoint:
         return FinitePoint(rng.randrange(self.size), self.size)
 
+    def has_point(self, pt) -> bool:
+        return isinstance(pt, FinitePoint) and pt.size == self.size
+
     def dist_le(self, a: FinitePoint, b: FinitePoint, eps: Fraction) -> bool:
         return a == b or eps >= 1
 
@@ -854,6 +878,9 @@ class CountableBackend(SpaceBackend):
     def random_point(self, rng) -> FinitePoint:
         return FinitePoint(rng.randrange(64), None)
 
+    def has_point(self, pt) -> bool:
+        return isinstance(pt, FinitePoint) and pt.size is None
+
     def dist_le(self, a: FinitePoint, b: FinitePoint, eps: Fraction) -> bool:
         return a == b or eps >= 1
 
@@ -885,6 +912,13 @@ class ProductBackend(SpaceBackend):
 
     def random_point(self, rng) -> PairPoint:
         return PairPoint(self.left.random_point(rng), self.right.random_point(rng))
+
+    def has_point(self, pt) -> bool:
+        return (
+            isinstance(pt, PairPoint)
+            and self.left.has_point(pt.left)
+            and self.right.has_point(pt.right)
+        )
 
     def dist_le(self, a: PairPoint, b: PairPoint, eps: Fraction) -> bool:
         # max metric: both coordinates within eps

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,15 +7,19 @@ import pytest
 
 from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
+    INFINITE,
     ApproachPointRule,
     BasePointTail,
     BoundaryError,
+    ConstantPointRule,
     ConstantTail,
+    ConvergenceReport,
     EscapingTail,
     EvPeriodic,
     FiniteBoundaryPath,
     HeadOnlyTail,
     InfiniteDiscretePath,
+    InfiniteModelPath,
     SequenceDescription,
     ShiftDomainError,
     converges,
@@ -22,7 +28,9 @@ from groupoidlab.boundary import (
     param_f,
     param_f_k,
     path_from_line,
+    path_length,
     path_to_line,
+    prefix_path,
     range_vertex,
     shift,
     shift_power,
@@ -36,13 +44,16 @@ from groupoidlab.graphs import (
     build_model_graph,
     vertex_path,
 )
+from groupoidlab.cli import main
 from groupoidlab.spaces import (
+    CantorBackend,
     CircleBackend,
     CirclePoint,
     FiniteBackend,
     FinitePoint,
     PadicPoint,
     PairPoint,
+    box_rep_point,
     golden_rotation,
     odometer,
     odometer_succ,
@@ -506,6 +517,192 @@ def test_h_maps_convergent_products_to_convergent_sequences(odo_point, loop_grap
         limit = homeo_h(odo_point, z, limit_nu)
         rep = converges(desc, limit)
         assert rep.holds, (mode, rep)
+
+
+def reference_converges(desc, mu):
+    """The oracle as a case analysis per tail kind: the reference the
+    one anchor-path rule of ``converges`` is compared with."""
+    tail = desc.tail
+    notes = []
+    if isinstance(tail, HeadOnlyTail):
+        return ConvergenceReport(
+            "undecidable", "undecidable", "undecidable",
+            ("no tail rule: convergence is undecidable for this description",),
+        )
+    if isinstance(tail, ConstantTail):
+        anchor = tail.path
+    elif isinstance(tail, EscapingTail):
+        anchor = tail.prefix
+    else:
+        anchor = tail.limit_path()
+    ranges = "pass" if range_vertex(anchor) == range_vertex(mu) else "fail"
+
+    def same_prefix(nu, k):
+        return k == 0 or prefix_path(nu, k) == prefix_path(mu, k)
+
+    mu_len = path_length(mu)
+    if isinstance(tail, ConstantTail):
+        nu_len = path_length(tail.path)
+        if mu_len == INFINITE:
+            prefixes = tail.path == mu
+        else:
+            prefixes = nu_len >= mu_len and same_prefix(tail.path, mu_len)
+    elif isinstance(tail, EscapingTail):
+        pl = len(tail.prefix.path)
+        if mu_len == INFINITE or mu_len > pl + 1:
+            prefixes = False
+        elif mu_len <= pl:
+            prefixes = same_prefix(tail.prefix, mu_len)
+        else:
+            prefixes = False
+            notes.append("the appended edges never stabilise: their indices escape")
+    elif tail.is_infinite():
+        if mu_len == INFINITE:
+            prefixes = (
+                isinstance(mu, InfiniteModelPath)
+                and mu.graph is tail.graph
+                and mu.idx == tail.idx
+                and mu.z == tail.z_rule.limit()
+            )
+        else:
+            prefixes = same_prefix(tail.limit_path(), mu_len)
+    else:
+        prefixes = mu_len <= len(tail.idx) and same_prefix(tail.limit_path(), mu_len)
+
+    escape = True
+    if mu_len != INFINITE:
+        if isinstance(tail, ConstantTail):
+            if path_length(tail.path) > mu_len:
+                escape = False
+                notes.append("a constant longer path keeps its next edge inside a compact set")
+        elif isinstance(tail, EscapingTail):
+            if len(tail.prefix.path) > mu_len:
+                escape = False
+                notes.append("the edge after position |mu| is eventually constant")
+        elif tail.is_infinite():
+            escape = False
+            notes.append("infinite terms with fixed indices stay in a compact set")
+        elif len(tail.idx) > mu_len:
+            escape = False
+            notes.append("terms extend past |mu| with a fixed index inside a compact space")
+    return ConvergenceReport(
+        ranges, "pass" if prefixes else "fail", "pass" if escape else "fail", tuple(notes)
+    )
+
+
+ORACLE_MODELS = {
+    "odometer-point": (odometer, point_backend),
+    "golden-finite-2": (golden_rotation, lambda: FiniteBackend(2)),
+    "odometer-cantor": (odometer, CantorBackend),
+    "golden-circle": (golden_rotation, CircleBackend),
+}
+
+
+def _anchored_paths(g, rng):
+    """A finite path of length 0-3 and an infinite path extending it."""
+    z = g.z_system.backend.random_point(rng)
+    idx = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 4)))
+    cont = random_idx(rng)
+    finite = FiniteBoundaryPath(param_f_k(g, z, g.x_point(cont.item(0)), idx))
+    infinite = param_f(g, z, EvPeriodic(idx + cont.head, cont.cycle))
+    assert prefix_path(infinite, len(idx)) == finite.path
+    return finite, infinite
+
+
+def _oracle_cases(g, rng):
+    """(description, limit) pairs: every tail kind, with limits drawn from
+    the anchor, its prefixes up to two edges past it, the sequence's own
+    terms, and random finite and infinite paths, some at the anchor's z."""
+    for _ in range(10):
+        finite, infinite = _anchored_paths(g, rng)
+        z, x = finite.path.r().left, finite.path.d().right
+        x_box = next(b for b in range(256) if box_rep_point(g.x_backend.basic_open(b)) == x)
+        z_rule = rng.choice([ConstantPointRule, ApproachPointRule])(z)
+        idx_infinite = infinite.idx
+        idx_finite = tuple(e.m for e in finite.path.edges)
+        tails = [
+            ConstantTail(finite),
+            ConstantTail(infinite),
+            EscapingTail(finite, g.x_backend.random_point(rng), x_box, rng.randrange(3)),
+            BasePointTail(g, z_rule, idx_infinite),
+            BasePointTail(g, z_rule, idx_finite, x),
+        ]
+        limits = [infinite, finite]
+        limits += [FiniteBoundaryPath(prefix_path(infinite, k)) for k in range(len(finite) + 3)]
+        for _ in range(4):
+            z2 = rng.choice([z, g.z_system.backend.random_point(rng)])
+            word = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 4)))
+            x2 = g.x_backend.random_point(rng)
+            limits.append(FiniteBoundaryPath(param_f_k(g, z2, x2, word)))
+            limits.append(param_f(g, z2, random_idx(rng)))
+        for tail in tails:
+            desc = SequenceDescription((), tail)
+            extra = [desc.term(n) for n in range(2)]
+            for mu in limits + extra:
+                yield desc, mu
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_converges_matches_per_tail_reference(model):
+    make_system, make_x = ORACLE_MODELS[model]
+    g = build_model_graph(make_system(), make_x())
+    seen = set()
+    for desc, mu in _oracle_cases(g, random.Random(model)):
+        got, want = converges(desc, mu), reference_converges(desc, mu)
+        assert got == want, (path_to_line(mu), desc.tail)
+        seen.add((type(desc.tail).__name__, got.ranges, got.prefixes, got.escape, got.notes))
+    # every tail kind reaches a pass and a fail on each condition
+    for kind in ("ConstantTail", "EscapingTail", "BasePointTail"):
+        for i in (1, 2, 3):
+            assert {row[i] for row in seen if row[0] == kind} == {"pass", "fail"}, (kind, i)
+
+
+_ODO = {"z_backend": "odometer", "x_backend": "point"}
+_GOLDEN = {"z_backend": "golden-rotation", "x_backend": "circle"}
+_VERTEX = "FIN @(P:.0;F:0/1)"
+_EDGE = "FIN (P:1.1;F:0/1;7)"
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        ({"model": _ODO, "tail": {"kind": "constant", "path": _EDGE}, "limit": _VERTEX},
+         "c127275d04b63ad439f100895eba510e94255542542019febd4c964b111e16ec"),
+        ({"model": _ODO, "tail": {"kind": "escaping", "prefix": _VERTEX, "x_last": "F:0/1"},
+          "limit": _EDGE},
+         "f1d050ef6cfb6c678782c4fdf902fb52357d6e6e46e3a7d6607cb24f25c4919b"),
+        ({"model": _ODO, "tail": {"kind": "escaping", "prefix": _EDGE, "x_last": "F:0/1",
+                                  "x_box": 0, "rep_start": 2}, "limit": _VERTEX},
+         "ea417ddce08c5ceba44b8a4f1526a59862007996a9ef49621b518056a353aa95"),
+        ({"model": _ODO, "tail": {"kind": "base-point", "idx": "|1",
+                                  "z_rule": {"kind": "approach", "point": "P:.0"}},
+          "limit": _VERTEX},
+         "d20bf06147933a10424b781ba0319b2471bee05e60655aa2f9b44c7426094182"),
+        ({"model": _ODO, "tail": {"kind": "base-point", "idx": "1,2", "x_last": "F:0/1",
+                                  "z_rule": {"kind": "constant", "point": "P:.0"}},
+          "limit": _VERTEX},
+         "da62cedf5a6a45626f884d06013ea41f0be088254f97bcf7c5adce85123060e1"),
+        ({"model": _ODO, "head": [_VERTEX], "tail": {"kind": "head-only"}, "limit": _VERTEX},
+         "7302dcc8e609fe93efff1c1dd9fd6243da5c91bb13ccf15da43d0bdc8824764c"),
+        ({"model": _ODO, "head": [_EDGE], "tail": {"kind": "base-point", "idx": "3|1,2",
+                                                   "z_rule": {"kind": "approach", "point": "P:1.01"}},
+          "limit": "INF z=P:1.01 idx=3|1,2"},
+         "bcb674ae3fb3b917370fc2d0b67371bc1e58f0edb539209132b69cb7df9ec0a9"),
+        ({"model": _GOLDEN, "tail": {"kind": "escaping", "prefix": "FIN @(C:1/3:0;C:1/2:0)",
+                                     "x_last": "C:1/4:0"}, "limit": "FIN @(C:1/3:0;C:1/2:0)"},
+         "bcb674ae3fb3b917370fc2d0b67371bc1e58f0edb539209132b69cb7df9ec0a9"),
+        ({"model": _GOLDEN, "tail": {"kind": "constant", "path": "FIN @(C:1/3:0;C:1/2:0)"},
+          "limit": "INF z=C:1/3:0 idx=|1"},
+         "96d9d2b592f45aa1bc266edcb2965d432c408b3749d2493b6ce52856c4df3b42"),
+    ],
+)
+def test_converge_output_pinned(tmp_path, capsys, doc, digest):
+    """``converge`` output bytes for documents that between them give
+    every note of the oracle."""
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupoidlab.cli import (
     ConfigError,
@@ -374,6 +380,9 @@ def test_main_converge_head_only_undecidable(tmp_path, capsys):
         ({"kind": "base-point", "idx": "5|2", "z_rule": "P:.0"}, "z_rule"),
         ({"kind": "base-point", "idx": "5|2", "x_last": 1,
           "z_rule": {"kind": "constant", "point": "P:.0"}}, "x_last"),
+        # finite index data ends in an edge whose x is x_last
+        ({"kind": "base-point", "idx": "1,2",
+          "z_rule": {"kind": "constant", "point": "P:.0"}}, "x_last"),
     ],
 )
 def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
@@ -433,6 +442,40 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
          "sequence.tail.rep_start: expected a non-negative integer"),
         ("check", {"seeds": [True], "bounds": {"samples": 4}}, "config.seeds[0]: expected an integer"),
         ("check", {"bounds": {"samples": True}}, "config.bounds.samples: expected a positive integer"),
+        # a kind that is not a string
+        ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
+                               "z_rule": {"kind": ["constant"], "point": "P:.0"}}},
+         "sequence.tail.z_rule.kind: unknown kind"),
+        # escaping tails: an infinite prefix, an x_box off the x of d(prefix)
+        ("converge", {"tail": {"kind": "escaping", "prefix": "INF z=P:.0 idx=|1",
+                               "x_last": "F:0/1"}},
+         "sequence.tail.prefix: escaping tails extend a finite prefix"),
+        ("converge", {"model": {"z_backend": "golden-rotation",
+                                "x_backend": {"kind": "finite", "size": 2}},
+                      "limit": "FIN @(C:0:0;F:0/2)",
+                      "tail": {"kind": "escaping", "prefix": "FIN @(C:0:0;F:0/2)",
+                               "x_last": "F:1/2", "x_box": 1}},
+         "sequence.tail.x_box: x_box_index must select a basic open"),
+        # points of the wrong factor
+        ("converge", {"tail": {"kind": "base-point", "idx": "1,2", "x_last": "F:0/1",
+                               "z_rule": {"kind": "constant", "point": "C:0:0"}}},
+         "sequence.tail.z_rule.point: C:0:0 is not a point of the Z factor"),
+        ("converge", {"tail": {"kind": "constant", "path": "FIN (C:0:0;F:0/1;1)"}},
+         "sequence.tail.path: C:0:0 is not a point of the Z factor"),
+        ("converge", {"limit": "INF z=C:0:0 idx=|1"},
+         "sequence.limit: C:0:0 is not a point of the Z factor"),
+        ("converge", {"head": ["FIN (P:.0;P:.0;1)"]},
+         "sequence.head[0]: P:.0 is not a point of the X factor"),
+        ("converge", {"limit": "FIN @(P:.0;F:0/2)"},
+         "sequence.limit: (P:.0;F:0/2) is not a point of the vertex space Z x X"),
+        ("converge", {"limit": "FIN @(F:0/1;P:.0)"},
+         "sequence.limit: (F:0/1;P:.0) is not a point of the vertex space Z x X"),
+        ("converge", {"tail": {"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)",
+                               "x_last": "P:.0"}},
+         "sequence.tail.x_last: P:.0 is not a point of the X factor"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "1", "x_last": "F:0/2",
+                               "z_rule": {"kind": "constant", "point": "P:.0"}}},
+         "sequence.tail.x_last: F:0/2 is not a point of the X factor"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
@@ -464,3 +507,108 @@ def test_report_text_format(fast_cfg):
     text = report.to_text()
     assert "[PASS] dimension" in text
     assert text.endswith("overall: PASS\n")
+
+
+# ---------------------------------------------------------------------------
+# ingest fuzz: mutated documents exit 0, 1 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+_ODO_VERTEX = "FIN @(P:.0;F:0/1)"
+FUZZ_DOCS = [
+    ("converge", {"model": {"z_backend": "odometer", "x_backend": "point"},
+                  "head": [_ODO_VERTEX, "INF z=P:.0 idx=2|1"],
+                  "tail": {"kind": "base-point", "idx": "1,2", "x_last": "F:0/1",
+                           "z_rule": {"kind": "constant", "point": "P:.0"}},
+                  "limit": "FIN (P:1.1;F:0/1;1)"}),
+    ("converge", {"model": {"z_backend": "golden-rotation", "x_backend": "circle"},
+                  "tail": {"kind": "base-point", "idx": "3|1,2",
+                           "z_rule": {"kind": "approach", "point": "C:1/3:0"}},
+                  "limit": "INF z=C:1/3:0 idx=3|1,2"}),
+    ("converge", {"model": {"z_backend": "odometer", "x_backend": "point"},
+                  "tail": {"kind": "escaping", "prefix": _ODO_VERTEX, "x_last": "F:0/1",
+                           "x_box": 0, "rep_start": 1},
+                  "limit": _ODO_VERTEX}),
+    ("converge", {"model": {"z_backend": "golden-rotation",
+                            "x_backend": {"kind": "finite", "size": 2}},
+                  "tail": {"kind": "constant", "path": "FIN @(C:0:0;F:1/2)"},
+                  "limit": "FIN @(C:0:0;F:1/2)"}),
+    ("converge", {"head": [_ODO_VERTEX], "tail": {"kind": "head-only"}, "limit": _ODO_VERTEX}),
+    ("ktheory", {"vertices": ["u", "v"], "edges": [["u", "v", "a"], ["v", "u", "b"],
+                                                   ["u", "u", "c"]], "singular": ["v"]}),
+    ("ktheory", {"kind": "one-vertex-loops"}),
+    ("snf", {"entries": [[2, 4], [6, 8]]}),
+    ("snf", [[1, 2, 3], [4, 5, 6]]),
+    ("check", {"z_backend": {"kind": "finite-cyclic", "order": 3},
+               "x_backend": {"kind": "finite", "size": 2},
+               "seeds": [3, 5], "bounds": {"samples": 4, "isotropy_bound": 6}}),
+]
+
+#: replacement values: every JSON type, plus strings that parse as points
+#: and path lines of the wrong factor
+_FUZZ_VALUES = [
+    None, True, False, 0, -1, 3, "", "x", "C:0:0", "P:.0", "F:0/1", "F:1/2",
+    "FIN (C:0:0;F:0/1;1)", "INF z=C:0:0 idx=|1", "1,2", "|1", [], ["constant"], [[1]],
+    {}, {"kind": "constant"},
+]
+_DELETE = object()
+
+
+def _locations(doc, where=()):
+    yield where
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _locations(value, where + (key,))
+
+
+def _mutated(doc, where, value):
+    """``doc`` with the value at ``where`` replaced by a copy of ``value``,
+    or deleted; deleting the whole document leaves ``null``."""
+    if value is not _DELETE:
+        value = copy.deepcopy(value)
+    if not where:
+        return None if value is _DELETE else value
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    return doc
+
+
+@st.composite
+def fuzzed_documents(draw):
+    command, doc = draw(st.sampled_from(FUZZ_DOCS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(list(_locations(doc))))
+        doc = _mutated(doc, where, draw(st.sampled_from(_FUZZ_VALUES + [_DELETE])))
+    return command, doc
+
+
+_NAMES_A_FIELD = re.compile(r"\b(config|sequence|graph|matrix)\b[.\[:]")
+
+
+@given(case=fuzzed_documents())
+@example(case=("converge", {"tail": {"kind": "base-point", "idx": "1,2",
+                                      "z_rule": {"kind": "constant", "point": "C:0:0"}},
+                             "limit": _ODO_VERTEX}))
+@example(case=("converge", {"tail": {"kind": "base-point", "idx": "1,2",
+                                      "z_rule": {"kind": ["constant"], "point": "P:.0"}},
+                             "limit": _ODO_VERTEX}))
+@settings(max_examples=150, deadline=None)
+def test_ingest_fuzz_names_the_field(tmp_path_factory, case):
+    command, doc = case
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--config", str(path), "dimension"] if command == "check" else [command, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        message = err.getvalue()
+        assert message.startswith("error: ") and (
+            str(path) in message or _NAMES_A_FIELD.search(message)
+        ), message
