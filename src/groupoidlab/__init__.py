@@ -53,6 +53,7 @@ from .graphs import (
     orbit_plus,
     pitchfork,
     vertex_path,
+    param_f_k,
     verify_contracting_witness,
     witness_path,
 )
@@ -73,7 +74,6 @@ from .boundary import (
     homeo_h,
     homeo_h_inv,
     param_f,
-    param_f_k,
     path_from_line,
     path_to_line,
     shift,

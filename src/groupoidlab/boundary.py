@@ -19,19 +19,18 @@ from .spaces import (
     Point,
     _canon_ev_periodic,
     _set,
-    box_rep_point,
     dense_indices_hitting,
     factor_point,
     split_top_level,
 )
 from .graphs import (
     DiscreteEdge,
-    DiscreteGraph,
     FinitePath,
     GraphError,
     ModelEdge,
     ModelGraph,
     OneVertexLoopGraph,
+    param_f_k,
     vertex_path,
 )
 
@@ -99,10 +98,24 @@ class EvPeriodic:
 # boundary paths
 # ---------------------------------------------------------------------------
 
+INFINITE = float("inf")
+
+
+def _junction_error(edge, mu) -> BoundaryError:
+    return BoundaryError(f"edge {edge!r} does not end at the range {mu.range()!r} of the path")
+
 
 @dataclass(frozen=True)
 class FiniteBoundaryPath:
-    """A finite path whose domain vertex is singular."""
+    """A finite path whose domain vertex is singular.
+
+    Every boundary path kind has the same method set: ``length`` (an int,
+    or ``INFINITE``), ``range()``, ``prefix(k)`` (the first k edges as a
+    finite path), ``drop(n)`` (the n-th shift, n >= 1) and ``cons(edge)``
+    (prepend one edge ending at ``range()``).  Both ``drop`` and ``cons``
+    keep the domain, so neither validates the path again; ``cons`` checks
+    its one new junction.
+    """
 
     path: FinitePath
 
@@ -123,9 +136,38 @@ class FiniteBoundaryPath:
     def graph(self):
         return self.path.graph
 
+    @property
+    def length(self) -> int:
+        return len(self.path)
+
+    def range(self):
+        return self.path.r()
+
     def edge_at(self, i: int):
         """The i-th edge, 1 <= i <= len."""
         return self.path.edges[i - 1]
+
+    def prefix(self, k: int) -> FinitePath:
+        p = self.path
+        if k > len(p):
+            raise BoundaryError("prefix longer than the path")
+        if k == 0:
+            return vertex_path(p.graph, p.r())
+        return FinitePath._unchecked(p.graph, p.edges[:k])
+
+    def drop(self, n: int) -> "FiniteBoundaryPath":
+        p = self.path
+        if n > len(p):
+            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
+        if n == len(p):
+            return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
+        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
+
+    def cons(self, edge) -> "FiniteBoundaryPath":
+        g = self.path.graph
+        if g.d(edge) != self.range():
+            raise _junction_error(edge, self)
+        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + self.path.edges))
 
     def __len__(self):
         return len(self.path)
@@ -140,6 +182,8 @@ class InfiniteModelPath:
     z: Point
     idx: EvPeriodic
 
+    length = INFINITE
+
     def __post_init__(self):
         if any(v < 1 for v in self.idx.head + self.idx.cycle):
             raise BoundaryError("edge indices must be >= 1")
@@ -153,6 +197,10 @@ class InfiniteModelPath:
         _set(mu, "idx", idx)
         return mu
 
+    def range(self) -> PairPoint:
+        # r(first edge) = (z, x_{n_1})
+        return PairPoint(self.z, self.graph.x_point(self.idx.item(0)))
+
     def edge_at(self, i: int) -> ModelEdge:
         """The i-th edge, i >= 1."""
         sys = self.graph.z_system
@@ -160,8 +208,19 @@ class InfiniteModelPath:
             sys.power(self.z, -i), self.graph.x_point(self.idx.item(i)), self.idx.item(i - 1)
         )
 
-    def expand(self, k: int) -> FinitePath:
-        return FinitePath(self.graph, tuple(self.edge_at(i) for i in range(1, k + 1)))
+    def prefix(self, k: int) -> FinitePath:
+        g = self.graph
+        return param_f_k(g, self.z, g.x_point(self.idx.item(k)), self.idx.prefix(k))
+
+    def drop(self, n: int) -> "InfiniteModelPath":
+        g = self.graph
+        return InfiniteModelPath._unchecked(g, g.z_system.power(self.z, -n), self.idx.shifted(n))
+
+    def cons(self, edge: ModelEdge) -> "InfiniteModelPath":
+        g = self.graph
+        if g.d(edge) != self.range():
+            raise _junction_error(edge, self)
+        return InfiniteModelPath._unchecked(g, g.z_system.forward(self.z), self.idx.cons(edge.m))
 
     def __eq__(self, other):
         if not isinstance(other, InfiniteModelPath):
@@ -172,48 +231,52 @@ class InfiniteModelPath:
         return hash((id(self.graph), self.z, self.idx))
 
     def __len__(self):
-        raise TypeError("infinite path; use path_length()")
+        raise TypeError("infinite path; use .length")
 
 
 @dataclass(frozen=True)
 class InfiniteDiscretePath:
-    """An eventually periodic infinite edge-label word in a discrete graph
-    (all edges must be composable; trivially so for one-vertex graphs)."""
+    """An eventually periodic infinite word of loop labels in the
+    one-vertex loop graph."""
 
-    graph: object
+    graph: OneVertexLoopGraph
     labels: EvPeriodic
 
+    length = INFINITE
+
     def __post_init__(self):
-        g = self.graph
-        if isinstance(g, OneVertexLoopGraph):
-            if any(v < 1 for v in self.labels.head + self.labels.cycle):
-                raise BoundaryError("loop labels must be >= 1")
-            return
-        if isinstance(g, DiscreteGraph):
-            by_label = {e.label: e for e in g.edges}
-            probe = len(self.labels.head) + 2 * len(self.labels.cycle)
-            for i in range(probe):
-                a = by_label[self.labels.item(i)]
-                b = by_label[self.labels.item(i + 1)]
-                if g.d(a) != g.r(b):
-                    raise BoundaryError(f"labels {i + 1} and {i + 2} do not compose")
-            return
-        raise BoundaryError(f"unsupported graph {g!r}")
+        if not isinstance(self.graph, OneVertexLoopGraph):
+            raise BoundaryError(f"unsupported graph {self.graph!r}")
+        if any(v < 1 for v in self.labels.head + self.labels.cycle):
+            raise BoundaryError("loop labels must be >= 1")
 
     @staticmethod
     def _unchecked(graph, labels: EvPeriodic) -> "InfiniteDiscretePath":
-        """A word known to compose, such as a shift of one that does."""
+        """A word whose labels are known to be >= 1, such as a shift."""
         mu = object.__new__(InfiniteDiscretePath)
         _set(mu, "graph", graph)
         _set(mu, "labels", labels)
         return mu
 
+    def range(self):
+        return self.graph.vertex
+
     def edge_at(self, i: int) -> DiscreteEdge:
+        return self.graph.edge(self.labels.item(i - 1))
+
+    def prefix(self, k: int) -> FinitePath:
         g = self.graph
-        label = self.labels.item(i - 1)
-        if isinstance(g, OneVertexLoopGraph):
-            return g.edge(label)
-        return next(e for e in g.edges if e.label == label)
+        if k == 0:
+            return vertex_path(g, g.vertex)
+        return FinitePath(g, tuple(g.edge(m) for m in self.labels.prefix(k)))
+
+    def drop(self, n: int) -> "InfiniteDiscretePath":
+        return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))
+
+    def cons(self, edge: DiscreteEdge) -> "InfiniteDiscretePath":
+        if self.graph.d(edge) != self.range():
+            raise _junction_error(edge, self)
+        return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(edge.label))
 
     def __eq__(self, other):
         if not isinstance(other, InfiniteDiscretePath):
@@ -226,39 +289,6 @@ class InfiniteDiscretePath:
 
 BoundaryPath = FiniteBoundaryPath | InfiniteModelPath | InfiniteDiscretePath
 
-INFINITE = float("inf")
-
-
-def path_length(mu: BoundaryPath):
-    if isinstance(mu, FiniteBoundaryPath):
-        return len(mu.path)
-    return INFINITE
-
-
-def range_vertex(mu: BoundaryPath):
-    if isinstance(mu, FiniteBoundaryPath):
-        return mu.path.r()
-    if isinstance(mu, InfiniteModelPath):
-        # r(first edge) = (z, x_{n_1})
-        return PairPoint(mu.z, mu.graph.x_point(mu.idx.item(0)))
-    return mu.graph.vertex if isinstance(mu.graph, OneVertexLoopGraph) else mu.graph.r(
-        mu.edge_at(1)
-    )
-
-
-def prefix_path(mu: BoundaryPath, k: int) -> FinitePath:
-    """The first k edges of mu as a finite path (k = 0: the range vertex)."""
-    if k == 0:
-        g = mu.graph if not isinstance(mu, FiniteBoundaryPath) else mu.path.graph
-        return vertex_path(g, range_vertex(mu))
-    if isinstance(mu, FiniteBoundaryPath):
-        if k > len(mu.path):
-            raise BoundaryError("prefix longer than the path")
-        return FinitePath._unchecked(mu.path.graph, mu.path.edges[:k])
-    if isinstance(mu, InfiniteModelPath):
-        return mu.expand(k)
-    return FinitePath(mu.graph, tuple(mu.edge_at(i) for i in range(1, k + 1)))
-
 
 def shift(mu: BoundaryPath) -> BoundaryPath:
     """Remove the first edge; defined away from the singular vertices."""
@@ -268,25 +298,15 @@ def shift(mu: BoundaryPath) -> BoundaryPath:
 def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
     """Remove the first n edges; a finite path must have at least n.
 
-    A shift is a suffix of a valid path with the same domain, so it is
-    built without validating its edges, indices (labels) or domain again.
+    A shift is a suffix of a valid path with the same domain, so
+    ``drop`` builds it without validating its edges, indices (labels) or
+    domain again.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return mu
-    if isinstance(mu, FiniteBoundaryPath):
-        p = mu.path
-        if n > len(p):
-            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
-        if n == len(p):
-            return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
-        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
-    if isinstance(mu, InfiniteModelPath):
-        return InfiniteModelPath._unchecked(
-            mu.graph, mu.graph.z_system.power(mu.z, -n), mu.idx.shifted(n)
-        )
-    return InfiniteDiscretePath._unchecked(mu.graph, mu.labels.shifted(n))
+    return mu.drop(n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +317,6 @@ def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
 def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic) -> InfiniteModelPath:
     """Infinite paths from (base point, index sequence)."""
     return InfiniteModelPath(graph, z, idx)
-
-
-def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:
-    """The length-k path with edges (rho^-i(z), x_{n_{i+1}}, n_i) and final
-    edge (rho^-k(z), x, n_k); k = 0 gives the vertex (z, x)."""
-    k = len(idx)
-    if k == 0:
-        return vertex_path(graph, PairPoint(z, x))
-    sys = graph.z_system
-    edges = []
-    for i in range(1, k):
-        edges.append(ModelEdge(sys.power(z, -i), graph.x_point(idx[i]), idx[i - 1]))
-    edges.append(ModelEdge(sys.power(z, -k), x, idx[k - 1]))
-    return FinitePath(graph, tuple(edges))
-
-
-def param_f_k_inv(path: FinitePath) -> tuple[Point, Point, tuple[int, ...]]:
-    if len(path) == 0:
-        v = path.base
-        return v.left, v.right, ()
-    g = path.graph
-    z = g.z_system.forward(path.edges[0].z)
-    x = path.edges[-1].x
-    idx = tuple(e.m for e in path.edges)
-    return z, x, idx
 
 
 def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
@@ -345,11 +340,11 @@ def homeo_h_inv(graph_f: OneVertexLoopGraph, mu: BoundaryPath) -> tuple[Point, B
         g = mu.path.graph
         if not isinstance(g, ModelGraph) or not g.x_is_point():
             raise BoundaryError("h_inv expects a path of the one-point-X model graph")
-        if len(mu.path) == 0:
-            return mu.path.base.left, FiniteBoundaryPath(vertex_path(graph_f, graph_f.vertex))
-        z, _x, idx = param_f_k_inv(mu.path)
-        word = FinitePath(graph_f, tuple(graph_f.edge(m) for m in idx))
-        return z, FiniteBoundaryPath(word)
+        # the base point z is the Z coordinate of the range: rho of the
+        # first edge's z, or the vertex itself
+        word = tuple(graph_f.edge(e.m) for e in mu.path.edges)
+        loop_path = FinitePath(graph_f, word) if word else vertex_path(graph_f, graph_f.vertex)
+        return mu.range().left, FiniteBoundaryPath(loop_path)
     raise BoundaryError(f"unsupported path {mu!r}")
 
 
@@ -428,12 +423,10 @@ class EscapingTail:
     stabilise_note = "the appended edges never stabilise: their indices escape"
 
     def __post_init__(self):
-        if not isinstance(self.prefix, FiniteBoundaryPath):
+        if self.prefix.length == INFINITE:
             raise BoundaryError("escaping tails extend a finite prefix")
-        g = self.graph()
         target_x = self.prefix.path.d().right
-        rep = box_rep_point(g.x_backend.basic_open(self.x_box_index))
-        if rep != target_x:
+        if not self.graph().x_backend.is_basic_rep(self.x_box_index, target_x):
             raise BoundaryError(
                 "x_box_index must select a basic open whose representative is "
                 "the x coordinate of d(prefix); otherwise the appended edges "
@@ -577,11 +570,11 @@ def converges(desc: SequenceDescription, mu: BoundaryPath) -> ConvergenceReport:
             ("no tail rule: convergence is undecidable for this description",),
         )
     nu = tail.anchor()
-    ranges = PASS if range_vertex(nu) == range_vertex(mu) else FAIL
-    k, nu_len = path_length(mu), path_length(nu)
+    ranges = PASS if nu.range() == mu.range() else FAIL
+    k, nu_len = mu.length, nu.length
     if k == INFINITE:
         return ConvergenceReport(ranges, PASS if nu == mu else FAIL, PASS)
-    matched = k == 0 or (nu_len >= k and prefix_path(nu, k) == prefix_path(mu, k))
+    matched = k == 0 or (nu_len >= k and nu.prefix(k) == mu.prefix(k))
     notes = []
     if tail.stabilise_note and k == nu_len + 1:
         notes.append(tail.stabilise_note)

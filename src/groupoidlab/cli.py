@@ -32,7 +32,6 @@ from .boundary import (
     _ev_periodic_from_token,
     converges,
     path_from_line,
-    path_length,
 )
 from .graphs import (
     DiscreteGraph,
@@ -525,7 +524,7 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
         tail = ConstantTail(path_line("sequence.tail.path", field("path")))
     elif kind == "escaping":
         prefix = path_line("sequence.tail.prefix", field("prefix"))
-        if path_length(prefix) == INFINITE:
+        if prefix.length == INFINITE:
             raise ConfigError("sequence.tail.prefix: escaping tails extend a finite prefix")
         args = (prefix, x_last(), count("x_box"), count("rep_start"))
         try:

@@ -215,11 +215,12 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Slices of a valid path
-    (shifts and prefixes) and concatenations of two valid paths whose one
-    junction has been checked are built by ``_unchecked`` instead: every
-    junction inside them was checked when their parts were built, so a
-    second check could not fail.
+    Public construction checks every junction.  Two kinds of path are
+    built by ``_unchecked`` instead, because every junction inside them was
+    checked when their parts were built, so a second check could not fail:
+    slices of a valid path (the shifts and prefixes of a finite boundary
+    path), and the joins made by ``compose_paths`` and by a boundary
+    path's ``cons``, each of which checks its one new junction first.
     """
 
     graph: TopGraph
@@ -263,7 +264,7 @@ class FinitePath:
             return False
         if self.edges != other.edges:
             return False
-        return self.edges or self.base == other.base
+        return bool(self.edges) or self.base == other.base
 
     def __hash__(self):
         return hash((id(self.graph), self.edges, None if self.edges else self.base))
@@ -320,17 +321,25 @@ def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
     return out
 
 
+def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:
+    """The length-k path with edges (rho^-i(z), x_{n_{i+1}}, n_i) and final
+    edge (rho^-k(z), x, n_k); k = 0 gives the vertex (z, x)."""
+    k = len(idx)
+    if k == 0:
+        return vertex_path(graph, PairPoint(z, x))
+    sys = graph.z_system
+    xs = [graph.x_point(m) for m in idx[1:]] + [x]
+    return FinitePath(
+        graph, tuple(ModelEdge(sys.power(z, -i), xs[i - 1], idx[i - 1]) for i in range(1, k + 1))
+    )
+
+
 def witness_path(graph: ModelGraph, x: Point, z: Point, k: int) -> FinitePath:
     """The length-(k+1) path from (rho^-(k+1) z, x) to (z, x_1): first an
     index-1 edge, then k index-k edges walking the inverse orbit."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    sys = graph.z_system
-    edges = [ModelEdge(sys.power(z, -1), graph.x_point(k), 1)]
-    for i in range(2, k + 1):
-        edges.append(ModelEdge(sys.power(z, -i), graph.x_point(k), k))
-    edges.append(ModelEdge(sys.power(z, -(k + 1)), x, k))
-    return FinitePath(graph, tuple(edges))
+    return param_f_k(graph, z, x, (1,) + (k,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +496,6 @@ class OpenPathBox:
     def sample_path(self) -> FinitePath | None:
         """An explicit member path, or None exactly when the box is empty."""
         g = self.graph
-        sys = g.z_system
         n = len(self.coords)
         zc = self._z_chain()
         if zc.is_empty() or self.coords[-1].xbox.is_empty():
@@ -498,14 +506,9 @@ class OpenPathBox:
             if m is None:
                 return None
             chosen.append(m)
-        z_last = box_rep_point(zc)
-        x_last = box_rep_point(self.coords[-1].xbox)
-        edges = []
-        for i in range(n):
-            z_i = sys.power(z_last, (n - 1 - i))
-            x_i = x_last if i == n - 1 else g.x_point(chosen[i + 1])
-            edges.append(ModelEdge(z_i, x_i, chosen[i]))
-        return FinitePath(g, tuple(edges))
+        # the last edge's z is rho^-n of the base point of the range
+        z = g.z_system.power(box_rep_point(zc), n)
+        return param_f_k(g, z, box_rep_point(self.coords[-1].xbox), tuple(chosen))
 
     def is_empty(self) -> bool:
         """Exact emptiness: the transported z constraints must intersect,

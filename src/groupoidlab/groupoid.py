@@ -21,18 +21,14 @@ from .boundary import (
     InfiniteDiscretePath,
     InfiniteModelPath,
     param_f,
-    param_f_k,
-    path_length,
-    prefix_path,
-    range_vertex,
     shift_power,
 )
 from .graphs import (
     FinitePath,
-    GraphError,
     ModelEdge,
     ModelGraph,
     OneVertexLoopGraph,
+    param_f_k,
     vertex_path,
 )
 from .spaces import PairPoint, box_contains, box_rep_point, dense_indices_hitting, freeness_check
@@ -62,10 +58,6 @@ class GroupoidElement:
         return self.k == 0 and self.x == self.y
 
 
-def _shift_defined(mu: BoundaryPath, n: int) -> bool:
-    return path_length(mu) >= n
-
-
 def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidElement:
     """Validate shift^n(x) = shift^m(y) exactly and store the element with
     the minimal witness.
@@ -75,10 +67,10 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
     those two edges are: the witness is lowered edge by edge."""
     if n < 0 or m < 0:
         raise GroupoidError("witness exponents must be non-negative")
-    if not _shift_defined(x, n):
-        raise GroupoidError(f"shift^{n} undefined on a path of length {path_length(x)}")
-    if not _shift_defined(y, m):
-        raise GroupoidError(f"shift^{m} undefined on a path of length {path_length(y)}")
+    if x.length < n:
+        raise GroupoidError(f"shift^{n} undefined on a path of length {x.length}")
+    if y.length < m:
+        raise GroupoidError(f"shift^{m} undefined on a path of length {y.length}")
     if shift_power(x, n) != shift_power(y, m):
         raise GroupoidError("shifted paths differ; not a groupoid element")
     while n > 0 and m > 0 and x.edge_at(n) == y.edge_at(m):
@@ -136,12 +128,6 @@ class DRGroupoid:
     def k(self, a):
         return a.k
 
-    def is_unit(self, a):
-        return a.is_unit
-
-    def sample_unit(self, rng):
-        return random_boundary_path(self.graph, rng)
-
     def sample_element(self, rng):
         return random_element(self.graph, rng)
 
@@ -175,12 +161,6 @@ class CompleteRelation:
 
     def k(self, a):
         return 0
-
-    def is_unit(self, a):
-        return a[0] == a[1]
-
-    def sample_unit(self, rng):
-        return rng.randrange(16)
 
     def sample_element(self, rng):
         return (rng.randrange(16), rng.randrange(16))
@@ -217,12 +197,6 @@ class ProductGroupoid:
 
     def k(self, a):
         return sum(p.k(x) for p, x in zip(self.parts, a))
-
-    def is_unit(self, a):
-        return all(p.is_unit(x) for p, x in zip(self.parts, a))
-
-    def sample_unit(self, rng):
-        return tuple(p.sample_unit(rng) for p in self.parts)
 
     def sample_element(self, rng):
         return tuple(p.sample_element(rng) for p in self.parts)
@@ -276,16 +250,6 @@ class ReducedGroupoid:
     def k(self, a):
         return self.base.k(a)
 
-    def is_unit(self, a):
-        return self.base.is_unit(a)
-
-    def sample_unit(self, rng):
-        for _ in range(256):
-            u = self.base.sample_unit(rng)
-            if self.contains_unit(u):
-                return u
-        raise GroupoidError("could not sample a unit inside the reduction window")
-
     def sample_element(self, rng):
         for _ in range(256):
             a = self.base.sample_element(rng)
@@ -312,7 +276,7 @@ class VertexUnitBox:
         return self.zbox.clopen and self.xbox.clopen
 
     def contains(self, u: BoundaryPath) -> bool:
-        v = range_vertex(u)
+        v = u.range()
         return box_contains(self.zbox, v.left) and box_contains(self.xbox, v.right)
 
 
@@ -382,28 +346,17 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
         return param_f(graph, z, random_ev_periodic(rng))
     k = rng.randrange(0, 5)
     x = graph.x_backend.random_point(rng)
-    if k == 0:
-        return FiniteBoundaryPath(vertex_path(graph, PairPoint(z, x)))
     idx = tuple(rng.randrange(1, 6) for _ in range(k))
     return FiniteBoundaryPath(param_f_k(graph, z, x, idx))
 
 
 def _prepend_random_edge(graph, mu: BoundaryPath, rng) -> BoundaryPath:
     """Prepend one random edge e with d(e) = r(mu); the new first index is
-    free, so this always succeeds.  The junction holds by construction and
-    the domain of mu is kept, so a finite result is not validated again."""
+    free, so this always succeeds."""
     if isinstance(graph, OneVertexLoopGraph):
-        label = rng.randrange(1, 6)
-        if isinstance(mu, InfiniteDiscretePath):
-            return InfiniteDiscretePath(graph, mu.labels.cons(label))
-        edges = (graph.edge(label),) + mu.path.edges
-        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(graph, edges))
-    j = rng.randrange(1, 8)
-    if isinstance(mu, InfiniteModelPath):
-        return InfiniteModelPath(graph, graph.z_system.forward(mu.z), mu.idx.cons(j))
-    v = range_vertex(mu)
-    e = ModelEdge(v.left, v.right, j)
-    return FiniteBoundaryPath._unchecked(FinitePath._unchecked(graph, (e,) + mu.path.edges))
+        return mu.cons(graph.edge(rng.randrange(1, 6)))
+    v = mu.range()
+    return mu.cons(ModelEdge(v.left, v.right, rng.randrange(1, 8)))
 
 
 def box_index_of_dense_value(backend, x) -> int:
@@ -448,8 +401,7 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
 def random_element_at(graph, u: BoundaryPath, rng) -> GroupoidElement:
     """A random element with range u: shift it n times, then rebuild the
     source by prepending m fresh edges."""
-    max_n = min(3, int(path_length(u))) if path_length(u) != float("inf") else 3
-    n = rng.randrange(0, max_n + 1)
+    n = rng.randrange(0, min(3, u.length) + 1)
     m = rng.randrange(0, 4)
     tail = shift_power(u, n)
     y = tail
@@ -532,7 +484,7 @@ def isotropy_search(mu: BoundaryPath, bound: int) -> list[tuple[int, int]]:
     isotropy at mu within the window."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    top = min(bound, int(path_length(mu))) if path_length(mu) != float("inf") else bound
+    top = min(bound, mu.length)
     groups: dict = {}
     found = []
     for n in range(top + 1):
@@ -633,9 +585,7 @@ class PathCylinder:
 
     def contains(self, mu: BoundaryPath) -> bool:
         k = len(self.prefix)
-        if path_length(mu) < k:
-            return False
-        return prefix_path(mu, k) == self.prefix if k else True
+        return mu.length >= k and (k == 0 or mu.prefix(k) == self.prefix)
 
 
 @dataclass(frozen=True)
@@ -683,8 +633,10 @@ def basic_bisection(graph, b: BasicOpenBisection, trials: int = 64, seed: int = 
     def sample_in(cyl: PathCylinder) -> BoundaryPath:
         if len(cyl.prefix) == 0:
             return random_boundary_path(graph, rng)
-        tail = random_path_from(graph, cyl.prefix.d(), rng)
-        return concat_prefix(graph, cyl.prefix, tail)
+        mu = random_path_from(graph, cyl.prefix.d(), rng)
+        for e in reversed(cyl.prefix.edges):
+            mu = mu.cons(e)
+        return mu
 
     inj = True
     for _ in range(trials):
@@ -697,33 +649,3 @@ def basic_bisection(graph, b: BasicOpenBisection, trials: int = 64, seed: int = 
         if ya != yb and shift_power(ya, b.m) == shift_power(yb, b.m):
             inj = False
     return BisectionReport(True, inj, trials, "range/source injectivity follows from the certificates")
-
-
-def concat_prefix(graph, prefix: FinitePath, tail: BoundaryPath) -> BoundaryPath:
-    if len(prefix) == 0:
-        return tail
-    if isinstance(tail, FiniteBoundaryPath):
-        if len(tail.path) == 0:
-            if prefix.d() != tail.path.base:
-                raise GraphError("prefix does not reach the tail vertex")
-            return FiniteBoundaryPath._unchecked(prefix)
-        if prefix.d() != tail.path.r():
-            raise GraphError("prefix and tail do not compose")
-        return FiniteBoundaryPath._unchecked(
-            FinitePath._unchecked(graph, prefix.edges + tail.path.edges)
-        )
-    if isinstance(tail, InfiniteModelPath):
-        out = tail
-        for e in reversed(prefix.edges):
-            v = range_vertex(out)
-            if graph.d(e) != v:
-                raise GraphError("prefix and tail do not compose")
-            out = InfiniteModelPath(graph, graph.z_system.forward(out.z), out.idx.cons(e.m))
-        return out
-    if isinstance(tail, InfiniteDiscretePath):
-        labels = tail.labels
-        for e in reversed(prefix.edges):
-            labels = labels.cons(e.label)
-        return InfiniteDiscretePath(graph, labels)
-    raise GraphError(f"unsupported tail {tail!r}")
-

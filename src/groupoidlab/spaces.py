@@ -695,6 +695,10 @@ class SpaceBackend:
     def full_box(self) -> Box:
         raise NotImplementedError
 
+    def is_basic_rep(self, i: int, pt: Point) -> bool:
+        """Whether ``pt`` is the representative of basic open ``i``."""
+        return box_rep_point(self.basic_open(i)) == pt
+
     def random_point(self, rng) -> Point:
         raise NotImplementedError
 
@@ -743,6 +747,18 @@ class CircleBackend(SpaceBackend):
 
     def full_box(self) -> Box:
         return CIRCLE_FULL
+
+    def is_basic_rep(self, i: int, pt: CirclePoint) -> bool:
+        # basic_open(i) has level L = a + 1, (a, k) = _unpair(i), and its
+        # representative (k mod 2^L + 1)/2^L mod 1 has a reduced
+        # denominator 2^E with E >= L + 1 - bitlength(k + 1).  A point
+        # with a shorter denominator is rejected before the arc is built:
+        # L grows like sqrt(2 i), and the gcds of QPhi sums over an L-bit
+        # denominator are quadratic in L.
+        a, k = _unpair(i)
+        if a + 2 >= pt.value.p.denominator.bit_length() + (k + 1).bit_length():
+            return False
+        return super().is_basic_rep(i, pt)
 
     def random_point(self, rng) -> CirclePoint:
         p = Fraction(rng.randrange(-64, 64), rng.randrange(1, 16))

@@ -26,12 +26,8 @@ from groupoidlab.boundary import (
     homeo_h,
     homeo_h_inv,
     param_f,
-    param_f_k,
     path_from_line,
-    path_length,
     path_to_line,
-    prefix_path,
-    range_vertex,
     shift,
     shift_power,
 )
@@ -42,6 +38,7 @@ from groupoidlab.graphs import (
     ModelEdge,
     OneVertexLoopGraph,
     build_model_graph,
+    param_f_k,
     vertex_path,
 )
 from groupoidlab.cli import main
@@ -55,6 +52,7 @@ from groupoidlab.spaces import (
     PairPoint,
     box_rep_point,
     golden_rotation,
+    pair_index,
     odometer,
     odometer_succ,
     point_backend,
@@ -253,6 +251,46 @@ def test_public_finite_path_still_validates():
     e = ModelEdge(ZERO_2ADIC, FinitePoint(0, 1), 2)
     with pytest.raises(CompositionError):
         FinitePath(ODO_POINT, (e, e))  # d(e) = (0, x) but r(e) = (1, x_2)
+
+
+def _one_path_per_kind():
+    """A finite model path, a zero-length one, an infinite model path and
+    a loop word: every boundary path kind and both graph kinds."""
+    g = build_model_graph(golden_rotation(), FiniteBackend(2))
+    z = golden_rotation().backend.random_point(random.Random(3))
+    return {
+        "finite": FiniteBoundaryPath(param_f_k(g, z, FinitePoint(1, 2), (2, 1, 3))),
+        "vertex": FiniteBoundaryPath(vertex_path(g, PairPoint(z, FinitePoint(0, 2)))),
+        "infinite": param_f(g, z, EvPeriodic((2,), (1, 3))),
+        "loop-word": InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["finite", "vertex", "infinite", "loop-word"])
+def test_boundary_path_method_set(kind):
+    """length, range, prefix, drop and cons agree with each other and with
+    edge_at on every kind; cons checks its one junction."""
+    mu = _one_path_per_kind()[kind]
+    g = mu.graph
+    v = mu.range()
+    e = g.edge(4) if g is LOOP else ModelEdge(v.left, v.right, 4)
+    nu = mu.cons(e)
+    assert (shift_power(nu, 1) == mu) is True
+    assert nu.prefix(1).edges == (e,)
+    assert nu.length == mu.length + 1 and nu.range() == g.r(e)
+    assert nu.edge_at(1) == e
+    assert mu.prefix(0) == vertex_path(g, v)
+    for k in range(1, int(min(mu.length, 3)) + 1):
+        assert mu.prefix(k).edges == tuple(mu.edge_at(i) for i in range(1, k + 1))
+        assert mu.drop(k) == shift_power(mu, k) and mu.drop(k).length == mu.length - k
+        assert nu.prefix(k + 1).edges == (e,) + mu.prefix(k).edges
+    if g is not LOOP:
+        wrong = ModelEdge(g.z_system.forward(v.left), v.right, 4)
+        with pytest.raises(BoundaryError):
+            mu.cons(wrong)
+    if mu.length != INFINITE:
+        with pytest.raises(BoundaryError):
+            mu.prefix(mu.length + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +496,22 @@ def test_converges_head_only_is_undecidable(odo_point):
     assert rep.verdict == "undecidable"
 
 
+def test_escaping_tail_box_over_circle_x():
+    """An x_box whose arc has a huge level is rejected without building the
+    arc; one whose representative is the x of d(prefix) is accepted at any
+    size."""
+    g = build_model_graph(odometer(), CircleBackend())
+    half = CirclePoint(QPhi(Fraction(1, 2)))
+    prefix = FiniteBoundaryPath(vertex_path(g, PairPoint(ZERO_2ADIC, half)))
+    for x_box in (1, 10**14, 10**30):
+        with pytest.raises(BoundaryError):
+            EscapingTail(prefix, half, x_box)
+    # the arc (k/2^200, (k+2)/2^200) with k = 2^199 - 1 has midpoint 1/2
+    for x_box in (0, pair_index(199, 2**199 - 1)):
+        tail = EscapingTail(prefix, half, x_box)
+        assert converges(SequenceDescription((), tail), prefix).holds
+
+
 def test_escaping_tail_validates_box(golden_two):
     # d(prefix) has an arbitrary x coordinate: no basic-open representative
     p = param_f_k(golden_two, ZERO_CIRCLE, CirclePoint(QPhi(Fraction(1, 7))), (1,))
@@ -535,14 +589,14 @@ def reference_converges(desc, mu):
         anchor = tail.prefix
     else:
         anchor = tail.limit_path()
-    ranges = "pass" if range_vertex(anchor) == range_vertex(mu) else "fail"
+    ranges = "pass" if anchor.range() == mu.range() else "fail"
 
     def same_prefix(nu, k):
-        return k == 0 or prefix_path(nu, k) == prefix_path(mu, k)
+        return k == 0 or nu.prefix(k) == mu.prefix(k)
 
-    mu_len = path_length(mu)
+    mu_len = mu.length
     if isinstance(tail, ConstantTail):
-        nu_len = path_length(tail.path)
+        nu_len = tail.path.length
         if mu_len == INFINITE:
             prefixes = tail.path == mu
         else:
@@ -572,7 +626,7 @@ def reference_converges(desc, mu):
     escape = True
     if mu_len != INFINITE:
         if isinstance(tail, ConstantTail):
-            if path_length(tail.path) > mu_len:
+            if tail.path.length > mu_len:
                 escape = False
                 notes.append("a constant longer path keeps its next edge inside a compact set")
         elif isinstance(tail, EscapingTail):
@@ -605,7 +659,7 @@ def _anchored_paths(g, rng):
     cont = random_idx(rng)
     finite = FiniteBoundaryPath(param_f_k(g, z, g.x_point(cont.item(0)), idx))
     infinite = param_f(g, z, EvPeriodic(idx + cont.head, cont.cycle))
-    assert prefix_path(infinite, len(idx)) == finite.path
+    assert (infinite.prefix(len(idx)) == finite.path) is True
     return finite, infinite
 
 
@@ -628,7 +682,7 @@ def _oracle_cases(g, rng):
             BasePointTail(g, z_rule, idx_finite, x),
         ]
         limits = [infinite, finite]
-        limits += [FiniteBoundaryPath(prefix_path(infinite, k)) for k in range(len(finite) + 3)]
+        limits += [FiniteBoundaryPath(infinite.prefix(k)) for k in range(len(finite) + 3)]
         for _ in range(4):
             z2 = rng.choice([z, g.z_system.backend.random_point(rng)])
             word = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 4)))
@@ -744,7 +798,7 @@ def test_serialization_roundtrip(odo_point, golden_two, loop_graph):
 
 def test_range_vertex(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((3,), (1,)))
-    assert range_vertex(mu) == PairPoint(ZERO_2ADIC, FinitePoint(0, 1))
-    assert range_vertex(shift_power(mu, 2)) == PairPoint(
+    assert mu.range() == PairPoint(ZERO_2ADIC, FinitePoint(0, 1))
+    assert shift_power(mu, 2).range() == PairPoint(
         odometer().power(ZERO_2ADIC, -2), FinitePoint(0, 1)
     )

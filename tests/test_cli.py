@@ -476,6 +476,12 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
         ("converge", {"tail": {"kind": "base-point", "idx": "1", "x_last": "F:0/2",
                                "z_rule": {"kind": "constant", "point": "P:.0"}}},
          "sequence.tail.x_last: F:0/2 is not a point of the X factor"),
+        # over a circle X, basic open 10^14 is an arc of level about 1.4e7:
+        # it is rejected without building it
+        ("converge", {"model": {"x_backend": "circle"}, "limit": "FIN @(P:.0;C:0:0)",
+                      "tail": {"kind": "escaping", "prefix": "FIN @(P:.0;C:0:0)",
+                               "x_last": "C:0:0", "x_box": 10**14}},
+         "sequence.tail.x_box: x_box_index must select a basic open"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

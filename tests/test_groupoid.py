@@ -9,9 +9,7 @@ from groupoidlab.boundary import (
     FiniteBoundaryPath,
     InfiniteDiscretePath,
     param_f,
-    path_length,
     path_to_line,
-    range_vertex,
     shift,
     shift_power,
 )
@@ -102,8 +100,8 @@ def test_element_rejects_unequal_paths(odo_point):
 
 
 def test_element_shift_domain(odo_point):
-    v = FiniteBoundaryPath(vertex_path(odo_point, range_vertex(
-        param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,))))))
+    mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
+    v = FiniteBoundaryPath(vertex_path(odo_point, mu.range()))
     with pytest.raises(GroupoidError):
         make_element(v, 1, 0, v)
 
@@ -147,7 +145,7 @@ def test_witness_minimisation_matches_reshifting(kind):
                 pairs.append((x, len(x.labels.head) + 2 * p, len(x.labels.head), x))
             for a, n, m, b in pairs:
                 for j in range(4):
-                    if path_length(a) < n + j or path_length(b) < m + j:
+                    if a.length < n + j or b.length < m + j:
                         break
                     e = make_element(a, n + j, m + j, b)
                     assert (e.n, e.m) == reference_witness(a, n + j, m + j, b)
@@ -362,15 +360,20 @@ def test_reduction_rejects_non_clopen(golden_point):
 
 def test_bisection_unit_box(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
-    cyl = PathCylinder(mu.expand(1))
+    cyl = PathCylinder(mu.prefix(1))
+    # membership and prefix equality are bools, not the shared edge tuple
+    assert cyl.contains(mu) is True and (mu.prefix(2) == mu.prefix(2)) is True
+    assert PathCylinder(mu.prefix(2)).contains(mu) is True and cyl.contains(shift(mu)) is False
     rep = basic_bisection(odo_point, BasicOpenBisection(cyl, 0, 0, cyl), trials=8, seed=0)
     assert rep.ok
 
 
 def test_bisection_certificate(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (2,)))
-    one_edge = PathCylinder(mu.expand(1))
-    nothing = PathCylinder(vertex_path(odo_point, range_vertex(mu)))
+    one_edge = PathCylinder(mu.prefix(1))
+    nothing = PathCylinder(vertex_path(odo_point, mu.range()))
+    assert one_edge.contains(mu) is True and nothing.contains(mu) is True
+    assert one_edge.contains(FiniteBoundaryPath(nothing.prefix)) is False
     good = BasicOpenBisection(one_edge, 1, 0, nothing)
     assert good.certificate_valid()
     rep = basic_bisection(odo_point, good, trials=16, seed=1)

@@ -285,6 +285,24 @@ def test_dense_sequence_hits_basic_opens(backend):
     assert all(c >= 3 for c in counts), counts
 
 
+@pytest.mark.parametrize("backend", [CircleBackend(), CantorBackend(), FiniteBackend(3)])
+def test_is_basic_rep_matches_the_box(backend):
+    """``is_basic_rep`` is the representative test, however it gets there:
+    the circle rejects long-level arcs by a denominator bound first."""
+    from groupoidlab.spaces import pair_index
+
+    reps = [box_rep_point(backend.basic_open(b)) for b in range(300)]
+    points = reps[::7] + [backend.random_point(random.Random(s)) for s in range(5)]
+    indices = list(range(300))
+    if isinstance(backend, CircleBackend):
+        rng = random.Random(12)
+        indices += [pair_index(rng.randrange(30), rng.randrange(2 ** 40)) for _ in range(150)]
+    for i in indices:
+        rep = box_rep_point(backend.basic_open(i))
+        for pt in points + [rep]:
+            assert backend.is_basic_rep(i, pt) == (rep == pt), (i, pt)
+
+
 # ---------------------------------------------------------------------------
 # exact density
 # ---------------------------------------------------------------------------
@@ -595,3 +613,18 @@ def test_space_kinds_stay_in_spaces(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not sorted(n for n in named if _KIND_CLASS.fullmatch(n))
+
+
+@pytest.mark.parametrize("module", ["groupoid", "cli"])
+def test_trusted_construction_stays_with_the_path_classes(module):
+    """``_unchecked`` constructors skip validation; only the modules that
+    own the path and point classes may call them, where the invariant they
+    rely on is stated."""
+    source = Path(groupoidlab.__file__).with_name(f"{module}.py").read_text()
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_unchecked"
+    ]
+    assert not calls, f"{module}.py calls _unchecked at lines {calls}"
