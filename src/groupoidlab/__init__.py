@@ -42,7 +42,6 @@ from .graphs import (
     DiscreteEdge,
     DiscreteGraph,
     FinitePath,
-    IndexSet,
     ModelEdge,
     ModelGraph,
     OneVertexLoopGraph,

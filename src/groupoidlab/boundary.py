@@ -101,20 +101,17 @@ class EvPeriodic:
 INFINITE = float("inf")
 
 
-def _junction_error(edge, mu) -> BoundaryError:
-    return BoundaryError(f"edge {edge!r} does not end at the range {mu.range()!r} of the path")
-
-
 @dataclass(frozen=True)
 class FiniteBoundaryPath:
     """A finite path whose domain vertex is singular.
 
     Every boundary path kind has the same method set: ``length`` (an int,
     or ``INFINITE``), ``range()``, ``prefix(k)`` (the first k edges as a
-    finite path), ``drop(n)`` (the n-th shift, n >= 1) and ``cons(edge)``
-    (prepend one edge ending at ``range()``).  Both ``drop`` and ``cons``
-    keep the domain, so neither validates the path again; ``cons`` checks
-    its one new junction.
+    finite path), ``drop(n)`` (the n-th shift, n >= 1) and ``cons(m)``
+    (prepend the edge of index ``m`` whose domain is ``range()``).  Both
+    ``drop`` and ``cons`` keep the domain, so neither validates the path
+    again, and ``cons`` builds its edge at ``range()``, so its one new
+    junction composes.
     """
 
     path: FinitePath
@@ -163,10 +160,9 @@ class FiniteBoundaryPath:
             return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
 
-    def cons(self, edge) -> "FiniteBoundaryPath":
+    def cons(self, m: int) -> "FiniteBoundaryPath":
         g = self.path.graph
-        if g.d(edge) != self.range():
-            raise _junction_error(edge, self)
+        edge = g.edge_from(self.range(), m)
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + self.path.edges))
 
     def __len__(self):
@@ -216,11 +212,11 @@ class InfiniteModelPath:
         g = self.graph
         return InfiniteModelPath._unchecked(g, g.z_system.power(self.z, -n), self.idx.shifted(n))
 
-    def cons(self, edge: ModelEdge) -> "InfiniteModelPath":
+    def cons(self, m: int) -> "InfiniteModelPath":
+        if m < 1:
+            raise BoundaryError("edge indices must be >= 1")
         g = self.graph
-        if g.d(edge) != self.range():
-            raise _junction_error(edge, self)
-        return InfiniteModelPath._unchecked(g, g.z_system.forward(self.z), self.idx.cons(edge.m))
+        return InfiniteModelPath._unchecked(g, g.z_system.forward(self.z), self.idx.cons(m))
 
     def __eq__(self, other):
         if not isinstance(other, InfiniteModelPath):
@@ -273,10 +269,9 @@ class InfiniteDiscretePath:
     def drop(self, n: int) -> "InfiniteDiscretePath":
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))
 
-    def cons(self, edge: DiscreteEdge) -> "InfiniteDiscretePath":
-        if self.graph.d(edge) != self.range():
-            raise _junction_error(edge, self)
-        return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(edge.label))
+    def cons(self, m: int) -> "InfiniteDiscretePath":
+        self.graph.edge(m)  # rejects m < 1
+        return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(m))
 
     def __eq__(self, other):
         if not isinstance(other, InfiniteDiscretePath):

@@ -10,7 +10,7 @@ Two graph families are supported exactly:
   builtin one-vertex graph with countably many loops).
 
 Open subsets of path spaces are restricted to boxes: per-coordinate
-space boxes together with finite or cofinite edge-index sets.  Images
+space boxes together with finite edge-index sets.  Images
 under the domain/range maps and under powers of the dynamics are again
 boxes, which makes the contracting conditions exactly decidable.
 """
@@ -92,6 +92,10 @@ class ModelGraph:
     def r(self, e: ModelEdge) -> PairPoint:
         return PairPoint(self.z_system.forward(e.z), self.x_point(e.m))
 
+    def edge_from(self, vertex: PairPoint, m: int) -> ModelEdge:
+        """The edge of index m whose domain is ``vertex``."""
+        return ModelEdge(vertex.left, vertex.right, m)
+
     def is_singular(self, vertex: PairPoint) -> bool:
         # every vertex receives edges of unboundedly many indices
         return True
@@ -106,15 +110,10 @@ class ModelGraph:
 class OneVertexLoopGraph:
     """A single vertex with countably many loops, labelled 1, 2, 3, ...
 
-    The vertex is singular: it receives infinitely many edges.  Forcing
-    it regular (``regular_override=True``) produces an invalid K-theory
-    input, kept available for testing the row-finiteness guard.
+    The vertex is singular: it receives infinitely many edges.
     """
 
     vertex = "*"
-
-    def __init__(self, regular_override: bool = False):
-        self.regular_override = regular_override
 
     def d(self, e: DiscreteEdge) -> str:
         return self.vertex
@@ -127,11 +126,11 @@ class OneVertexLoopGraph:
             raise ValueError("loop labels start at 1")
         return DiscreteEdge(self.vertex, self.vertex, label)
 
-    def is_singular(self, vertex) -> bool:
-        return not self.regular_override
+    def edge_from(self, vertex, m: int) -> DiscreteEdge:
+        return self.edge(m)
 
-    def is_regular(self, vertex) -> bool:
-        return self.regular_override
+    def is_singular(self, vertex) -> bool:
+        return True
 
     def __repr__(self):
         return "<OneVertexLoopGraph>"
@@ -215,12 +214,12 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Two kinds of path are
-    built by ``_unchecked`` instead, because every junction inside them was
-    checked when their parts were built, so a second check could not fail:
-    slices of a valid path (the shifts and prefixes of a finite boundary
-    path), and the joins made by ``compose_paths`` and by a boundary
-    path's ``cons``, each of which checks its one new junction first.
+    Public construction checks every junction.  Three kinds of path are
+    built by ``_unchecked`` instead, because a check of their junctions
+    could not fail: slices of a valid path (the shifts and prefixes of a
+    finite boundary path), the joins made by ``compose_paths``, which
+    checks its one new junction first, and a boundary path's ``cons``,
+    which builds its new edge from ``range()`` and so needs no check.
     """
 
     graph: TopGraph
@@ -293,7 +292,7 @@ def compose_paths(mu: FinitePath, nu: FinitePath) -> FinitePath:
 
 def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
     """All ranges of paths out of ``vertex`` with length and edge indices
-    bounded by ``depth``."""
+    bounded by ``depth``, in the model graph or the one-vertex loop graph."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if isinstance(graph, ModelGraph):
@@ -306,19 +305,7 @@ def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
         return out
     if isinstance(graph, OneVertexLoopGraph):
         return {graph.vertex}
-    # finite discrete graph: breadth-first over reversed edges
-    out = {vertex}
-    frontier = {vertex}
-    for _ in range(depth):
-        nxt = set()
-        for e in graph.edges:
-            if graph.d(e) in frontier:
-                nxt.add(graph.r(e))
-        frontier = nxt - out
-        out |= nxt
-        if not frontier:
-            break
-    return out
+    raise GraphError(f"no orbit for {graph!r}")
 
 
 def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:
@@ -343,72 +330,37 @@ def witness_path(graph: ModelGraph, x: Point, z: Point, k: int) -> FinitePath:
 
 
 # ---------------------------------------------------------------------------
-# index sets and path boxes
+# path boxes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IndexSet:
-    """A finite or cofinite subset of the positive integers."""
-
-    members: frozenset[int]
-    cofinite: bool = False  # True: complement of ``members``
-
-    def __post_init__(self):
-        if any(i < 1 for i in self.members):
-            raise ValueError("edge indices start at 1")
-
-    def contains(self, m: int) -> bool:
-        return (m not in self.members) if self.cofinite else (m in self.members)
-
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.members
-
-    def intersect(self, other: "IndexSet") -> "IndexSet":
-        if not self.cofinite and not other.cofinite:
-            return IndexSet(self.members & other.members)
-        if self.cofinite and other.cofinite:
-            return IndexSet(self.members | other.members, True)
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return IndexSet(frozenset(m for m in fin.members if m not in cof.members))
-
-    def some_members(self, count: int) -> list[int]:
-        if not self.cofinite:
-            return sorted(self.members)[:count]
-        out, m = [], 1
-        while len(out) < count:
-            if m not in self.members:
-                out.append(m)
-            m += 1
-        return out
-
-
-ALL_INDICES = IndexSet(frozenset(), True)
-
-
-@dataclass(frozen=True)
 class EdgeBox:
-    """A box of model-graph edges: (z box) x (x box) x (index set)."""
+    """A box of model-graph edges: (z box) x (x box) x (finite index set)."""
 
     zbox: Box
     xbox: Box
-    indices: IndexSet
+    indices: frozenset[int]
+
+    def __post_init__(self):
+        if any(i < 1 for i in self.indices):
+            raise ValueError("edge indices start at 1")
 
     def is_empty(self) -> bool:
-        return self.zbox.is_empty() or self.xbox.is_empty() or self.indices.is_empty()
+        return self.zbox.is_empty() or self.xbox.is_empty() or not self.indices
 
     def contains(self, e: ModelEdge) -> bool:
         return (
             box_contains(self.zbox, e.z)
             and box_contains(self.xbox, e.x)
-            and self.indices.contains(e.m)
+            and e.m in self.indices
         )
 
     def intersect(self, other: "EdgeBox") -> "EdgeBox":
         return EdgeBox(
             box_intersect(self.zbox, other.zbox),
             box_intersect(self.xbox, other.xbox),
-            self.indices.intersect(other.indices),
+            self.indices & other.indices,
         )
 
 
@@ -436,14 +388,11 @@ class OpenPathBox:
         return all(cb.contains(e) for cb, e in zip(self.coords, path.edges))
 
     def r_image(self):
-        """(z box, x points) of ranges of member paths; the first
-        coordinate's index set must be finite for the x part to be a
-        finite set of dense-sequence points."""
+        """(z box, x points) of ranges of member paths: the x part is the
+        dense-sequence points of the first coordinate's indices."""
         first = self.coords[0]
-        if first.indices.cofinite:
-            return None
         zimg = self.graph.z_system.translate_box(first.zbox, 1)
-        xpts = [self.graph.x_point(m) for m in sorted(first.indices.members)]
+        xpts = [self.graph.x_point(m) for m in sorted(first.indices)]
         return zimg, xpts
 
     def d_image(self):
@@ -466,35 +415,20 @@ class OpenPathBox:
         return zc
 
     def _index_choice(self, i: int):
-        """An index for coordinate i compatible with the x constraint of
-        coordinate i-1, or None if provably none exists.
-
-        Finite index sets are scanned exactly.  A cofinite set always
-        admits a choice when the x box is non-empty: the box contains a
-        basic open, whose representative recurs at infinitely many dense-
-        sequence positions; the scan below therefore terminates.
-        """
+        """The least index of coordinate i whose dense-sequence value lies
+        in the x box of coordinate i-1 (any index for i = 0), or None if
+        there is none."""
         g = self.graph
-        idx = self.coords[i].indices
-        if i == 0:
-            cands = idx.some_members(1)
-            return cands[0] if cands else None
-        xbox = self.coords[i - 1].xbox
-        if xbox.is_empty():
-            return None
-        if not idx.cofinite:
-            for m in sorted(idx.members):
-                if box_contains(xbox, g.x_point(m)):
-                    return m
-            return None
-        m = 1
-        while True:
-            if idx.contains(m) and box_contains(xbox, g.x_point(m)):
+        xbox = self.coords[i - 1].xbox if i else None
+        for m in sorted(self.coords[i].indices):
+            if xbox is None or box_contains(xbox, g.x_point(m)):
                 return m
-            m += 1
+        return None
 
     def sample_path(self) -> FinitePath | None:
-        """An explicit member path, or None exactly when the box is empty."""
+        """An explicit member path, or None exactly when the box is empty:
+        an empty z box empties the z chain, and an empty x box or index set
+        leaves some coordinate without an index choice."""
         g = self.graph
         n = len(self.coords)
         zc = self._z_chain()
@@ -511,14 +445,8 @@ class OpenPathBox:
         return param_f_k(g, z, box_rep_point(self.coords[-1].xbox), tuple(chosen))
 
     def is_empty(self) -> bool:
-        """Exact emptiness: the transported z constraints must intersect,
-        the final x box must be non-empty, and each coordinate must admit
-        an index whose dense-sequence value meets the previous x box."""
-        if any(cb.is_empty() for cb in self.coords):
-            return True
-        if self._z_chain().is_empty():
-            return True
-        return any(self._index_choice(i) is None for i in range(len(self.coords)))
+        """Exact emptiness, decided by ``sample_path``."""
+        return self.sample_path() is None
 
 
 def pitchfork(u: OpenPathBox, v: OpenPathBox) -> OpenPathBox | None:
@@ -559,14 +487,9 @@ def make_witness_path_box(graph: ModelGraph, u_zbox: Box, k: int) -> OpenPathBox
     final x coordinate free."""
     sys = graph.z_system
     full_x = graph.x_backend.full_box()
-    coords = [EdgeBox(sys.translate_box(u_zbox, -1), full_x, IndexSet(frozenset({1})))]
-    for i in range(2, k + 1):
-        coords.append(
-            EdgeBox(sys.translate_box(u_zbox, -i), full_x, IndexSet(frozenset({k})))
-        )
-    coords.append(
-        EdgeBox(sys.translate_box(u_zbox, -(k + 1)), full_x, IndexSet(frozenset({k})))
-    )
+    coords = [EdgeBox(sys.translate_box(u_zbox, -1), full_x, frozenset({1}))]
+    for i in range(2, k + 2):
+        coords.append(EdgeBox(sys.translate_box(u_zbox, -i), full_x, frozenset({k})))
     return OpenPathBox(graph, tuple(coords))
 
 
@@ -628,12 +551,7 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
 
     cond_i = True
     for idx, pb in enumerate(witness.path_boxes):
-        img = pb.r_image()
-        if img is None:
-            cond_i = False
-            details.append(f"U_{idx + 1}: cofinite first index set, range not a finite x set")
-            continue
-        zimg, xpts = img
+        zimg, xpts = pb.r_image()
         if not boxes_cover([witness.v_zbox], zimg, closure=False):
             cond_i = False
             details.append(f"U_{idx + 1}: z-range escapes V")

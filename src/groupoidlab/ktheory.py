@@ -309,10 +309,6 @@ def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     otherwise K_0 = coker and K_1 = ker of the connecting matrix.
     """
     if isinstance(graph, OneVertexLoopGraph):
-        if graph.regular_override:
-            raise KTheoryError(
-                "the loop vertex receives infinitely many edges; it cannot be regular"
-            )
         return Z_POINTED, ZERO_GROUP
     if not isinstance(graph, DiscreteGraph):
         raise KTheoryError(f"not a discrete graph: {graph!r}")

@@ -269,12 +269,12 @@ def _one_path_per_kind():
 @pytest.mark.parametrize("kind", ["finite", "vertex", "infinite", "loop-word"])
 def test_boundary_path_method_set(kind):
     """length, range, prefix, drop and cons agree with each other and with
-    edge_at on every kind; cons checks its one junction."""
+    edge_at on every kind; cons rejects an edge index below 1."""
     mu = _one_path_per_kind()[kind]
     g = mu.graph
     v = mu.range()
-    e = g.edge(4) if g is LOOP else ModelEdge(v.left, v.right, 4)
-    nu = mu.cons(e)
+    e = g.edge_from(v, 4)
+    nu = mu.cons(4)
     assert (shift_power(nu, 1) == mu) is True
     assert nu.prefix(1).edges == (e,)
     assert nu.length == mu.length + 1 and nu.range() == g.r(e)
@@ -284,10 +284,8 @@ def test_boundary_path_method_set(kind):
         assert mu.prefix(k).edges == tuple(mu.edge_at(i) for i in range(1, k + 1))
         assert mu.drop(k) == shift_power(mu, k) and mu.drop(k).length == mu.length - k
         assert nu.prefix(k + 1).edges == (e,) + mu.prefix(k).edges
-    if g is not LOOP:
-        wrong = ModelEdge(g.z_system.forward(v.left), v.right, 4)
-        with pytest.raises(BoundaryError):
-            mu.cons(wrong)
+    with pytest.raises(BoundaryError if kind == "infinite" else ValueError):
+        mu.cons(0)
     if mu.length != INFINITE:
         with pytest.raises(BoundaryError):
             mu.prefix(mu.length + 1)

@@ -10,7 +10,6 @@ from groupoidlab.graphs import (
     EdgeBox,
     FinitePath,
     GraphError,
-    IndexSet,
     ModelEdge,
     OneVertexLoopGraph,
     OpenPathBox,
@@ -27,6 +26,7 @@ from groupoidlab.graphs import (
 )
 from groupoidlab.spaces import (
     Arc,
+    CantorBackend,
     CantorBox,
     CircleBackend,
     CircleBox,
@@ -36,6 +36,8 @@ from groupoidlab.spaces import (
     FinitePoint,
     PadicPoint,
     PairPoint,
+    box_contains,
+    box_intersect,
     circle_rotate,
     eps_dense,
     finite_cyclic,
@@ -257,9 +259,15 @@ def test_pitchfork_idempotent(golden_point):
 
 def test_pitchfork_disjoint_indices(odo_point):
     full = odo_point.x_backend.full_box()
-    a = OpenPathBox(odo_point, (EdgeBox(CantorBox(((),)), full, IndexSet(frozenset({1}))),))
-    b = OpenPathBox(odo_point, (EdgeBox(CantorBox(((),)), full, IndexSet(frozenset({2}))),))
+    a = OpenPathBox(odo_point, (EdgeBox(CantorBox(((),)), full, frozenset({1})),))
+    b = OpenPathBox(odo_point, (EdgeBox(CantorBox(((),)), full, frozenset({2})),))
     assert pitchfork(a, b) is None
+
+
+def test_edge_box_indices_start_at_one(odo_point):
+    full = odo_point.x_backend.full_box()
+    with pytest.raises(ValueError):
+        EdgeBox(CantorBox(((),)), full, frozenset({0, 2}))
 
 
 def test_pitchfork_witness_boxes_disjoint(golden_point):
@@ -271,6 +279,26 @@ def test_pitchfork_witness_boxes_disjoint(golden_point):
                 assert pitchfork(boxes[i], boxes[j]) is None
 
 
+def _hand_built_empty_boxes(golden_point, golden_two):
+    full = golden_point.x_backend.full_box()
+    # incompatible z constraints across coordinates: the inverse rotate of
+    # (0, 1/8) is about (0.382, 0.507); an arc at (3/4, 7/8) misses it, so
+    # no base point satisfies both coordinates
+    a = EdgeBox(CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 8))),)), full, frozenset({1}))
+    b = EdgeBox(CircleBox((Arc(QPhi(Fraction(3, 4)), QPhi(Fraction(1, 8))),)), full,
+                frozenset({1}))
+    # an x constraint no dense value of the listed indices can meet:
+    # coordinate 1 forces index 1, so edge 0's x coordinate is x_1, which
+    # is the 0th finite point, not inside {1}
+    xa = EdgeBox(golden_two.z_system.translate_box(
+        CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),)), -1),
+        FiniteBox(frozenset({1}), 2), frozenset({1}))
+    xb = EdgeBox(golden_two.z_system.translate_box(
+        CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),)), -2),
+        golden_two.x_backend.full_box(), frozenset({1}))
+    return [OpenPathBox(golden_point, (a, b)), OpenPathBox(golden_two, (xa, xb))]
+
+
 def test_path_box_emptiness_exact(golden_point, golden_two):
     # witness boxes are non-empty and produce explicit member paths
     u = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),))
@@ -279,25 +307,67 @@ def test_path_box_emptiness_exact(golden_point, golden_two):
         assert not box.is_empty()
         sample = box.sample_path()
         assert sample is not None and box.contains(sample)
-    # incompatible z constraints across coordinates make the box empty
-    full = golden_point.x_backend.full_box()
-    a = EdgeBox(CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 8))),)), full, IndexSet(frozenset({1})))
-    # the inverse rotate of (0, 1/8) is about (0.382, 0.507); an arc at
-    # (3/4, 7/8) misses it, so no base point satisfies both coordinates
-    b = EdgeBox(CircleBox((Arc(QPhi(Fraction(3, 4)), QPhi(Fraction(1, 8))),)), full,
-                IndexSet(frozenset({1})))
-    assert OpenPathBox(golden_point, (a, b)).is_empty()
-    assert OpenPathBox(golden_point, (a, b)).sample_path() is None
-    # an x constraint no dense value of the listed indices can meet
-    xa = EdgeBox(golden_two.z_system.translate_box(
-        CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),)), -1),
-        FiniteBox(frozenset({1}), 2), IndexSet(frozenset({1})))
-    xb = EdgeBox(golden_two.z_system.translate_box(
-        CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),)), -2),
-        golden_two.x_backend.full_box(), IndexSet(frozenset({1})))
-    # coordinate 1 forces index 1, so edge 0's x coordinate is x_1, which
-    # is the 0th finite point, not inside {1}
-    assert OpenPathBox(golden_two, (xa, xb)).is_empty()
+    z_empty, x_empty = _hand_built_empty_boxes(golden_point, golden_two)
+    assert z_empty.is_empty()
+    assert z_empty.sample_path() is None
+    assert x_empty.is_empty()
+
+
+def reference_is_empty(box: OpenPathBox) -> bool:
+    """Emptiness decided coordinatewise, then by the z chain, then by a
+    scan for an index of each coordinate whose dense-sequence value meets
+    the previous coordinate's x box."""
+    if any(cb.is_empty() for cb in box.coords):
+        return True
+    if box._z_chain().is_empty():
+        return True
+    g = box.graph
+    return any(
+        not any(box_contains(box.coords[i - 1].xbox, g.x_point(m)) for m in box.coords[i].indices)
+        for i in range(1, len(box.coords))
+    )
+
+
+@pytest.mark.parametrize("make_system", [golden_rotation, odometer])
+def test_path_box_emptiness_matches_reference(make_system, golden_point, golden_two):
+    """is_empty (one call to sample_path) agrees with the coordinatewise
+    reference on the pitchforks of witness boxes, taken in both orders and
+    also without pitchfork's empty-coordinate shortcut, and on the same
+    boxes with each x box cut to the meet of two random boxes."""
+    system = make_system()
+    boxes = list(_hand_built_empty_boxes(golden_point, golden_two))
+    rng = random.Random(7)
+    for x_backend in (point_backend(), FiniteBackend(2), CantorBackend(), CircleBackend()):
+        graph = build_model_graph(system, x_backend)
+
+        def cut_x(coords):
+            return OpenPathBox(graph, tuple(
+                EdgeBox(cb.zbox, box_intersect(x_backend.random_box(rng),
+                                               x_backend.random_box(rng)), cb.indices)
+                for cb in coords
+            ))
+
+        witness = []
+        for seed in range(3):
+            u = system.backend.random_box(random.Random(seed))
+            witness.extend(make_witness_path_box(graph, u, k) for k in range(1, 5))
+        for a in witness:
+            for b in witness:
+                n = min(len(a), len(b))
+                coords = tuple(p.intersect(q) for p, q in zip(a.coords[:n], b.coords[:n]))
+                boxes += [OpenPathBox(graph, coords), cut_x(coords)]
+                if pitchfork(a, b) is not None:
+                    boxes.append(pitchfork(a, b))
+    verdicts = set()
+    for box in boxes:
+        empty = reference_is_empty(box)
+        assert box.is_empty() is empty
+        sample = box.sample_path()
+        assert (sample is None) is empty
+        if sample is not None:
+            assert box.contains(sample)
+        verdicts.add(empty)
+    assert verdicts == {True, False}
 
 
 def test_pitchfork_symmetric(golden_point):
@@ -467,3 +537,9 @@ def test_one_vertex_loop_graph():
     assert f.d(e) == f.r(e) == "*"
     assert f.is_singular("*")
     assert orbit_plus(f, "*", 5) == {"*"}
+
+
+def test_orbit_plus_rejects_discrete_graph():
+    g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    with pytest.raises(GraphError, match="DiscreteGraph"):
+        orbit_plus(g, "u", 3)

@@ -209,11 +209,12 @@ def test_axiom_sample_product():
 
 
 def test_axiom_sample_detects_corruption(odo_point):
-    def bad(a, b):
-        good = compose(a, b)
-        return GroupoidElement(good.x, good.k + 1, good.y, good.n + 1, good.m)
+    class Corrupted(DRGroupoid):
+        def compose(self, a, b):
+            good = compose(a, b)
+            return GroupoidElement(good.x, good.k + 1, good.y, good.n + 1, good.m)
 
-    rep = axiom_sample(DRGroupoid(odo_point), 50, seed=3, compose_fn=bad)
+    rep = axiom_sample(Corrupted(odo_point), 50, seed=3)
     assert not rep.ok and rep.failures
 
 

@@ -253,11 +253,6 @@ def test_loops_declared_singular():
     assert k1 == ZERO_GROUP
 
 
-def test_infinite_regular_receiver_rejected():
-    with pytest.raises(KTheoryError):
-        graph_ktheory(OneVertexLoopGraph(regular_override=True))
-
-
 def test_single_edge_graph():
     g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
     k0, k1 = graph_ktheory(g)
