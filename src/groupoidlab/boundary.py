@@ -162,6 +162,8 @@ class FiniteBoundaryPath:
 
     def cons(self, m: int) -> "FiniteBoundaryPath":
         g = self.path.graph
+        if not hasattr(g, "edge_from"):
+            raise BoundaryError(f"cons needs edges numbered at each vertex, and {g!r} has none")
         edge = g.edge_from(self.range(), m)
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + self.path.edges))
 

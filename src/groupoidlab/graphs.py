@@ -30,9 +30,7 @@ from .spaces import (
     box_contains,
     box_intersect,
     box_rep_point,
-    boxes_cover,
     dense_sequence,
-    point_outside_closure,
 )
 
 
@@ -510,7 +508,7 @@ def find_contracting_witness(
     x1 = graph.x_point(1)
     if not box_contains(v_xbox, x1):
         raise WitnessSearchError("V_X must contain the first dense-sequence point x_1")
-    if point_outside_closure(u_zbox) is None and point_outside_closure(v_xbox) is None:
+    if u_zbox.point_outside_closure() is None and v_xbox.point_outside_closure() is None:
         raise WitnessSearchError("closure(U x V_X) must be a proper subset of the vertex space")
     full_z = sys.backend.full_box()
     translates: list[Box] = []
@@ -518,7 +516,7 @@ def find_contracting_witness(
     while n < cap:
         n += 1
         translates.append(sys.translate_box(u_zbox, -(n + 1)))
-        if boxes_cover(translates, full_z):
+        if full_z.covered_by(translates):
             break
     else:
         raise WitnessSearchError(f"no cover of Z within {cap} translates")
@@ -552,7 +550,7 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
     cond_i = True
     for idx, pb in enumerate(witness.path_boxes):
         zimg, xpts = pb.r_image()
-        if not boxes_cover([witness.v_zbox], zimg, closure=False):
+        if not zimg.covered_by([witness.v_zbox], closure=False):
             cond_i = False
             details.append(f"U_{idx + 1}: z-range escapes V")
         if not all(box_contains(witness.v_xbox, x) for x in xpts):
@@ -567,16 +565,13 @@ def verify_contracting_witness(witness: ContractingWitness) -> WitnessReport:
                 details.append(f"U_{a + 1} and U_{b + 1} are not pitchfork-disjoint")
 
     d_zboxes = [pb.d_image()[0] for pb in witness.path_boxes]
-    covers = boxes_cover(d_zboxes, witness.v_zbox)
+    covers = witness.v_zbox.covered_by(d_zboxes)
     # sufficient decidable form of product coverage: the z domains cover
     # closure(U) while every single x domain covers closure(V_X)
-    x_full = all(
-        boxes_cover([pb.d_image()[1]], witness.v_xbox)
-        for pb in witness.path_boxes
-    )
+    x_full = all(witness.v_xbox.covered_by([pb.d_image()[1]]) for pb in witness.path_boxes)
     exterior = None
-    z_out = point_outside_closure(witness.v_zbox)
-    x_out = point_outside_closure(witness.v_xbox)
+    z_out = witness.v_zbox.point_outside_closure()
+    x_out = witness.v_xbox.point_outside_closure()
     if z_out is not None:
         # (z_out, anything in some domain x-box); domains have full x part
         for pb in witness.path_boxes:

@@ -53,10 +53,6 @@ class GroupoidElement:
     n: int
     m: int
 
-    @property
-    def is_unit(self) -> bool:
-        return self.k == 0 and self.x == self.y
-
 
 def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidElement:
     """Validate shift^n(x) = shift^m(y) exactly and store the element with

@@ -291,6 +291,14 @@ def test_boundary_path_method_set(kind):
             mu.prefix(mu.length + 1)
 
 
+def test_cons_on_a_graph_without_numbered_edges():
+    """A JSON graph numbers no edges at a vertex, so ``cons`` has no edge to
+    prepend; it says so with a BoundaryError that names the graph."""
+    g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    with pytest.raises(BoundaryError, match="DiscreteGraph"):
+        FiniteBoundaryPath(vertex_path(g, "u")).cons(1)
+
+
 # ---------------------------------------------------------------------------
 # parameterizations
 # ---------------------------------------------------------------------------

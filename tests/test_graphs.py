@@ -44,7 +44,6 @@ from groupoidlab.spaces import (
     golden_rotation,
     odometer,
     point_backend,
-    point_outside_closure,
 )
 
 ZERO_2ADIC = PadicPoint((), (0,))
@@ -494,9 +493,9 @@ def test_contracting_preconditions(odo_point, golden_point):
 
 
 def test_exterior_point_construction():
-    assert point_outside_closure(CantorBox(((0,),))) == PadicPoint((1,), (0,))
-    assert point_outside_closure(CantorBox(((),))) is None
-    pt = point_outside_closure(CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)))
+    assert CantorBox(((0,),)).point_outside_closure() == PadicPoint((1,), (0,))
+    assert CantorBox(((),)).point_outside_closure() is None
+    pt = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)).point_outside_closure()
     assert pt is not None
     # strictly outside the closed arc [0, 1/2]
     assert not Arc(QPhi(0), QPhi(Fraction(1, 2))).contains(pt.value, closed=True)

@@ -39,6 +39,7 @@ from groupoidlab.groupoid import (
     principality_sample,
     product,
     random_boundary_path,
+    random_element,
     random_element_at,
     reduce_clopen,
     unit,
@@ -83,7 +84,7 @@ def loop_graph():
 def test_unit_element(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
     u = make_element(mu, 0, 0, mu)
-    assert u.is_unit and u == unit(mu)
+    assert u.k == 0 and u.x == u.y and u == unit(mu)
 
 
 def test_element_from_shift(odo_point):
@@ -298,6 +299,18 @@ def test_principality_sample_pinned():
         lines.extend(f"{path_to_line(mu)} {pairs}" for mu, pairs in rep.isotropy)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "1decc014e6a95e726c5361b59aae9fcd8813734de1232c74245ad5bc7b0dd9e6"
+
+
+def test_loop_graph_elements_pinned():
+    """The loop-graph sampler's draws, which the model-graph pins above do
+    not reach: both paths and the witness of ``random_element`` at fixed
+    seeds, pinned by a sha256."""
+    lines = []
+    for seed in range(8):
+        el = random_element(OneVertexLoopGraph(), random.Random(seed))
+        lines.append(f"{path_to_line(el.x)} {path_to_line(el.y)} {el.n} {el.m}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0a20d510c9bed99a0ac1068789fe79ca74a695707a084b09b4412dd91d2c3371"
 
 
 # ---------------------------------------------------------------------------

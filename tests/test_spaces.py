@@ -5,15 +5,20 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupoidlab
+from groupoidlab import spaces
 from groupoidlab.qphi import QPhi
 from groupoidlab.spaces import (
+    CANTOR_FULL,
+    CIRCLE_FULL,
     Arc,
+    Box,
     CantorBackend,
     CantorBox,
     CircleBackend,
@@ -27,11 +32,12 @@ from groupoidlab.spaces import (
     PadicPoint,
     PairPoint,
     ProductBackend,
+    ProductBox,
+    SpaceBackend,
     _canon_ev_periodic,
     box_contains,
     box_intersect,
     box_rep_point,
-    boxes_cover,
     canonicalize,
     circle_covered_by_arcs,
     circle_rotate,
@@ -73,7 +79,8 @@ def test_padic_canonicalization_idempotent(pre, per):
 @settings(max_examples=300, deadline=None)
 def test_padic_fraction_roundtrip(pre, per):
     p = PadicPoint(tuple(pre), tuple(per))
-    assert PadicPoint.from_fraction(p.to_fraction()) == p
+    assert Fraction(p.num, p.den) == ref_fraction(p.pre, p.per) == ref_fraction(pre, per)
+    assert PadicPoint(*ref_bits(Fraction(p.num, p.den))) == p
 
 
 # The reference for the 2-adic core: a point's value from its bit pair,
@@ -126,9 +133,9 @@ def test_odometer_matches_reference(pre, per, k):
 @given(odd_rationals)
 @settings(max_examples=300, deadline=None)
 def test_padic_point_matches_reference(x):
-    p = PadicPoint.from_fraction(x)
+    p = PadicPoint(*ref_bits(x))
     assert (p.pre, p.per) == ref_bits(x)
-    assert p.to_fraction() == x == ref_fraction(p.pre, p.per)
+    assert Fraction(p.num, p.den) == x == ref_fraction(p.pre, p.per)
     assert PadicPoint(p.pre, p.per) == p
     assert p.bits(12) == tuple(ref_bits(x)[0] + ref_bits(x)[1] * 12)[:12]
 
@@ -136,7 +143,7 @@ def test_padic_point_matches_reference(x):
 @given(odd_rationals, odd_rationals, st.integers(min_value=0, max_value=12))
 @settings(max_examples=300, deadline=None)
 def test_cantor_distance_is_common_prefix(x, y, n):
-    a, b = PadicPoint.from_fraction(x), PadicPoint.from_fraction(y)
+    a, b = PadicPoint(*ref_bits(x)), PadicPoint(*ref_bits(y))
     # d(a, b) <= 2^-n exactly when the first n bits agree
     assert CantorBackend().dist_le(a, b, Fraction(1, 1 << n)) == (a.bits(n) == b.bits(n))
 
@@ -147,13 +154,11 @@ def test_padic_point_is_immutable():
         p.num = 3
     with pytest.raises(AttributeError):
         del p.den
-    assert p == PadicPoint.from_int(1) == pickle.loads(pickle.dumps(p))
+    assert (p.num, p.den) == (1, 1) and p == pickle.loads(pickle.dumps(p))
     with pytest.raises(ValueError):
         PadicPoint((2,), (0,))
     with pytest.raises(ValueError):
         PadicPoint((1,), ())
-    with pytest.raises(ValueError):
-        PadicPoint.from_fraction(Fraction(1, 2))
 
 
 def test_padic_equality_canonical_invariant():
@@ -384,6 +389,72 @@ def test_product_density_bucketed():
     assert not eps_dense(backend, pts[:-1], Fraction(1, 4))
 
 
+def _words_of(n):
+    return [tuple((v >> j) & 1 for j in range(n)) for v in range(1 << n)]
+
+
+def _circle_probes(values):
+    """0 and the midpoint of the forward gap from each value to each
+    other one (the whole circle from a value to itself): the point
+    farthest from any subset of ``values`` is among them."""
+    probes = [CirclePoint(QPhi(0))]
+    for v in values:
+        for w in values:
+            gap = (w - v).mod1()
+            probes.append(CirclePoint(v + (gap if gap != QPhi(0) else QPhi(1)) / 2))
+    return probes
+
+
+def _finite_case(rng):
+    pts = [FinitePoint(rng.randrange(3), 3) for _ in range(rng.randrange(4))]
+    return FiniteBackend(3), pts, [FinitePoint(i, 3) for i in range(3)]
+
+
+def _countable_case(rng):
+    # random points lie below 64, so index 64 is a probe outside them
+    pts = [FinitePoint(rng.randrange(64), None) for _ in range(rng.randrange(3))]
+    return CountableBackend(), pts, [FinitePoint(i, None) for i in range(65)]
+
+
+def _left_bucketed_case(rng):
+    pts = [
+        PairPoint(FinitePoint(rng.randrange(2), 2),
+                  PadicPoint(tuple(rng.randrange(2) for _ in range(3)), (rng.randrange(2),)))
+        for _ in range(rng.randrange(20))
+    ]
+    probes = [PairPoint(FinitePoint(i, 2), PadicPoint(w, (0,))) for i in range(2) for w in _words_of(3)]
+    return ProductBackend(FiniteBackend(2), CantorBackend()), pts, probes
+
+
+def _right_bucketed_case(rng):
+    pts = [
+        PairPoint(CirclePoint(QPhi(Fraction(rng.randrange(8), 8))), FinitePoint(rng.randrange(2), 2))
+        for _ in range(rng.randrange(20))
+    ]
+    circle = _circle_probes(sorted({p.left.value for p in pts}))
+    probes = [PairPoint(c, FinitePoint(i, 2)) for c in circle for i in range(2)]
+    return ProductBackend(CircleBackend(), FiniteBackend(2)), pts, probes
+
+
+@pytest.mark.parametrize(
+    "case", [_finite_case, _countable_case, _left_bucketed_case, _right_bucketed_case],
+    ids=["finite", "countable", "product-left", "product-right"],
+)
+def test_density_bruteforce_oracle(case):
+    """``eps_dense`` against the brute-force ``dist_le`` oracle over probe
+    points that include the farthest point from any sample: the bucketed
+    default, the countable rule and the product bucketed on either side."""
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(60):
+        backend, pts, probes = case(rng)
+        eps = Fraction(1, 2 ** rng.randrange(0, 4))
+        brute = bool(pts) and all(any(backend.dist_le(q, p, eps) for p in pts) for q in probes)
+        assert eps_dense(backend, pts, eps) == brute, (pts, eps)
+        verdicts.add(brute)
+    assert verdicts == {True, False}
+
+
 def test_torus_density_sweep():
     backend = ProductBackend(CircleBackend(), CircleBackend())
     grid = [
@@ -468,10 +539,10 @@ def test_circle_cover_oracle():
         Arc(QPhi(Fraction(k, 4)) - QPhi(Fraction(1, 16)), QPhi(Fraction(5, 16)))
         for k in range(4)
     )
-    assert circle_covered_by_arcs(arcs, None)
-    assert not circle_covered_by_arcs(arcs[:3], None)
+    assert circle_covered_by_arcs(arcs, CIRCLE_FULL)
+    assert not circle_covered_by_arcs(arcs[:3], CIRCLE_FULL)
     seams = tuple(Arc(QPhi(Fraction(k, 4)), QPhi(Fraction(1, 4))) for k in range(4))
-    assert not circle_covered_by_arcs(seams, None)
+    assert not circle_covered_by_arcs(seams, CIRCLE_FULL)
 
 
 def test_box_rep_points_inside():
@@ -480,6 +551,50 @@ def test_box_rep_points_inside():
         for i in range(12):
             box = backend.basic_open(i)
             assert box_contains(box, box_rep_point(box))
+
+
+_QUARTER = QPhi(Fraction(1, 4))
+_FULL_FINITE = FiniteBox(frozenset(range(4)), 4)
+_PIECE_BOXES = {
+    "arcs": CircleBox((Arc(QPhi(0), _QUARTER), Arc(QPhi(Fraction(1, 2)), _QUARTER / 2))),
+    "circle": CIRCLE_FULL,
+    "cylinders": CantorBox(((0,), (1, 1))),
+    "cantor": CANTOR_FULL,
+    "finite": FiniteBox(frozenset({0, 2}), 4),
+    "finite-full": _FULL_FINITE,
+    "countable": FiniteBox(frozenset({0, 1, 3}), None),
+}
+_BOXES = {
+    **_PIECE_BOXES,
+    "product": ProductBox(_PIECE_BOXES["arcs"], _PIECE_BOXES["cylinders"]),
+    "product-nested": ProductBox(_PIECE_BOXES["finite"],
+                                 ProductBox(CIRCLE_FULL, _PIECE_BOXES["countable"])),
+}
+
+
+def _in_closure(b, pt) -> bool:
+    if isinstance(b, CircleBox):
+        return b.full or any(a.contains(pt.value, closed=True) for a in b.arcs)
+    # cylinders and finite sets are clopen
+    return b.contains(pt)
+
+
+@pytest.mark.parametrize("name", sorted(_BOXES))
+def test_box_method_set(name):
+    """Every box kind answers the shared method set consistently on
+    itself; the piece kinds also map under the identity to themselves
+    and name a point outside their closure unless that is everything."""
+    b = _BOXES[name]
+    assert b.contains(b.rep_point()) and box_contains(b, box_rep_point(b))
+    assert b.intersect(b) == b == box_intersect(b, b)
+    assert b.covered_by([b], closure=False)
+    if name not in _PIECE_BOXES:
+        return
+    assert b.image(lambda p: p) == b
+    out = b.point_outside_closure()
+    assert (out is None) == (b in (CIRCLE_FULL, CANTOR_FULL, _FULL_FINITE))
+    if out is not None:
+        assert not _in_closure(b, out)
 
 
 def test_basic_open_enumeration_total():
@@ -563,14 +678,14 @@ def test_translate_box_commutes_with_the_map(system, seed, k):
 def test_boxes_cover_open_target_and_closure():
     quarter = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 4))),))
     # an open arc lies in itself but its closure does not
-    assert boxes_cover([quarter], quarter, closure=False)
-    assert not boxes_cover([quarter], quarter)
+    assert quarter.covered_by([quarter], closure=False)
+    assert not quarter.covered_by([quarter])
     halves = [CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)),
               CircleBox((Arc(QPhi(Fraction(1, 2)), QPhi(Fraction(1, 2))),))]
     # two open half-circles miss their common end points
-    assert not boxes_cover(halves, CircleBox((), True))
-    assert boxes_cover([CantorBox(((0,),)), CantorBox(((1,),))], CantorBox(((),)))
-    assert not boxes_cover([FiniteBox(frozenset({0}), 2)], FiniteBox(frozenset({0, 1}), 2))
+    assert not CircleBox((), True).covered_by(halves)
+    assert CantorBox(((),)).covered_by([CantorBox(((0,),)), CantorBox(((1,),))])
+    assert not FiniteBox(frozenset({0, 1}), 2).covered_by([FiniteBox(frozenset({0}), 2)])
 
 
 @pytest.mark.parametrize(
@@ -613,6 +728,33 @@ def test_space_kinds_stay_in_spaces(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not sorted(n for n in named if _KIND_CLASS.fullmatch(n))
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_box_and_backend_kinds_own_their_operations():
+    """Each box kind keeps its operations on its class: no ``isinstance``
+    in the package names a box class, and ``eps_dense`` names no concrete
+    backend class."""
+    box_classes = {c.__name__ for c in get_args(Box)}
+    backend_classes = {
+        c.__name__ for c in vars(spaces).values()
+        if isinstance(c, type) and issubclass(c, SpaceBackend) and c is not SpaceBackend
+    }
+    switches = []
+    for path in sorted(Path(groupoidlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and _names(node) & box_classes):
+                switches.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "eps_dense":
+                switches += sorted(_names(node) & backend_classes)
+    assert len(box_classes) == 4 and "ProductBackend" in backend_classes
+    assert not switches, switches
 
 
 @pytest.mark.parametrize("module", ["groupoid", "cli"])
