@@ -25,7 +25,6 @@ from .spaces import (
     PairPoint,
     ProductBackend,
     ProductBox,
-    canonicalize,
     circle_rotate,
     dense_sequence,
     eps_dense,
@@ -49,6 +48,7 @@ from .graphs import (
     build_model_graph,
     compose_paths,
     find_contracting_witness,
+    orbit_dense,
     orbit_plus,
     pitchfork,
     vertex_path,

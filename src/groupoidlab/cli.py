@@ -40,7 +40,7 @@ from .graphs import (
     WitnessSearchError,
     build_model_graph,
     find_contracting_witness,
-    orbit_plus,
+    orbit_dense,
     verify_contracting_witness,
 )
 from .groupoid import DRGroupoid, axiom_sample, principality_sample
@@ -59,7 +59,6 @@ from .spaces import (
     SYSTEM_BUILDERS,
     X_BACKEND_BUILDERS,
     box_contains,
-    eps_dense,
     factor_point,
     freeness_check,
 )
@@ -220,9 +219,8 @@ def check_minimality(cfg, graph, report):
         rng = random.Random(seed)
         for _ in range(10):
             v = graph.vertex_backend.random_point(rng)
-            pts = orbit_plus(graph, v, depth)
             tried += 1
-            if not eps_dense(graph.vertex_backend, pts, eps):
+            if not orbit_dense(graph, v, depth, eps):
                 ok = False
     report.add(
         CheckRecord(

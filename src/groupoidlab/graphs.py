@@ -31,6 +31,7 @@ from .spaces import (
     box_intersect,
     box_rep_point,
     dense_sequence,
+    eps_dense,
 )
 
 
@@ -290,7 +291,8 @@ def compose_paths(mu: FinitePath, nu: FinitePath) -> FinitePath:
 
 def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
     """All ranges of paths out of ``vertex`` with length and edge indices
-    bounded by ``depth``, in the model graph or the one-vertex loop graph."""
+    bounded by ``depth``, in the model graph or the one-vertex loop graph.
+    ``orbit_dense`` decides its density without building it when it can."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if isinstance(graph, ModelGraph):
@@ -304,6 +306,18 @@ def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
     if isinstance(graph, OneVertexLoopGraph):
         return {graph.vertex}
     raise GraphError(f"no orbit for {graph!r}")
+
+
+def orbit_dense(graph: ModelGraph, vertex: PairPoint, depth: int, eps) -> bool:
+    """Is ``orbit_plus(graph, vertex, depth)``, that is ``{vertex} | A x B``,
+    eps-dense?  Under the max metric ``A x B`` is eps-dense exactly when
+    ``A`` in Z and ``B`` in X are; if one is not, the vertex may still fill
+    the gap, and the exact product check decides."""
+    zs = [graph.z_system.power(vertex.left, n) for n in range(1, depth + 1)]
+    xs = [graph.x_point(m) for m in range(1, depth + 1)]
+    if eps_dense(graph.z_system.backend, zs, eps) and eps_dense(graph.x_backend, xs, eps):
+        return True
+    return eps_dense(graph.vertex_backend, orbit_plus(graph, vertex, depth), eps)
 
 
 def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:

@@ -53,6 +53,14 @@ def _triple(a: int, b: int, d: int) -> "QPhi":
     return x
 
 
+def _floor(a: int, b: int, d: int) -> int:
+    """``floor(x)`` for ``x = (a + b*phi)/d``, ``d > 0``: ``2d*x = (2a + b) +
+    b*sqrt5`` and ``floor(b*sqrt5) = isqrt(5*b*b)`` for ``b >= 0``; ``5*b*b``
+    is never a perfect square for ``b != 0``, which settles ``b < 0`` too."""
+    r = isqrt(5 * b * b)
+    return (2 * a + b + (r if b >= 0 else -r - 1)) // (2 * d)
+
+
 def _reduced(a: int, b: int, d: int) -> "QPhi":
     """The QPhi ``(a + b*phi)/d`` for any ``d > 0``."""
     g = gcd(a, b, d)
@@ -179,24 +187,19 @@ class QPhi:
         return _reduced(self._a * m, self._b * m, self._d * n)
 
     def __floor__(self) -> int:
-        # 2d*x = (2a + b) + b*sqrt5.  floor(b*sqrt5) = isqrt(5*b*b) for
-        # b >= 0; 5*b*b is never a perfect square for b != 0, which
-        # settles the b < 0 case too.
-        a, b = self._a, self._b
-        r = isqrt(5 * b * b)
-        t = 2 * a + b + (r if b >= 0 else -r - 1)
-        return t // (2 * self._d)
+        return _floor(self._a, self._b, self._d)
 
-    def add_golden_angles(self, k: int) -> "QPhi":
-        """``self + k*(phi - 1)`` by one integer update: over the same ``d``
-        the triple becomes ``(a - k*d, b + k*d, d)``, which stays reduced
-        because ``gcd(a - k*d, b + k*d, d) = gcd(a, b, d) = 1``."""
-        kd = k * self._d
-        return _triple(self._a - kd, self._b + kd, self._d)
+    def golden_turn(self, k: int) -> "QPhi":
+        """``(self + k*(phi - 1)) mod 1`` as one new triple: over the same
+        ``d`` the sum is ``(a - k*d, b + k*d, d)`` and the reduction takes
+        ``floor * d`` off ``a``.  Neither step changes ``gcd(a, b, d) = 1``."""
+        d = self._d
+        a, b = self._a - k * d, self._b + k * d
+        return _triple(a - _floor(a, b, d) * d, b, d)
 
     def mod1(self) -> "QPhi":
         """Reduce into the fundamental domain [0, 1) of the circle."""
-        n = self.__floor__()
+        n = _floor(self._a, self._b, self._d)
         if n == 0:
             return self
         # subtracting an integer keeps gcd(a, b, d) = 1

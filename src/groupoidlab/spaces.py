@@ -268,19 +268,6 @@ def factor_point(backend: "SpaceBackend", tok: str, factor: str) -> Point:
     return pt
 
 
-def canonicalize(pt: Point) -> Point:
-    """Rebuild a point through its constructor; idempotent by design."""
-    if isinstance(pt, CirclePoint):
-        return CirclePoint(pt.value)
-    if isinstance(pt, PadicPoint):
-        return PadicPoint(pt.pre, pt.per)
-    if isinstance(pt, FinitePoint):
-        return FinitePoint(pt.index, pt.size)
-    if isinstance(pt, PairPoint):
-        return PairPoint(canonicalize(pt.left), canonicalize(pt.right))
-    raise TypeError(f"not a point: {pt!r}")
-
-
 # ---------------------------------------------------------------------------
 # boxes (finite unions of basic open sets)
 # ---------------------------------------------------------------------------
@@ -395,7 +382,6 @@ def _arc_intersect(a: Arc, b: Arc) -> list[Arc]:
 
 
 CIRCLE_FULL = CircleBox((), True)
-CIRCLE_EMPTY = CircleBox(())
 
 
 @dataclass(frozen=True)
@@ -467,7 +453,6 @@ def _words(n: int) -> list[tuple[int, ...]]:
 
 
 CANTOR_FULL = CantorBox(((),))
-CANTOR_EMPTY = CantorBox(())
 
 
 @dataclass(frozen=True)
@@ -1065,8 +1050,8 @@ def eps_dense(backend: SpaceBackend, points, eps: Fraction) -> bool:
 
 def circle_rotate(t: CirclePoint, steps: int) -> CirclePoint:
     """Rotate by steps * (phi - 1) on the circle, exactly: one integer
-    update of the reduced triple, then one reduction mod 1."""
-    return CirclePoint._unchecked(t.value.add_golden_angles(steps).mod1())
+    update of the reduced triple, reduced mod 1 in the same step."""
+    return CirclePoint._unchecked(t.value.golden_turn(steps))
 
 
 def odometer_succ(x: PadicPoint, steps: int) -> PadicPoint:

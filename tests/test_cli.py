@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groupoidlab import graphs
 from groupoidlab.cli import (
     ConfigError,
     discrete_graph_from_obj,
@@ -118,6 +119,26 @@ def test_battery_default_passes(fast_cfg):
     # the classification step is reported but explicitly not mechanized
     cls = report.records[-1]
     assert cls.informational and "not mechanized" in cls.statement
+
+
+@pytest.mark.parametrize("z", ["odometer", "golden-rotation"])
+@pytest.mark.parametrize(
+    "x",
+    ["point", "cantor", "circle", {"kind": "finite", "size": 3}],
+    ids=["point", "cantor", "circle", "finite3"],
+)
+def test_minimality_takes_the_factor_split(monkeypatch, z, x):
+    """At default bounds every free config is decided by the two 1-D
+    density checks alone: the product orbit is never built."""
+
+    def no_product_sweep(*args):
+        raise AssertionError("minimality fell back to the product sweep")
+
+    monkeypatch.setattr(graphs, "orbit_plus", no_product_sweep)
+    cfg = parse_config({"z_backend": z, "x_backend": x, "seeds": [3, 7, 101]})
+    (record,) = run_battery(cfg, only="minimality").records
+    assert record.verdict is True
+    assert record.params["base_points"] == 30
 
 
 def test_battery_negative_control():

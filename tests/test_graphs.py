@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from groupoidlab import graphs
 from groupoidlab.qphi import QPhi
 from groupoidlab.graphs import (
     CompositionError,
@@ -17,6 +18,7 @@ from groupoidlab.graphs import (
     compose_paths,
     find_contracting_witness,
     make_witness_path_box,
+    orbit_dense,
     orbit_plus,
     pitchfork,
     vertex_path,
@@ -217,6 +219,57 @@ def test_orbit_density_invariant(make_system):
             v = graph.vertex_backend.random_point(rng)
             pts = orbit_plus(graph, v, 2**n)
             assert eps_dense(graph.vertex_backend, pts, Fraction(1, 2**n))
+
+
+# the 8 free factor pairs and the finite-cyclic control
+FACTOR_PAIRS = [
+    pytest.param(z, x, id=f"{z.__name__}-{name}")
+    for z in (odometer, golden_rotation)
+    for name, x in (
+        ("point", point_backend),
+        ("cantor", CantorBackend),
+        ("circle", CircleBackend),
+        ("finite3", lambda: FiniteBackend(3)),
+    )
+] + [pytest.param(lambda: finite_cyclic(3), point_backend, id="finite_cyclic3-point")]
+
+
+@pytest.mark.parametrize("make_z, make_x", FACTOR_PAIRS)
+def test_orbit_dense_matches_the_product_check(make_z, make_x):
+    """The factor-wise test with its fallback gives the exact product
+    verdict at every resolution the battery uses for density depths
+    1..40; depths that resolve alike (circle X caps at 16) run once."""
+    graph = build_model_graph(make_z(), make_x())
+    rng = random.Random(41)
+    for eps, depth in sorted({graph.x_backend.density_resolution(d) for d in range(1, 41)}):
+        for _ in range(10):
+            v = graph.vertex_backend.random_point(rng)
+            want = eps_dense(graph.vertex_backend, orbit_plus(graph, v, depth), eps)
+            assert orbit_dense(graph, v, depth, eps) == want, (eps, depth, v)
+
+
+@pytest.mark.parametrize(
+    "make_z, make_x, density_depth, verdict",
+    [(odometer, point_backend, 3, True), (golden_rotation, CircleBackend, 1, False)],
+)
+def test_orbit_dense_fallback(monkeypatch, make_z, make_x, density_depth, verdict):
+    """Where the factors are not both dense the product check decides:
+    over a point at depth 3 the odometer's points z+1..z+3 miss the
+    residue of z mod 4, which the vertex itself fills; one golden point
+    over one circle point is not 1/4-dense."""
+    graph = build_model_graph(make_z(), make_x())
+    eps, depth = graph.x_backend.density_resolution(density_depth)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orbit_plus(*args)
+
+    monkeypatch.setattr(graphs, "orbit_plus", counted)
+    rng = random.Random(5)
+    for i in range(1, 11):
+        assert orbit_dense(graph, graph.vertex_backend.random_point(rng), depth, eps) is verdict
+        assert len(calls) == i
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import groupoidlab
 from groupoidlab import spaces
-from groupoidlab.qphi import QPhi
+from groupoidlab.qphi import GOLDEN_ANGLE, QPhi
 from groupoidlab.spaces import (
     CANTOR_FULL,
     CIRCLE_FULL,
@@ -38,7 +38,6 @@ from groupoidlab.spaces import (
     box_contains,
     box_intersect,
     box_rep_point,
-    canonicalize,
     circle_covered_by_arcs,
     circle_rotate,
     dense_sequence,
@@ -65,7 +64,7 @@ bits = st.integers(min_value=0, max_value=1)
 @settings(max_examples=300, deadline=None)
 def test_padic_canonicalization_idempotent(pre, per):
     p = PadicPoint(tuple(pre), tuple(per))
-    assert canonicalize(p) == p
+    assert PadicPoint(p.pre, p.per) == p
     # canonical means primitive cycle and minimal head
     n = len(p.per)
     for d in range(1, n):
@@ -171,13 +170,13 @@ def test_padic_equality_canonical_invariant():
 def test_circle_point_canonical():
     assert CirclePoint(QPhi(Fraction(5, 4))) == CirclePoint(QPhi(Fraction(1, 4)))
     p = CirclePoint(QPhi(Fraction(-1, 3), Fraction(1, 2)))
-    assert canonicalize(p) == p
+    assert CirclePoint(p.value) == p
     assert QPhi(0) <= p.value < QPhi(1)
 
 
 def test_pair_point_canonicalization():
     p = PairPoint(CirclePoint(QPhi(Fraction(3, 2))), PadicPoint((0,), (0,)))
-    assert canonicalize(p) == p
+    assert PairPoint(CirclePoint(p.left.value), PadicPoint(p.right.pre, p.right.per)) == p
     assert p.left == CirclePoint(QPhi(Fraction(1, 2)))
 
 
@@ -221,6 +220,21 @@ def test_rotation_matches_field_addition(a, da, b, db, k):
         assert QPhi(0) <= r.value < QPhi(1)
         v = r.value
         assert v._d > 0 and math.gcd(v._a, v._b, v._d) == 1
+
+
+def test_golden_turn_matches_sum_then_mod1():
+    """``QPhi.golden_turn`` (one triple per step) against the field sum
+    followed by ``mod1``, over random circle points and |k| <= 10^6."""
+    rng = random.Random(12)
+    backend = CircleBackend()
+    for _ in range(500):
+        t = backend.random_point(rng)
+        k = rng.randint(-(10**6), 10**6)
+        for steps in (k, -k, 0, 1, -1):
+            want = (t.value + steps * GOLDEN_ANGLE).mod1()
+            got = t.value.golden_turn(steps)
+            assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+            assert circle_rotate(t, steps).value == want
 
 
 def test_rotation_bijection_sampled():
