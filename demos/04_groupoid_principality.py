@@ -8,6 +8,7 @@ graph alone is the control showing what isotropy looks like.
 """
 
 from groupoidlab import (
+    CompleteRelation,
     DRGroupoid,
     EvPeriodic,
     InfiniteDiscretePath,
@@ -15,7 +16,6 @@ from groupoidlab import (
     PadicPoint,
     axiom_sample,
     build_model_graph,
-    complete_relation,
     compose,
     inverse,
     isotropy_reduction,
@@ -26,7 +26,7 @@ from groupoidlab import (
     param_f,
     point_backend,
     principality_sample,
-    product,
+    ProductGroupoid,
     shift,
     unit,
 )
@@ -46,7 +46,7 @@ print()
 print("== axiom sampling ==")
 rep = axiom_sample(DRGroupoid(graph), 1000, seed=7)
 print(f"1000 sampled triples: {len(rep.failures)} failures")
-pair = product(DRGroupoid(graph), complete_relation())
+pair = ProductGroupoid(DRGroupoid(graph), CompleteRelation())
 rep2 = axiom_sample(pair, 300, seed=7)
 print(f"product with the complete relation on N: {len(rep2.failures)} failures")
 

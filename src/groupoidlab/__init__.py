@@ -80,20 +80,20 @@ from .boundary import (
 )
 from .groupoid import (
     BasicOpenBisection,
+    CompleteRelation,
     DRGroupoid,
     GroupoidElement,
     PathCylinder,
+    ProductGroupoid,
+    ReducedGroupoid,
     axiom_sample,
     basic_bisection,
-    complete_relation,
     compose,
     inverse,
     isotropy_reduction,
     isotropy_search,
     make_element,
     principality_sample,
-    product,
-    reduce_clopen,
     unit,
 )
 from .ktheory import (

@@ -25,13 +25,12 @@ from .boundary import (
 )
 from .graphs import (
     FinitePath,
-    ModelEdge,
     ModelGraph,
     OneVertexLoopGraph,
     param_f_k,
     vertex_path,
 )
-from .spaces import PairPoint, box_contains, dense_indices_hitting, freeness_check
+from .spaces import FinitePoint, PairPoint, dense_indices_hitting, freeness_check
 
 
 class GroupoidError(ValueError):
@@ -115,6 +114,9 @@ class DRGroupoid:
     def unit_of(self, u):
         return unit(u)
 
+    def unit_point(self, u: BoundaryPath) -> PairPoint:
+        return u.range()
+
     def range(self, a):
         return a.x
 
@@ -149,6 +151,9 @@ class CompleteRelation:
     def unit_of(self, u):
         return (u, u)
 
+    def unit_point(self, u) -> FinitePoint:
+        return FinitePoint(u)
+
     def range(self, a):
         return a[0]
 
@@ -169,57 +174,60 @@ class CompleteRelation:
 
 
 class ProductGroupoid:
-    """Componentwise product of finitely many groupoids."""
+    """Componentwise product of two groupoids; a unit stands for the
+    pair of its factors' unit points."""
 
-    def __init__(self, *parts):
-        if not parts:
-            raise GroupoidError("a product needs at least one factor")
-        self.parts = parts
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
     def compose(self, a, b):
-        return tuple(p.compose(x, y) for p, x, y in zip(self.parts, a, b))
+        return (self.left.compose(a[0], b[0]), self.right.compose(a[1], b[1]))
 
     def inverse(self, a):
-        return tuple(p.inverse(x) for p, x in zip(self.parts, a))
+        return (self.left.inverse(a[0]), self.right.inverse(a[1]))
 
     def unit_of(self, u):
-        return tuple(p.unit_of(x) for p, x in zip(self.parts, u))
+        return (self.left.unit_of(u[0]), self.right.unit_of(u[1]))
+
+    def unit_point(self, u) -> PairPoint:
+        return PairPoint(self.left.unit_point(u[0]), self.right.unit_point(u[1]))
 
     def range(self, a):
-        return tuple(p.range(x) for p, x in zip(self.parts, a))
+        return (self.left.range(a[0]), self.right.range(a[1]))
 
     def source(self, a):
-        return tuple(p.source(x) for p, x in zip(self.parts, a))
+        return (self.left.source(a[0]), self.right.source(a[1]))
 
     def k(self, a):
-        return sum(p.k(x) for p, x in zip(self.parts, a))
+        return self.left.k(a[0]) + self.right.k(a[1])
 
     def sample_element(self, rng):
-        return tuple(p.sample_element(rng) for p in self.parts)
+        return (self.left.sample_element(rng), self.right.sample_element(rng))
 
     def extend_from(self, u, rng):
-        return tuple(p.extend_from(x, rng) for p, x in zip(self.parts, u))
+        return (self.left.extend_from(u[0], rng), self.right.extend_from(u[1], rng))
 
     def __repr__(self):
-        return f"<ProductGroupoid of {len(self.parts)} factors>"
+        return f"<ProductGroupoid of {self.left!r} and {self.right!r}>"
 
 
 class ReducedGroupoid:
     """Reduction of a groupoid to a clopen set of units.
 
-    The unit box must come with a syntactic clopen certificate; for
-    boundary spaces this means a vertex box all of whose factors are
-    clopen (cylinders, finite sets), and for products a pair of such.
+    The units kept are those whose ``base.unit_point`` lies in ``box``, a
+    box of the ``spaces`` box algebra whose ``clopen`` flag certifies it
+    (cylinders, finite sets, and products of those).
     """
 
-    def __init__(self, base, unit_box):
+    def __init__(self, base, box):
         self.base = base
-        self.unit_box = unit_box
-        if not unit_box.clopen():
+        self.box = box
+        if not box.clopen:
             raise GroupoidError("reduction requires a clopen unit box")
 
     def contains_unit(self, u) -> bool:
-        return self.unit_box.contains(u)
+        return self.box.contains(self.base.unit_point(u))
 
     def validate(self, a):
         if not (self.contains_unit(self.base.range(a)) and self.contains_unit(self.base.source(a))):
@@ -259,57 +267,6 @@ class ReducedGroupoid:
             if self.contains_unit(self.base.source(a)):
                 return a
         raise GroupoidError("could not extend inside the reduction window")
-
-
-@dataclass(frozen=True)
-class VertexUnitBox:
-    """Units whose range vertex lies in a vertex-space box."""
-
-    zbox: object
-    xbox: object
-
-    def clopen(self) -> bool:
-        return self.zbox.clopen and self.xbox.clopen
-
-    def contains(self, u: BoundaryPath) -> bool:
-        v = u.range()
-        return box_contains(self.zbox, v.left) and box_contains(self.xbox, v.right)
-
-
-@dataclass(frozen=True)
-class RelationUnitBox:
-    """A finite set of points of N, clopen since N is discrete."""
-
-    members: frozenset[int]
-
-    def clopen(self) -> bool:
-        return True
-
-    def contains(self, u) -> bool:
-        return u in self.members
-
-
-@dataclass(frozen=True)
-class ProductUnitBox:
-    parts: tuple
-
-    def clopen(self) -> bool:
-        return all(p.clopen() for p in self.parts)
-
-    def contains(self, u) -> bool:
-        return all(p.contains(x) for p, x in zip(self.parts, u))
-
-
-def product(*parts) -> ProductGroupoid:
-    return ProductGroupoid(*parts)
-
-
-def complete_relation() -> CompleteRelation:
-    return CompleteRelation()
-
-
-def reduce_clopen(base, unit_box) -> ReducedGroupoid:
-    return ReducedGroupoid(base, unit_box)
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +319,31 @@ def box_index_of_dense_value(backend, x) -> int:
     raise GroupoidError(f"{x!r} is not a dense-sequence representative")
 
 
+def _dense_index_at(graph, x, rng) -> int:
+    """A random sequence position m with x_m = x, for an edge whose range
+    has x coordinate x."""
+    box = box_index_of_dense_value(graph.x_backend, x)
+    return dense_indices_hitting(graph.x_backend, box, rng.randrange(1, 4))[-1]
+
+
 def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
     """A random boundary path of the model graph whose range vertex is v.
     The x coordinate of v must be a dense-sequence value, since only such
-    vertices receive edges."""
+    vertices receive edges.  A finite path of length k is
+    ``param_f_k(graph, v.left, x, idx)``: each index after the first hits
+    a random dense value x_r (1 <= r < 8), and x is a random point."""
     kind = force or ("finite" if rng.randrange(2) else "infinite")
-    box = box_index_of_dense_value(graph.x_backend, v.right)
-    j = dense_indices_hitting(graph.x_backend, box, rng.randrange(1, 4))[-1]
+    j = _dense_index_at(graph, v.right, rng)
     if kind == "infinite":
-        idx = random_ev_periodic(rng).cons(j)
-        return param_f(graph, v.left, idx)
+        return param_f(graph, v.left, random_ev_periodic(rng).cons(j))
     k = rng.randrange(0, 4)
-    if k == 0:
-        return FiniteBoundaryPath(vertex_path(graph, v))
-    sys = graph.z_system
-    edges = []
-    cur = v
+    x = v.right
+    idx = []
     for step in range(k):
-        box = box_index_of_dense_value(graph.x_backend, cur.right)
-        j = dense_indices_hitting(graph.x_backend, box, rng.randrange(1, 4))[-1]
-        if step < k - 1:
-            x_next = graph.x_point(rng.randrange(1, 8))
-        else:
-            x_next = graph.x_backend.random_point(rng)
-        e = ModelEdge(sys.power(cur.left, -1), x_next, j)
-        edges.append(e)
-        cur = PairPoint(e.z, e.x)
-    return FiniteBoundaryPath(FinitePath(graph, tuple(edges)))
+        idx.append(_dense_index_at(graph, x, rng))
+        last = step == k - 1
+        x = graph.x_backend.random_point(rng) if last else graph.x_point(rng.randrange(1, 8))
+    return FiniteBoundaryPath(param_f_k(graph, v.left, x, tuple(idx)))
 
 
 def random_element_at(graph, u: BoundaryPath, rng) -> GroupoidElement:
@@ -520,13 +475,12 @@ def isotropy_reduction(mu: BoundaryPath, bound: int) -> ReductionReport:
             system.period(mu.z) is None,
             "equal shifted paths force an exact period of the base dynamics",
         )
-    # infinite word in a discrete graph: no dynamics to reduce to
-    labels = mu.labels
-    has_isotropy = True  # eventually periodic words are always isotropic
+    # infinite word in a discrete graph: no dynamics to reduce to, and an
+    # eventually periodic word always has isotropy
     return ReductionReport(
         "infinite-word",
-        (len(labels.cycle),),
-        not has_isotropy,
+        (len(mu.labels.cycle),),
+        False,
         "eventually periodic words are fixed by the cycle-length shift",
     )
 

@@ -304,9 +304,9 @@ def connecting_matrix(graph: DiscreteGraph):
 def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     """(K_0 with unit class, K_1) of the algebra of a discrete graph.
 
-    With no regular vertices the canonical map identifies K_0 with the
-    free group on the vertices (unit at (1, ..., 1)) and K_1 = 0;
-    otherwise K_0 = coker and K_1 = ker of the connecting matrix.
+    K_0 = coker and K_1 = ker of the connecting matrix.  With no regular
+    vertices the matrix has no columns, so K_0 is free on the vertices
+    with the unit at (1, ..., 1) and K_1 = 0.
     """
     if isinstance(graph, OneVertexLoopGraph):
         return Z_POINTED, ZERO_GROUP
@@ -314,11 +314,6 @@ def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
         raise KTheoryError(f"not a discrete graph: {graph!r}")
     matrix, regular = connecting_matrix(graph)
     nverts = len(graph.vertices)
-    if not regular:
-        return (
-            FGAbelianGroup(nverts, (), (1,) * nverts),
-            ZERO_GROUP,
-        )
     k0 = cokernel_with_unit(matrix, [1] * nverts)
     # rank-nullity on the same factorisation: rank M = nverts - rank K_0
     k1 = FGAbelianGroup(len(regular) - nverts + k0.rank)
@@ -328,10 +323,6 @@ def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 # ---------------------------------------------------------------------------
 # declared K-theory of space backends, and model propagation
 # ---------------------------------------------------------------------------
-
-#: Provenance note attached to every declared (not computed) value.
-DECLARED = "declared backend metadata, not computed from the topology"
-
 
 def _free_group(rank: int | None, pointed: bool) -> KGroup:
     if rank is None:

@@ -1,8 +1,12 @@
+import ast
 import hashlib
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from groupoidlab import groupoid
 from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
     EvPeriodic,
@@ -25,32 +29,36 @@ from groupoidlab.groupoid import (
     GroupoidElement,
     GroupoidError,
     PathCylinder,
-    ProductUnitBox,
-    RelationUnitBox,
-    VertexUnitBox,
+    ProductGroupoid,
+    ReducedGroupoid,
     axiom_sample,
     basic_bisection,
-    complete_relation,
     compose,
     inverse,
     isotropy_reduction,
     isotropy_search,
     make_element,
     principality_sample,
-    product,
     random_boundary_path,
     random_element,
     random_element_at,
-    reduce_clopen,
+    random_path_from,
     unit,
 )
 from groupoidlab.spaces import (
     CANTOR_FULL,
+    Arc,
+    CantorBackend,
+    CantorBox,
+    CircleBackend,
+    CircleBox,
     CirclePoint,
     FiniteBackend,
     FiniteBox,
     FinitePoint,
     PadicPoint,
+    PairPoint,
+    ProductBox,
     finite_cyclic,
     golden_rotation,
     odometer,
@@ -59,6 +67,10 @@ from groupoidlab.spaces import (
 
 ZERO_2ADIC = PadicPoint((), (0,))
 ZERO_CIRCLE = CirclePoint(QPhi(0))
+ONE_POINT = FiniteBox(frozenset({0}), 1)
+FIRST_EIGHT = FiniteBox(frozenset(range(8)), None)
+CYLINDER_0 = CantorBox(((0,),))
+HALF_ARC = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),))
 
 
 @pytest.fixture
@@ -205,7 +217,7 @@ def test_axiom_sample_clean(make_system):
 
 def test_axiom_sample_product():
     graph = build_model_graph(odometer(), point_backend())
-    rep = axiom_sample(product(DRGroupoid(graph), complete_relation()), 300, seed=9)
+    rep = axiom_sample(ProductGroupoid(DRGroupoid(graph), CompleteRelation()), 300, seed=9)
     assert rep.ok, rep.failures[:4]
 
 
@@ -313,6 +325,26 @@ def test_loop_graph_elements_pinned():
     assert digest == "0a20d510c9bed99a0ac1068789fe79ca74a695707a084b09b4412dd91d2c3371"
 
 
+def test_random_path_from_pinned():
+    """The bisection sampler's paths and rng use over every free config,
+    three range vertices and all three kinds, pinned by a sha256 recorded
+    while it still built its finite paths edge by edge."""
+    lines = []
+    for system in (odometer, golden_rotation):
+        for x_backend in (point_backend(), CantorBackend(), CircleBackend(), FiniteBackend(3)):
+            graph = build_model_graph(system(), x_backend)
+            z_rng = random.Random(11)
+            for m in (1, 2, 5):
+                v = PairPoint(graph.z_system.backend.random_point(z_rng), graph.x_point(m))
+                for seed in range(8):
+                    for force in (None, "finite", "infinite"):
+                        rng = random.Random(seed)
+                        mu = random_path_from(graph, v, rng, force)
+                        lines.append(f"{path_to_line(mu)} {rng.random()!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f86b2c99399ae935634606ebd99085b5b4fec7cdb82252f01ecccdf5c2dcae77"
+
+
 # ---------------------------------------------------------------------------
 # products, the complete relation, reductions
 # ---------------------------------------------------------------------------
@@ -329,11 +361,11 @@ def test_complete_relation_laws():
 
 def test_product_unit_box(odo_point):
     mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
-    box = ProductUnitBox((VertexUnitBox(CANTOR_FULL, FiniteBox(frozenset({0}), 1)),
-                          RelationUnitBox(frozenset({3}))))
-    assert box.clopen()
-    assert box.contains((mu, 3))
-    assert not box.contains((mu, 4))
+    G = ProductGroupoid(DRGroupoid(odo_point), CompleteRelation())
+    box = ProductBox(ProductBox(CANTOR_FULL, ONE_POINT), FiniteBox(frozenset({3}), None))
+    assert box.clopen
+    assert box.contains(G.unit_point((mu, 3)))
+    assert not box.contains(G.unit_point((mu, 4)))
 
 
 def test_product_isotropy_componentwise(golden_point):
@@ -350,21 +382,82 @@ def test_product_isotropy_componentwise(golden_point):
 
 def test_reduction_validates_membership(odo_point):
     rng = random.Random(1)
-    box = VertexUnitBox(CANTOR_FULL, FiniteBox(frozenset({0}), 1))
-    red = reduce_clopen(DRGroupoid(odo_point), box)
+    box = ProductBox(CANTOR_FULL, ONE_POINT)
+    red = ReducedGroupoid(DRGroupoid(odo_point), box)
     g = red.sample_element(rng)
     assert red.contains_unit(red.range(g)) and red.contains_unit(red.source(g))
 
 
-def test_reduction_rejects_non_clopen(golden_point):
-    from groupoidlab.spaces import Arc, CircleBox
-    from fractions import Fraction
+def test_axiom_sample_reduction(odo_point):
+    """The axioms on a proper clopen reduction of the product with R: the
+    window keeps units over the cylinder [0] and the first eight points
+    of N, and some base elements leave it."""
+    base = ProductGroupoid(DRGroupoid(odo_point), CompleteRelation())
+    box = ProductBox(ProductBox(CYLINDER_0, ONE_POINT), FIRST_EIGHT)
+    red = ReducedGroupoid(base, box)
+    rng = random.Random(4)
+    outside = [a for a in (base.sample_element(rng) for _ in range(50))
+               if not red.contains_unit(base.range(a))]
+    assert outside
+    rep = axiom_sample(red, 300, seed=9)
+    assert rep.ok, rep.failures[:4]
 
-    box = VertexUnitBox(
-        CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),)), FiniteBox(frozenset({0}), 1)
-    )
-    with pytest.raises(GroupoidError):
-        reduce_clopen(DRGroupoid(golden_point), box)
+
+def _dr(make_system):
+    return DRGroupoid(build_model_graph(make_system(), point_backend()))
+
+
+_REDUCTION_BOXES = {
+    "finite": (CompleteRelation, FIRST_EIGHT, True),
+    "cantor": (lambda: _dr(odometer), ProductBox(CYLINDER_0, ONE_POINT), True),
+    "product": (
+        lambda: ProductGroupoid(_dr(odometer), CompleteRelation()),
+        ProductBox(ProductBox(CYLINDER_0, ONE_POINT), FIRST_EIGHT),
+        True,
+    ),
+    "circle": (lambda: _dr(golden_rotation), ProductBox(HALF_ARC, ONE_POINT), False),
+    "circle-product": (
+        lambda: ProductGroupoid(_dr(golden_rotation), CompleteRelation()),
+        ProductBox(ProductBox(HALF_ARC, ONE_POINT), FIRST_EIGHT),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_REDUCTION_BOXES))
+def test_reduction_rejects_non_clopen(shape):
+    """Cantor, finite and product boxes of those reduce; a box with a
+    circle factor has no clopen certificate and is refused."""
+    make_base, box, clopen = _REDUCTION_BOXES[shape]
+    if not clopen:
+        with pytest.raises(GroupoidError):
+            ReducedGroupoid(make_base(), box)
+        return
+    red = ReducedGroupoid(make_base(), box)
+    g = red.sample_element(random.Random(1))
+    assert red.contains_unit(red.range(g)) and red.contains_unit(red.source(g))
+
+
+def test_groupoid_layer_reuses_boxes_and_paths():
+    """groupoid.py builds model paths through param_f and param_f_k and
+    reduces by spaces boxes: it calls no ModelEdge(...) and defines no
+    class with a ``clopen`` member."""
+    tree = ast.parse(Path(groupoid.__file__).read_text())
+    edges = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ModelEdge"
+    ]
+    clopen_classes = [
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if "clopen" in (getattr(node, "name", None), getattr(node, "id", None))
+    ]
+    assert not edges, f"groupoid.py builds ModelEdge at lines {edges}"
+    assert not clopen_classes, clopen_classes
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,17 @@ def test_three_loops():
 
 
 def test_loops_declared_singular():
-    # with the vertex forced singular the free summand survives
-    k0, k1 = graph_ktheory(loops(3, regular=False))
-    assert k0 == FGAbelianGroup(1, (), (1,))
-    assert k1 == ZERO_GROUP
+    # with no regular vertex (here the vertex forced singular) the free
+    # summand on every vertex survives; 10 vertices pass snf's self-check
+    # on at most 8 rows, and the empty graph has nothing at all
+    for graph, n in (
+        (loops(3, regular=False), 1),
+        (DiscreteGraph([f"v{i}" for i in range(10)], []), 10),
+        (DiscreteGraph([], []), 0),
+    ):
+        k0, k1 = graph_ktheory(graph)
+        assert k0 == FGAbelianGroup(n, (), (1,) * n)
+        assert k1 == ZERO_GROUP
 
 
 def test_single_edge_graph():
