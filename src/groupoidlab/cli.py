@@ -113,8 +113,8 @@ def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
 
 
 def _parse_factor(obj: dict, key: str, default: str, builders: dict):
-    """A name of ``builders`` taking no parameter, or ``(kind, n)`` from
-    ``{"kind": kind, <parameter>: n}`` for one that takes one."""
+    """A name of ``builders`` taking no parameter, or ``{"kind": kind,
+    <parameter>: n}`` for one that takes one, with any other key dropped."""
     value = obj.get(key, default)
     kind = value.get("kind") if isinstance(value, dict) else value
     if isinstance(kind, str) and kind in builders:
@@ -125,7 +125,7 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict):
             n = value.get(param)
             if not _is_int(n) or n < 1:
                 raise ConfigError(f"config.{key}.{param}: expected a positive integer")
-            return kind, n
+            return {"kind": kind, param: n}
     forms = [
         repr(name) if param is None else f"{{'kind': {name!r}, {param!r}: n}}"
         for name, (_build, param) in builders.items()
@@ -159,8 +159,10 @@ def parse_config(obj: dict) -> dict:
 
 
 def _build(value, builders: dict):
-    kind, *args = (value,) if isinstance(value, str) else value
-    return builders[kind][0](*args)
+    if isinstance(value, str):
+        return builders[value][0]()
+    build, param = builders[value["kind"]]
+    return build(value[param])
 
 
 def build_system(cfg):
@@ -171,25 +173,12 @@ def build_x_backend(cfg):
     return _build(cfg["x_backend"], X_BACKEND_BUILDERS)
 
 
-def _echo(value, builders: dict):
-    return value if isinstance(value, str) else {"kind": value[0], builders[value[0]][1]: value[1]}
-
-
-def _config_echo(cfg) -> dict:
-    return {
-        "z_backend": _echo(cfg["z_backend"], SYSTEM_BUILDERS),
-        "x_backend": _echo(cfg["x_backend"], X_BACKEND_BUILDERS),
-        "seeds": cfg["seeds"],
-        "bounds": cfg["bounds"],
-    }
-
-
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
 
 
-def check_backends(cfg, graph, report):
+def check_backends(cfg, graph) -> CheckRecord:
     system = graph.z_system
     rng = random.Random(cfg["seeds"][0])
     samples = 50
@@ -198,19 +187,17 @@ def check_backends(cfg, graph, report):
         p = system.backend.random_point(rng)
         if system.backward(system.forward(p)) != p or system.forward(system.backward(p)) != p:
             ok = False
-    report.add(
-        CheckRecord(
-            "backends",
-            PLUMBING,
-            {"samples": samples},
-            ok,
-            {"system": system.name},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "backends",
+        PLUMBING,
+        {"samples": samples},
+        ok,
+        {"system": system.name},
+        cfg["seeds"][0],
     )
 
 
-def check_minimality(cfg, graph, report):
+def check_minimality(cfg, graph) -> CheckRecord:
     depth = cfg["bounds"]["density_depth"]
     eps, depth = graph.x_backend.density_resolution(depth)
     ok = True
@@ -222,19 +209,17 @@ def check_minimality(cfg, graph, report):
             tried += 1
             if not orbit_dense(graph, v, depth, eps):
                 ok = False
-    report.add(
-        CheckRecord(
-            "minimality",
-            "forward orbits in the graph are eps-dense in the vertex space",
-            {"eps": str(eps), "depth": depth, "base_points": tried},
-            ok,
-            {},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "minimality",
+        "forward orbits in the graph are eps-dense in the vertex space",
+        {"eps": str(eps), "depth": depth, "base_points": tried},
+        ok,
+        {},
+        cfg["seeds"][0],
     )
 
 
-def check_freeness(cfg, graph, report):
+def check_freeness(cfg, graph) -> CheckRecord:
     system = graph.z_system
     bound = cfg["bounds"]["isotropy_bound"]
     periods = []
@@ -243,19 +228,17 @@ def check_freeness(cfg, graph, report):
         for _ in range(20):
             z = system.backend.random_point(rng)
             periods.extend(freeness_check(system, z, bound))
-    report.add(
-        CheckRecord(
-            "freeness",
-            "the Z factor acts freely: no sampled point has a period",
-            {"bound": bound, "points": 20 * len(cfg["seeds"])},
-            not periods,
-            {"periods_found": sorted(set(periods))[:8]},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "freeness",
+        "the Z factor acts freely: no sampled point has a period",
+        {"bound": bound, "points": 20 * len(cfg["seeds"])},
+        not periods,
+        {"periods_found": sorted(set(periods))[:8]},
+        cfg["seeds"][0],
     )
 
 
-def check_singular(cfg, graph, report):
+def check_singular(cfg, graph) -> CheckRecord:
     """Every vertex is singular: each basic open vertex box pulls back to
     edges with unboundedly many indices, so no preimage is compact."""
     ok = True
@@ -271,18 +254,16 @@ def check_singular(cfg, graph, report):
         if len(hits) < 3:
             ok = False
         witnesses[f"box_{b}"] = hits
-    report.add(
-        CheckRecord(
-            "singular",
-            "no vertex is regular: edge indices into any basic open are unbounded",
-            {"boxes": 4},
-            ok,
-            {"index_witnesses": witnesses},
-        )
+    return CheckRecord(
+        "singular",
+        "no vertex is regular: edge indices into any basic open are unbounded",
+        {"boxes": 4},
+        ok,
+        {"index_witnesses": witnesses},
     )
 
 
-def check_axioms(cfg, graph, report):
+def check_axioms(cfg, graph) -> CheckRecord:
     trials = cfg["bounds"]["axiom_trials"]
     ok = True
     fails = []
@@ -291,19 +272,17 @@ def check_axioms(cfg, graph, report):
         if not rep.ok:
             ok = False
             fails.extend(rep.failures[:4])
-    report.add(
-        CheckRecord(
-            "axioms",
-            "sampled composable triples satisfy the groupoid laws",
-            {"trials": trials, "seeds": cfg["seeds"]},
-            ok,
-            {"failures": fails[:8]},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "axioms",
+        "sampled composable triples satisfy the groupoid laws",
+        {"trials": trials, "seeds": cfg["seeds"]},
+        ok,
+        {"failures": fails[:8]},
+        cfg["seeds"][0],
     )
 
 
-def check_contracting(cfg, graph, report):
+def check_contracting(cfg, graph) -> CheckRecord:
     cap = cfg["bounds"]["witness_cap"]
     ok = True
     ns = []
@@ -324,19 +303,17 @@ def check_contracting(cfg, graph, report):
             if not verdict.ok:
                 ok = False
                 details.extend(verdict.details)
-    report.add(
-        CheckRecord(
-            "contracting",
-            "random vertex boxes admit verified contracting witnesses",
-            {"pairs_per_seed": 3, "cap": cap},
-            ok,
-            {"translate_counts": ns[:12], "details": details[:6]},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "contracting",
+        "random vertex boxes admit verified contracting witnesses",
+        {"pairs_per_seed": 3, "cap": cap},
+        ok,
+        {"translate_counts": ns[:12], "details": details[:6]},
+        cfg["seeds"][0],
     )
 
 
-def check_principality(cfg, graph, report):
+def check_principality(cfg, graph) -> CheckRecord:
     samples = cfg["bounds"]["samples"]
     bound = cfg["bounds"]["isotropy_bound"]
     ok = True
@@ -350,20 +327,18 @@ def check_principality(cfg, graph, report):
             )
             if not rep.reductions_ok:
                 found.append(f"seed {seed}: the freeness reduction fails")
-    report.add(
-        CheckRecord(
-            "principality",
-            "no sampled boundary path has nontrivial isotropy, and the exact "
-            "reduction to freeness of the base dynamics passes",
-            {"samples": samples, "bound": bound, "seeds": cfg["seeds"]},
-            ok,
-            {"violations": found[:8]},
-            cfg["seeds"][0],
-        )
+    return CheckRecord(
+        "principality",
+        "no sampled boundary path has nontrivial isotropy, and the exact "
+        "reduction to freeness of the base dynamics passes",
+        {"samples": samples, "bound": bound, "seeds": cfg["seeds"]},
+        ok,
+        {"violations": found[:8]},
+        cfg["seeds"][0],
     )
 
 
-def check_ktheory(cfg, graph, report):
+def check_ktheory(cfg, graph) -> CheckRecord:
     try:
         zmeta = z_factor_ktheory(graph.z_system)
         k0, k1 = model_ktheory(graph.x_backend, zmeta)
@@ -372,19 +347,17 @@ def check_ktheory(cfg, graph, report):
     except KTheoryError as exc:
         ok = False
         evidence = {"error": str(exc)}
-    report.add(
-        CheckRecord(
-            "ktheory",
-            "the algebra of the model graph has the declared K-theory of the X factor, "
-            "unit class preserved for compact X",
-            {},
-            ok,
-            evidence,
-        )
+    return CheckRecord(
+        "ktheory",
+        "the algebra of the model graph has the declared K-theory of the X factor, "
+        "unit class preserved for compact X",
+        {},
+        ok,
+        evidence,
     )
 
 
-def check_dimension(cfg, graph, report):
+def check_dimension(cfg, graph) -> CheckRecord:
     x_dim = graph.x_backend.dim
     x_is_point = graph.x_is_point()
     rows = {}
@@ -394,30 +367,25 @@ def check_dimension(cfg, graph, report):
             "bound": res.bound,
             "refined": res.refined,
         }
-    report.add(
-        CheckRecord(
-            "dimension",
-            "the boundary-space dimension bound 2*dimZ + dimX + 1 (exact value dimZ "
-            "over a one-point X)",
-            {"dim_x": x_dim, "x_is_point": x_is_point},
-            True,
-            rows,
-        )
+    return CheckRecord(
+        "dimension",
+        "the boundary-space dimension bound 2*dimZ + dimX + 1 (exact value dimZ "
+        "over a one-point X)",
+        {"dim_x": x_dim, "x_is_point": x_is_point},
+        True,
+        rows,
     )
 
 
-def add_classification_note(report):
-    report.add(
-        CheckRecord(
-            "classification",
-            "identifying the algebra from its K-theory uses the classification of "
-            "simple purely infinite algebras: cited, not mechanized here",
-            {},
-            True,
-            {},
-            informational=True,
-        )
-    )
+# recorded after a full battery, not gating
+CLASSIFICATION_NOTE = CheckRecord(
+    "classification",
+    "identifying the algebra from its K-theory uses the classification of "
+    "simple purely infinite algebras: cited, not mechanized here",
+    {},
+    True,
+    informational=True,
+)
 
 
 CHECKS = {
@@ -435,12 +403,11 @@ CHECKS = {
 
 def run_battery(cfg, only: str | None = None) -> Report:
     graph = build_model_graph(build_system(cfg), build_x_backend(cfg))
-    report = Report(_config_echo(cfg))
-    names = [only] if only else list(CHECKS)
-    for name in names:
-        CHECKS[name](cfg, graph, report)
+    report = Report(cfg)
+    for name in [only] if only else CHECKS:
+        report.add(CHECKS[name](cfg, graph))
     if only is None:
-        add_classification_note(report)
+        report.add(CLASSIFICATION_NOTE)
     return report
 
 
@@ -596,19 +563,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command in (None, "run", "report"):
-            cfg = _load_config(args)
-            report = run_battery(cfg)
-            _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
-            return 0 if report.overall else 1
-        if args.command == "check":
-            if args.name not in CHECKS:
-                sys.stderr.write(
-                    f"unknown check {args.name!r}; available: {', '.join(sorted(CHECKS))}\n"
-                )
+        if args.command in (None, "run", "report", "check"):
+            only = getattr(args, "name", None)
+            if only is not None and only not in CHECKS:
+                available = ", ".join(sorted(CHECKS))
+                sys.stderr.write(f"unknown check {only!r}; available: {available}\n")
                 return 2
-            cfg = _load_config(args)
-            report = run_battery(cfg, only=args.name)
+            report = run_battery(_load_config(args), only)
             _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
             return 0 if report.overall else 1
         if args.command == "ktheory":

@@ -274,9 +274,9 @@ class ReducedGroupoid:
 # ---------------------------------------------------------------------------
 
 
-def random_ev_periodic(rng, max_value=5) -> EvPeriodic:
-    head = tuple(rng.randrange(1, max_value + 1) for _ in range(rng.randrange(0, 3)))
-    cycle = tuple(rng.randrange(1, max_value + 1) for _ in range(rng.randrange(1, 4)))
+def random_ev_periodic(rng) -> EvPeriodic:
+    head = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 3)))
+    cycle = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 4)))
     return EvPeriodic(head, cycle)
 
 

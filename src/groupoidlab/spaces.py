@@ -317,11 +317,14 @@ class CircleBox:
     arcs: tuple[Arc, ...]
     full: bool = False
 
-    # every box kind declares whether its pieces are certified clopen
-    clopen = False
-
     def is_empty(self) -> bool:
         return not self.full and not self.arcs
+
+    @property
+    def clopen(self) -> bool:
+        # every box kind certifies whether it is clopen; the circle is
+        # connected, so only the full and the empty box are
+        return self.full or not self.arcs
 
     def contains(self, pt: CirclePoint) -> bool:
         return self.full or any(a.contains(pt.value) for a in self.arcs)
@@ -554,10 +557,9 @@ def _lift(arcs) -> list[tuple[QPhi, QPhi]]:
     return out
 
 
-def _sweep(start: QPhi, end: QPhi, pieces, closed_target: bool, closed_pieces: bool = False) -> bool:
-    """Greedy exact test that the intervals ``pieces`` (open, or closed
-    with ``closed_pieces``) cover [start, end], or (start, end) when
-    ``closed_target`` is false.
+def _sweep(start: QPhi, end: QPhi, pieces, closed_target: bool) -> bool:
+    """Greedy exact test that the open intervals ``pieces`` cover
+    [start, end], or (start, end) when ``closed_target`` is false.
 
     Each round moves ``reach`` to the furthest end of a piece that
     covers it; an open piece may only start at ``reach`` when nothing at
@@ -566,7 +568,7 @@ def _sweep(start: QPhi, end: QPhi, pieces, closed_target: bool, closed_pieces: b
     """
     reach = start
     while reach <= end if closed_target else reach < end:
-        touching = closed_pieces or (not closed_target and reach == start)
+        touching = not closed_target and reach == start
         best = None
         for s, e in pieces:
             if (s <= reach if touching else s < reach) and e > reach and (best is None or e > best):
@@ -769,17 +771,7 @@ class CircleBackend(SpaceBackend):
         return Fraction(1, 4), min(depth, 16)
 
     def dense(self, points: list[CirclePoint], eps: Fraction) -> bool:
-        # every gap between neighbouring values is at most 2 eps
-        if not points:
-            return False
-        vals = sorted({p.value for p in points})
-        two_eps = QPhi(2 * eps)
-        for i, v in enumerate(vals):
-            nxt = vals[(i + 1) % len(vals)]
-            gap = (nxt - v).mod1() if len(vals) > 1 else QPhi(1)
-            if gap > two_eps:
-                return False
-        return True
+        return _arcs_cover_circle([p.value for p in points], QPhi(2 * eps))
 
 
 class CantorBackend(SpaceBackend):
@@ -1027,14 +1019,21 @@ def _torus_dense(points: list[PairPoint], eps: Fraction) -> bool:
         lo, hi = events[i], events[(i + 1) % len(events)]
         mid = (lo + ((hi - lo).mod1() / 2)).mod1()
         # the closed y-arcs of the squares active across this x-strip
-        arcs = [
-            ((p.right.value - e).mod1(), two_eps)
-            for p in points
-            if (mid - (p.left.value - e)).mod1() <= two_eps
-        ]
-        if not arcs or not _sweep(arcs[0][0], arcs[0][0] + QPhi(1), _lift(arcs), False, True):
+        ys = [p.right.value for p in points if (mid - (p.left.value - e)).mod1() <= two_eps]
+        if not _arcs_cover_circle(ys, two_eps):
             return False
     return True
+
+
+def _arcs_cover_circle(centres: list[QPhi], width: QPhi) -> bool:
+    """Closed arcs of length ``width`` around ``centres`` cover the circle
+    exactly when every cyclic gap between distinct centres is at most
+    ``width``."""
+    vals = sorted(set(centres))
+    if not vals:
+        return False
+    gaps = [b - a for a, b in zip(vals, vals[1:])] + [vals[0] + QPhi(1) - vals[-1]]
+    return all(gap <= width for gap in gaps)
 
 
 # entry point kept by name: bench/tracing.py patches this module function

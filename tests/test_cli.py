@@ -196,12 +196,15 @@ def test_battery_report_digest_pinned(z, x, digest):
 def test_battery_finite_x_ktheory_record():
     cfg = parse_config(
         {
-            "x_backend": {"kind": "finite", "size": 3},
+            "x_backend": {"kind": "finite", "size": 3, "note": "x"},
             "seeds": [3],
             "bounds": {"samples": 40, "axiom_trials": 40},
         }
     )
     report = run_battery(cfg)
+    # the config and its echo keep the kind and its parameter only
+    assert cfg["x_backend"] == {"kind": "finite", "size": 3}
+    assert json.loads(report.to_json())["config"]["x_backend"] == {"kind": "finite", "size": 3}
     record = next(r for r in report.records if r.name == "ktheory")
     assert record.verdict
     assert record.evidence["K0"] == "Z^3 with unit [1, 1, 1]"

@@ -47,6 +47,7 @@ from groupoidlab.groupoid import (
 )
 from groupoidlab.spaces import (
     CANTOR_FULL,
+    CIRCLE_FULL,
     Arc,
     CantorBackend,
     CantorBox,
@@ -368,16 +369,33 @@ def test_product_unit_box(odo_point):
     assert not box.contains(G.unit_point((mu, 4)))
 
 
-def test_product_isotropy_componentwise(golden_point):
+def test_product_isotropy_componentwise(loop_graph, golden_point):
+    """Isotropy of DR x R at (mu, i) is the isotropy of DR at mu times the
+    trivial isotropy of R at i."""
+    mu = InfiniteDiscretePath(loop_graph, EvPeriodic((2,), (1, 1, 3)))
+    G = ProductGroupoid(DRGroupoid(loop_graph), CompleteRelation())
+    pairs = isotropy_search(mu, 12)
+    assert pairs
+    for i, (n, m) in enumerate(pairs):
+        g = (make_element(mu, n, m, mu), (i, i))
+        assert G.range(g) == G.source(g) == (mu, i)
+        assert G.k(g) == n - m
+        assert G.compose(g, G.inverse(g)) == G.unit_of((mu, i))
+        # an R part off the diagonal moves the unit
+        h = (g[0], (i, i + 1))
+        assert G.range(h) != G.source(h)
+    # over golden x point both factors are principal: an element that
+    # fixes its unit is that unit
+    G = ProductGroupoid(DRGroupoid(golden_point), CompleteRelation())
     rng = random.Random(5)
-    R = CompleteRelation()
-    for _ in range(100):
-        mu = random_boundary_path(golden_point, rng)
-        i = rng.randrange(8)
-        # isotropy in the product at the unit (mu, i) is the product of
-        # component isotropies; both sides are trivial
-        assert isotropy_search(mu, 10) == []
-        assert R.unit_of(i) == (i, i)
+    fixed = 0
+    for _ in range(800):
+        u = (random_boundary_path(golden_point, rng), rng.randrange(8))
+        a = G.extend_from(u, rng)
+        if G.source(a) == u:
+            fixed += 1
+            assert a == G.unit_of(u)
+    assert fixed
 
 
 def test_reduction_validates_membership(odo_point):
@@ -416,6 +434,7 @@ _REDUCTION_BOXES = {
         True,
     ),
     "circle": (lambda: _dr(golden_rotation), ProductBox(HALF_ARC, ONE_POINT), False),
+    "circle-full": (lambda: _dr(golden_rotation), ProductBox(CIRCLE_FULL, ONE_POINT), True),
     "circle-product": (
         lambda: ProductGroupoid(_dr(golden_rotation), CompleteRelation()),
         ProductBox(ProductBox(HALF_ARC, ONE_POINT), FIRST_EIGHT),
@@ -426,8 +445,9 @@ _REDUCTION_BOXES = {
 
 @pytest.mark.parametrize("shape", sorted(_REDUCTION_BOXES))
 def test_reduction_rejects_non_clopen(shape):
-    """Cantor, finite and product boxes of those reduce; a box with a
-    circle factor has no clopen certificate and is refused."""
+    """Cantor, finite and product boxes of those reduce, and so does the
+    full circle; a box with a proper arc factor has no clopen
+    certificate and is refused."""
     make_base, box, clopen = _REDUCTION_BOXES[shape]
     if not clopen:
         with pytest.raises(GroupoidError):
