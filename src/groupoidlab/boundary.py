@@ -2,12 +2,13 @@
 
 For the model graph every vertex is singular, so the boundary consists
 of all finite paths together with the infinite ones.  Infinite paths
-are stored as a base point plus an eventually periodic index sequence,
-the exact shift-invariant dense subfamily on which equality and the
-shift are decidable.  The topology is never materialised; it is probed
-through a three-condition convergence test on finitely described
-sequences, with an explicit "undecidable for this description" outcome
-for anything outside the supported descriptions.
+are stored as a base point, held as an anchor and an orbit exponent,
+plus an eventually periodic index sequence: the exact shift-invariant
+dense subfamily on which equality and the shift are decidable.  The
+topology is never materialised; it is probed through a three-condition
+convergence test on finitely described sequences, with an explicit
+"undecidable for this description" outcome for anything outside the
+supported descriptions.
 """
 
 from __future__ import annotations
@@ -106,9 +107,11 @@ class FiniteBoundaryPath:
     """A finite path whose domain vertex is singular.
 
     Every boundary path kind has the same method set: ``length`` (an int,
-    or ``INFINITE``), ``range()``, ``prefix(k)`` (the first k edges as a
-    finite path), ``drop(n)`` (the n-th shift, n >= 1) and ``cons(m)``
-    (prepend the edge of index ``m`` whose domain is ``range()``).  Both
+    or ``INFINITE``), ``range()``, ``edge_at(i)``, ``same_edge(i, other,
+    j)`` (edge i equals edge j of a path of the same kind), ``prefix(k)``
+    (the first k edges as a finite path), ``drop(n)`` (the n-th shift,
+    n >= 1) and ``cons(m)`` (prepend the edge of index ``m >= 1`` whose
+    domain is ``range()``; a lower index is a ``BoundaryError``).  Both
     ``drop`` and ``cons`` keep the domain, so neither validates the path
     again, and ``cons`` builds its edge at ``range()``, so its one new
     junction composes.
@@ -160,10 +163,16 @@ class FiniteBoundaryPath:
             return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
 
+    def same_edge(self, i: int, other: "FiniteBoundaryPath", j: int) -> bool:
+        """Whether edge i of this path equals edge j of ``other``."""
+        return self.path.edges[i - 1] == other.path.edges[j - 1]
+
     def cons(self, m: int) -> "FiniteBoundaryPath":
         g = self.path.graph
         if not hasattr(g, "edge_from"):
             raise BoundaryError(f"cons needs edges numbered at each vertex, and {g!r} has none")
+        if m < 1:
+            raise BoundaryError("edge indices must be >= 1")
         edge = g.edge_from(self.range(), m)
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + self.path.edges))
 
@@ -171,29 +180,50 @@ class FiniteBoundaryPath:
         return len(self.path)
 
 
-@dataclass(frozen=True)
 class InfiniteModelPath:
     """The infinite model-graph path with edges
-    (rho^-i(z), x_{n_{i+1}}, n_i) for i = 1, 2, ...; canonical in (z, idx)."""
+    (rho^-i(z), x_{n_{i+1}}, n_i) for i = 1, 2, ...; canonical in (z, idx).
 
-    graph: ModelGraph
-    z: Point
-    idx: EvPeriodic
+    The path is held in orbit coordinates: an anchor point a, an integer
+    exponent e with z = rho^e(a), and the index sequence.  ``drop`` and
+    ``cons`` move the exponent only, so every path cut from or extended
+    from one path shares its anchor, and two such paths (or their edges)
+    compare by integers: rho^e(a) = rho^f(a) exactly when the period of
+    a, if any, divides e - f.  ``z`` is built on first read and kept; no
+    other attribute changes after construction.
+    """
+
+    __slots__ = ("graph", "anchor", "exponent", "idx", "_z")
 
     length = INFINITE
 
-    def __post_init__(self):
-        if any(v < 1 for v in self.idx.head + self.idx.cycle):
+    def __init__(self, graph: ModelGraph, z: Point, idx: EvPeriodic):
+        if any(v < 1 for v in idx.head + idx.cycle):
             raise BoundaryError("edge indices must be >= 1")
+        self.graph = graph
+        self.anchor = self._z = z
+        self.exponent = 0
+        self.idx = idx
 
     @staticmethod
-    def _unchecked(graph: ModelGraph, z: Point, idx: EvPeriodic) -> "InfiniteModelPath":
-        """A path whose indices are known to be >= 1, such as a shift."""
+    def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, idx: EvPeriodic):
+        """The path with base point rho^exponent(anchor) and indices known
+        to be >= 1, such as a shift or an extension."""
         mu = object.__new__(InfiniteModelPath)
-        _set(mu, "graph", graph)
-        _set(mu, "z", z)
-        _set(mu, "idx", idx)
+        mu.graph = graph
+        mu.anchor = anchor
+        mu.exponent = exponent
+        mu.idx = idx
+        mu._z = anchor if exponent == 0 else None
         return mu
+
+    @property
+    def z(self) -> Point:
+        """The base point rho^exponent(anchor)."""
+        z = self._z
+        if z is None:
+            z = self._z = self.graph.z_system.power(self.anchor, self.exponent)
+        return z
 
     def range(self) -> PairPoint:
         # r(first edge) = (z, x_{n_1})
@@ -201,32 +231,62 @@ class InfiniteModelPath:
 
     def edge_at(self, i: int) -> ModelEdge:
         """The i-th edge, i >= 1."""
-        sys = self.graph.z_system
+        g = self.graph
         return ModelEdge(
-            sys.power(self.z, -i), self.graph.x_point(self.idx.item(i)), self.idx.item(i - 1)
+            g.z_system.power(self.anchor, self.exponent - i),
+            g.x_point(self.idx.item(i)),
+            self.idx.item(i - 1),
         )
+
+    def same_edge(self, i: int, other: "InfiniteModelPath", j: int) -> bool:
+        """Whether edge i of this path equals edge j of ``other``: by index,
+        x point and z, without building either edge."""
+        a, b = self.idx.item(i), other.idx.item(j)
+        return (
+            self.idx.item(i - 1) == other.idx.item(j - 1)
+            and (a == b or self.graph.x_point(a) == other.graph.x_point(b))
+            and self._same_point(self.exponent - i, other, other.exponent - j)
+        )
+
+    def _same_point(self, e: int, other: "InfiniteModelPath", f: int) -> bool:
+        """Whether rho^e(self.anchor) = rho^f(other.anchor); a shared
+        anchor decides it by the exponents, with no dynamics step."""
+        sys = self.graph.z_system
+        if self.anchor is other.anchor and sys is other.graph.z_system:
+            if e == f:
+                return True
+            period = sys.period(self.anchor)
+            return period is not None and (e - f) % period == 0
+        return sys.power(self.anchor, e) == other.graph.z_system.power(other.anchor, f)
 
     def prefix(self, k: int) -> FinitePath:
         g = self.graph
         return param_f_k(g, self.z, g.x_point(self.idx.item(k)), self.idx.prefix(k))
 
     def drop(self, n: int) -> "InfiniteModelPath":
-        g = self.graph
-        return InfiniteModelPath._unchecked(g, g.z_system.power(self.z, -n), self.idx.shifted(n))
+        idx = self.idx.shifted(n)
+        return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx)
 
     def cons(self, m: int) -> "InfiniteModelPath":
         if m < 1:
             raise BoundaryError("edge indices must be >= 1")
-        g = self.graph
-        return InfiniteModelPath._unchecked(g, g.z_system.forward(self.z), self.idx.cons(m))
+        idx = self.idx.cons(m)
+        return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx)
 
     def __eq__(self, other):
         if not isinstance(other, InfiniteModelPath):
             return NotImplemented
-        return self.graph is other.graph and self.z == other.z and self.idx == other.idx
+        if self.graph is not other.graph or self.idx != other.idx:
+            return False
+        if self.anchor is other.anchor:
+            return self._same_point(self.exponent, other, other.exponent)
+        return self.z == other.z
 
     def __hash__(self):
         return hash((id(self.graph), self.z, self.idx))
+
+    def __repr__(self):
+        return f"InfiniteModelPath(graph={self.graph!r}, z={self.z!r}, idx={self.idx!r})"
 
     def __len__(self):
         raise TypeError("infinite path; use .length")
@@ -268,11 +328,16 @@ class InfiniteDiscretePath:
             return vertex_path(g, g.vertex)
         return FinitePath(g, tuple(g.edge(m) for m in self.labels.prefix(k)))
 
+    def same_edge(self, i: int, other: "InfiniteDiscretePath", j: int) -> bool:
+        """Whether edge i of this word equals edge j of ``other``."""
+        return self.labels.item(i - 1) == other.labels.item(j - 1)
+
     def drop(self, n: int) -> "InfiniteDiscretePath":
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))
 
     def cons(self, m: int) -> "InfiniteDiscretePath":
-        self.graph.edge(m)  # rejects m < 1
+        if m < 1:
+            raise BoundaryError("loop labels must be >= 1")
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(m))
 
     def __eq__(self, other):

@@ -59,7 +59,9 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
 
     Given equal shifts, shift^(n-1)(x) and shift^(m-1)(y) prepend the
     edges x_n and y_m to the same path, so they are equal exactly when
-    those two edges are: the witness is lowered edge by edge."""
+    those two edges are: the witness is lowered edge by edge.  Infinite
+    model paths that share an anchor compare their edges by indices, x
+    points and exponents, with no dynamics step."""
     if n < 0 or m < 0:
         raise GroupoidError("witness exponents must be non-negative")
     if x.length < n:
@@ -68,7 +70,7 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
         raise GroupoidError(f"shift^{m} undefined on a path of length {y.length}")
     if shift_power(x, n) != shift_power(y, m):
         raise GroupoidError("shifted paths differ; not a groupoid element")
-    while n > 0 and m > 0 and x.edge_at(n) == y.edge_at(m):
+    while n > 0 and m > 0 and x.same_edge(n, y, m):
         n -= 1
         m -= 1
     return GroupoidElement(x, n - m, y, n, m)

@@ -42,6 +42,7 @@ from groupoidlab.graphs import (
     vertex_path,
 )
 from groupoidlab.cli import main
+from groupoidlab.groupoid import isotropy_search
 from groupoidlab.spaces import (
     CantorBackend,
     CircleBackend,
@@ -51,6 +52,7 @@ from groupoidlab.spaces import (
     PadicPoint,
     PairPoint,
     box_rep_point,
+    finite_cyclic,
     golden_rotation,
     pair_index,
     odometer,
@@ -808,3 +810,127 @@ def test_range_vertex(odo_point):
     assert shift_power(mu, 2).range() == PairPoint(
         odometer().power(ZERO_2ADIC, -2), FinitePoint(0, 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# orbit coordinates of infinite model paths
+# ---------------------------------------------------------------------------
+
+FREE_CONFIGS = [
+    pytest.param(z, x, id=f"{z.__name__}-{name}")
+    for z in (odometer, golden_rotation)
+    for name, x in (
+        ("point", point_backend),
+        ("cantor", CantorBackend),
+        ("circle", CircleBackend),
+        ("finite3", lambda: FiniteBackend(3)),
+    )
+]
+
+
+def _materialised_chain(g, rng, steps=12):
+    """A random chain of drops and conses from one infinite path, next to
+    a reference chain that steps the base point through the dynamics on
+    every operation and rebuilds each path through the public
+    constructor."""
+    sys = g.z_system
+    z = sys.backend.random_point(rng)
+    mu = param_f(g, z, random_idx(rng))
+    ref_z = z
+    pairs = [(mu, InfiniteModelPath(g, ref_z, mu.idx))]
+    for _ in range(steps):
+        if rng.randrange(2):
+            n = rng.randrange(1, 4)
+            mu = mu.drop(n)
+            for _ in range(n):
+                ref_z = sys.backward(ref_z)
+        else:
+            mu = mu.cons(rng.randrange(1, 6))
+            ref_z = sys.forward(ref_z)
+        pairs.append((mu, InfiniteModelPath(g, ref_z, mu.idx)))
+    return pairs
+
+
+@pytest.mark.parametrize("make_z, make_x", FREE_CONFIGS)
+def test_orbit_coordinates_match_materialised_paths(make_z, make_x):
+    """drop and cons move an exponent only; the point, the line, the
+    edges and every equality verdict are those of paths whose base point
+    was stepped through the dynamics and rebuilt by the constructor."""
+    g = build_model_graph(make_z(), make_x())
+    rng = random.Random(f"orbit-{make_z.__name__}-{g.x_backend!r}")
+    for _ in range(6):
+        pairs = _materialised_chain(g, rng)
+        # a chain that comes back to an earlier path exercises equality
+        mu0, ref0 = pairs[0]
+        pairs.append((mu0.cons(mu0.idx.item(0)).drop(1), ref0))
+        for mu, ref in pairs:
+            assert mu.z == ref.z and path_to_line(mu) == path_to_line(ref)
+            assert mu.range() == ref.range() and mu.prefix(3) == ref.prefix(3)
+            assert [mu.edge_at(i) for i in (1, 2, 3)] == [ref.edge_at(i) for i in (1, 2, 3)]
+            assert (mu == ref) and (ref == mu) and hash(mu) == hash(ref)
+        for mu_a, ref_a in pairs:
+            for mu_b, ref_b in pairs:
+                assert (mu_a == mu_b) == (ref_a == ref_b)
+                for i, j in ((1, 1), (2, 1), (1, 3)):
+                    want = ref_a.edge_at(i) == ref_b.edge_at(j)
+                    assert mu_a.same_edge(i, mu_b, j) == want
+                    assert ref_a.same_edge(i, ref_b, j) == want
+
+
+@pytest.mark.parametrize("make_system", [golden_rotation, odometer])
+def test_equal_paths_from_different_anchors_hash_alike(make_system):
+    g = build_model_graph(make_system(), FiniteBackend(2))
+    a = g.z_system.backend.random_point(random.Random(8))
+    mu = param_f(g, a, EvPeriodic((2,), (1, 3)))
+    for m in (4, 1, 2, 5, 3):
+        mu = mu.cons(m)
+    nu = param_f(g, g.z_system.power(a, 5), mu.idx)
+    assert (mu.anchor, mu.exponent) == (a, 5) and nu.exponent == 0
+    assert mu == nu and nu == mu and hash(mu) == hash(nu)
+    assert len({mu, nu}) == 1
+    assert mu != param_f(g, g.z_system.power(a, 4), mu.idx)
+    assert mu != param_f(g, nu.z, mu.idx.cons(1))
+    assert path_to_line(mu) == path_to_line(nu)
+
+
+def test_finite_cyclic_exponents_compare_modulo_the_period():
+    """On the order-3 cyclic control, paths that share an anchor agree
+    when their exponents agree mod 3, and isotropy_search finds the pairs
+    of paths rebuilt through the constructor."""
+    g = build_model_graph(finite_cyclic(3), point_backend())
+    for cycle in ((1,), (1, 2)):
+        mu = param_f(g, FinitePoint(0, 3), EvPeriodic((), cycle))
+        p = 3 * len(cycle)
+        assert mu.drop(p) == mu and hash(mu.drop(p)) == hash(mu)
+        assert mu.drop(1) != mu and mu.drop(p + 1) == mu.drop(1)
+        assert mu.drop(p).same_edge(1, mu, 1)
+        rebuilt = [mu] + [InfiniteModelPath(g, mu.drop(n).z, mu.drop(n).idx) for n in range(1, 13)]
+        want = [(n, m) for n in range(13) for m in range(n) if rebuilt[n] == rebuilt[m]]
+        assert want == [(n, m) for n in range(13) for m in range(n) if (n - m) % p == 0]
+        assert isotropy_search(mu, 12) == want
+
+
+@pytest.mark.parametrize(
+    "kind, graph",
+    [
+        ("finite", "model"),
+        ("finite", "loop"),
+        ("infinite", "model"),
+        ("infinite", "loop"),
+    ],
+)
+def test_cons_below_one_is_a_boundary_error(kind, graph):
+    g = build_model_graph(golden_rotation(), FiniteBackend(2)) if graph == "model" else LOOP
+    if graph == "loop":
+        mu = InfiniteDiscretePath(g, EvPeriodic((), (2,)))
+        if kind == "finite":
+            mu = FiniteBoundaryPath(FinitePath(g, (g.edge(2),)))
+    else:
+        z = ZERO_CIRCLE
+        mu = param_f(g, z, EvPeriodic((), (2,)))
+        if kind == "finite":
+            mu = FiniteBoundaryPath(mu.prefix(2))
+    for m in (0, -1):
+        with pytest.raises(BoundaryError, match=">= 1"):
+            mu.cons(m)
+    assert mu.cons(1).drop(1) == mu

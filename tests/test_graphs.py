@@ -272,6 +272,66 @@ def test_orbit_dense_fallback(monkeypatch, make_z, make_x, density_depth, verdic
         assert len(calls) == i
 
 
+def _largest_golden_gap(count):
+    """The three-distance theorem (Sos 1958) for alpha = phi - 1, whose
+    continued fraction is [0; 1, 1, ...]: with convergent denominators
+    q_0, q_1, ... = 1, 1, 2, 3, 5, ... and q_j <= count < q_{j+1}, the
+    largest gap left by {n alpha mod 1 : 0 <= n < count} is
+    ||q_{j-2} alpha|| = alpha^(j-1)."""
+    q = [1, 1]
+    while q[-1] <= count:
+        q.append(q[-1] + q[-2])
+    gap = QPhi(1)
+    for _ in range(len(q) - 3):
+        gap = gap * QPhi(-1, 1)
+    return gap
+
+
+def test_orbit_dense_golden_matches_the_three_distance_theorem():
+    """Over a one-point X, the vertex and its depth orbit points are
+    depth + 1 consecutive golden rotations: they leave at most three gap
+    lengths, and they are eps-dense exactly when the largest is <= 2 eps.
+    At the battery's eps = 1/depth they always are, so half of it is
+    checked too."""
+    graph = build_model_graph(golden_rotation(), point_backend())
+    rng = random.Random(23)
+    verdicts = set()
+    for density_depth in range(1, 41):
+        eps, depth = graph.x_backend.density_resolution(density_depth)
+        pts = sorted({QPhi(-n, n).mod1() for n in range(depth + 1)})
+        gaps = {b - a for a, b in zip(pts, pts[1:] + [pts[0] + QPhi(1)])}
+        assert len(gaps) <= 3 and max(gaps) == _largest_golden_gap(depth + 1)
+        for e in (eps, eps / 2):
+            want = _largest_golden_gap(depth + 1) <= QPhi(2 * e)
+            for _ in range(3):
+                v = graph.vertex_backend.random_point(rng)
+                assert orbit_dense(graph, v, depth, e) == want, (density_depth, e)
+            verdicts.add((e == eps, want))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_orbit_dense_odometer_matches_the_residues():
+    """Over a one-point X, the vertex and its orbit are z, z + 1, ...,
+    z + depth; the closed eps-balls of Z_2 are the residue classes mod 2^k
+    for the least k with 2^-k <= eps, so the set is eps-dense exactly when
+    its residues mod 2^k are all of Z/2^k."""
+    graph = build_model_graph(odometer(), point_backend())
+    rng = random.Random(29)
+    verdicts = set()
+    for density_depth in range(1, 41):
+        eps, depth = graph.x_backend.density_resolution(density_depth)
+        k = 0
+        while Fraction(1, 2**k) > eps:
+            k += 1
+        for _ in range(3):
+            v = graph.vertex_backend.random_point(rng)
+            z_mod = sum(bit << i for i, bit in enumerate(v.left.bits(k)))
+            want = len({(z_mod + n) % 2**k for n in range(depth + 1)}) == 2**k
+            assert orbit_dense(graph, v, depth, eps) == want, density_depth
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # witness paths
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from groupoidlab.boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
     InfiniteDiscretePath,
+    InfiniteModelPath,
     param_f,
     path_to_line,
     shift,
@@ -57,6 +58,7 @@ from groupoidlab.spaces import (
     FiniteBackend,
     FiniteBox,
     FinitePoint,
+    MinimalSystem,
     PadicPoint,
     PairPoint,
     ProductBox,
@@ -508,3 +510,85 @@ def test_bisection_certificate(odo_point):
     bad = BasicOpenBisection(nothing, 1, 0, one_edge)
     assert not bad.certificate_valid()
     assert not basic_bisection(odo_point, bad).ok
+
+
+# ---------------------------------------------------------------------------
+# orbit coordinates: elements on paths that share an anchor
+# ---------------------------------------------------------------------------
+
+FREE_CONFIGS = [
+    pytest.param(z, x, id=f"{z.__name__}-{name}")
+    for z in (odometer, golden_rotation)
+    for name, x in (
+        ("point", point_backend),
+        ("cantor", CantorBackend),
+        ("circle", CircleBackend),
+        ("finite3", lambda: FiniteBackend(3)),
+    )
+]
+
+
+def _rebuilt(mu):
+    """An infinite model path rebuilt through the public constructor from
+    its materialised base point, so that it shares no anchor."""
+    return InfiniteModelPath(mu.graph, mu.z, mu.idx)
+
+
+def _rebuilt_element(g):
+    return GroupoidElement(_rebuilt(g.x), g.k, _rebuilt(g.y), g.n, g.m)
+
+
+def _element_line(g):
+    return (path_to_line(g.x), g.k, path_to_line(g.y), g.n, g.m)
+
+
+@pytest.mark.parametrize("make_z, make_x", FREE_CONFIGS)
+def test_element_chains_match_rebuilt_paths(make_z, make_x):
+    """Random chains of make_element, compose and inverse on infinite
+    paths that share one anchor give the elements, lines and equality
+    verdicts of the same chains on rebuilt paths, where every comparison
+    goes through materialised points."""
+    graph = build_model_graph(make_z(), make_x())
+    rng = random.Random(f"chains-{make_z.__name__}-{graph.x_backend!r}")
+    for _ in range(8):
+        g = random_element_at(graph, random_boundary_path(graph, rng, force="infinite"), rng)
+        ref = _rebuilt_element(g)
+        assert make_element(ref.x, g.n, g.m, ref.y) == ref
+        seen = [(g, ref)]
+        for _ in range(6):
+            op = rng.choice(("compose", "inverse", "lift"))
+            if op == "compose":
+                h = random_element_at(graph, g.y, rng)
+                g, ref = compose(g, h), compose(ref, _rebuilt_element(h))
+            elif op == "inverse":
+                g, ref = inverse(g), inverse(ref)
+            else:
+                j = rng.randrange(1, 4)
+                g = make_element(g.x, g.n + j, g.m + j, g.y)
+                ref = make_element(ref.x, ref.n + j, ref.m + j, ref.y)
+            assert _element_line(g) == _element_line(ref)
+            assert (g.n, g.m) == reference_witness(g.x, g.n, g.m, g.y)
+            seen.append((g, ref))
+        for a, ref_a in seen:
+            for b, ref_b in seen:
+                assert (a == b) == (ref_a == ref_b)
+                assert (a.y == b.x) == (ref_a.y == ref_b.x)
+
+
+def test_make_element_takes_no_dynamics_step_on_a_shared_anchor(monkeypatch):
+    graph = build_model_graph(golden_rotation(), CircleBackend())
+    x = param_f(graph, CirclePoint(QPhi(Fraction(1, 3))), EvPeriodic((2, 3), (1, 4)))
+    y = shift_power(x, 2).cons(x.idx.item(1)).cons(6)
+    calls = []
+    for name in ("power", "forward", "backward"):
+
+        def counted(self, *args, _name=name, _original=getattr(MinimalSystem, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(MinimalSystem, name, counted)
+    e = make_element(x, 2, 2, y)
+    assert calls == []
+    assert (e.n, e.m, e.k) == (1, 1, 0)
+    monkeypatch.undo()
+    assert (e.n, e.m) == reference_witness(x, 2, 2, y)

@@ -40,6 +40,7 @@ from groupoidlab.spaces import (
     box_rep_point,
     circle_covered_by_arcs,
     circle_rotate,
+    dense_indices_hitting,
     dense_sequence,
     eps_dense,
     finite_cyclic,
@@ -320,6 +321,24 @@ def test_is_basic_rep_matches_the_box(backend):
         rep = box_rep_point(backend.basic_open(i))
         for pt in points + [rep]:
             assert backend.is_basic_rep(i, pt) == (rep == pt), (i, pt)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [CircleBackend(), CantorBackend(), FiniteBackend(3), point_backend(), CountableBackend()],
+)
+def test_dense_indices_hitting_land_in_their_box(backend):
+    """The closed-form positions of every basic open's representative,
+    for the first 300 basic opens (or all of a finite basis), are
+    increasing and their terms are the representative, inside the box."""
+    count = backend.basic_count or 300
+    for b in range(min(count, 300)):
+        indices = dense_indices_hitting(backend, b, 4)
+        assert indices == sorted(set(indices)) and indices[0] >= 1
+        box = backend.basic_open(b)
+        for i in indices:
+            x = dense_sequence(backend, i)
+            assert backend.is_basic_rep(b, x) and box_contains(box, x), (b, i)
 
 
 # ---------------------------------------------------------------------------
