@@ -13,6 +13,7 @@ supported descriptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .spaces import (
@@ -110,8 +111,10 @@ class FiniteBoundaryPath:
     or ``INFINITE``), ``range()``, ``edge_at(i)``, ``same_edge(i, other,
     j)`` (edge i equals edge j of a path of the same kind), ``prefix(k)``
     (the first k edges as a finite path), ``drop(n)`` (the n-th shift,
-    n >= 1) and ``cons(m)`` (prepend the edge of index ``m >= 1`` whose
-    domain is ``range()``; a lower index is a ``BoundaryError``).  Both
+    n >= 1), ``cons(m)`` (prepend the edge of index ``m >= 1`` whose
+    domain is ``range()``; a lower index is a ``BoundaryError``) and
+    ``shift_period()`` (``(start, step)``: for n > m, drop(n) = drop(m)
+    exactly when m >= start and step | n - m; ``None`` if never).  Both
     ``drop`` and ``cons`` keep the domain, so neither validates the path
     again, and ``cons`` builds its edge at ``range()``, so its one new
     junction composes.
@@ -166,6 +169,10 @@ class FiniteBoundaryPath:
     def same_edge(self, i: int, other: "FiniteBoundaryPath", j: int) -> bool:
         """Whether edge i of this path equals edge j of ``other``."""
         return self.path.edges[i - 1] == other.path.edges[j - 1]
+
+    def shift_period(self) -> None:
+        """None: shifts of a finite path have pairwise different lengths."""
+        return None
 
     def cons(self, m: int) -> "FiniteBoundaryPath":
         g = self.path.graph
@@ -267,6 +274,12 @@ class InfiniteModelPath:
         idx = self.idx.shifted(n)
         return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx)
 
+    def shift_period(self) -> tuple[int, int] | None:
+        """Shifts share the anchor, so the period of the anchor must also
+        divide their exponent gap."""
+        period = self.graph.z_system.period(self.anchor)
+        return None if period is None else (len(self.idx.head), math.lcm(len(self.idx.cycle), period))
+
     def cons(self, m: int) -> "InfiniteModelPath":
         if m < 1:
             raise BoundaryError("edge indices must be >= 1")
@@ -334,6 +347,10 @@ class InfiniteDiscretePath:
 
     def drop(self, n: int) -> "InfiniteDiscretePath":
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))
+
+    def shift_period(self) -> tuple[int, int]:
+        """The canonical head and cycle: every word is eventually periodic."""
+        return len(self.labels.head), len(self.labels.cycle)
 
     def cons(self, m: int) -> "InfiniteDiscretePath":
         if m < 1:

@@ -112,6 +112,12 @@ def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
     return value
 
 
+def _positive_int(value, where: str) -> int:
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{where}: expected a positive integer")
+    return value
+
+
 def _parse_factor(obj: dict, key: str, default: str, builders: dict):
     """A name of ``builders`` taking no parameter, or ``{"kind": kind,
     <parameter>: n}`` for one that takes one, with any other key dropped."""
@@ -122,10 +128,7 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict):
         if isinstance(value, str) and param is None:
             return value
         if isinstance(value, dict) and param is not None:
-            n = value.get(param)
-            if not _is_int(n) or n < 1:
-                raise ConfigError(f"config.{key}.{param}: expected a positive integer")
-            return {"kind": kind, param: n}
+            return {"kind": kind, param: _positive_int(value.get(param), f"config.{key}.{param}")}
     forms = [
         repr(name) if param is None else f"{{'kind': {name!r}, {param!r}: n}}"
         for name, (_build, param) in builders.items()
@@ -151,9 +154,7 @@ def parse_config(obj: dict) -> dict:
     for key, value in _field(obj, "bounds", "config", dict, {}).items():
         if key not in DEFAULT_BOUNDS:
             raise ConfigError(f"config.bounds.{key}: unknown bound")
-        if not _is_int(value) or value < 1:
-            raise ConfigError(f"config.bounds.{key}: expected a positive integer")
-        bounds[key] = value
+        bounds[key] = _positive_int(value, f"config.bounds.{key}")
     cfg["bounds"] = bounds
     return cfg
 
@@ -528,9 +529,9 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     if args.samples is not None:
-        cfg["bounds"]["samples"] = args.samples
+        cfg["bounds"]["samples"] = _positive_int(args.samples, "--samples")
     if args.bound is not None:
-        cfg["bounds"]["isotropy_bound"] = args.bound
+        cfg["bounds"]["isotropy_bound"] = _positive_int(args.bound, "--bound")
     return cfg
 
 

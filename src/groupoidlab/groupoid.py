@@ -3,10 +3,11 @@
 Elements are triples (x, k, y) with a witness (n, m), n - m = k, such
 that the n-th shift of x equals the m-th shift of y exactly.  Witnesses
 are always reduced to the minimal pair, so equality of elements is
-structural.  Principality is certified two ways on the model graph: a
-seeded sampling search for isotropy up to a bound, and an exact
-reduction of the infinite-path case to freeness of the base dynamics,
-which the system's declared ``period`` decides outright.
+structural.  Principality is certified two ways on the model graph:
+isotropy of seeded sample paths up to a bound, in closed form from each
+path's eventual periodicity, and an exact reduction of the infinite-path
+case to freeness of the base dynamics, which the system's declared
+``period`` decides outright.
 """
 
 from __future__ import annotations
@@ -428,20 +429,19 @@ def axiom_sample(descriptor, trials: int, seed: int) -> AxiomReport:
 
 
 def isotropy_search(mu: BoundaryPath, bound: int) -> list[tuple[int, int]]:
-    """All pairs (n, m), n > m, with both shifts defined within the bound
-    and shift^n(mu) = shift^m(mu) exactly; empty certifies trivial
-    isotropy at mu within the window."""
+    """All pairs (n, m), bound >= n > m, with shift^n(mu) = shift^m(mu)
+    exactly, by n and then m ascending; empty certifies trivial isotropy
+    at mu within the window.  The pairs are read off ``mu.shift_period()``
+    (isotropy of the shift is eventual periodicity); no path is shifted."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    top = min(bound, mu.length)
-    groups: dict = {}
-    found = []
-    for n in range(top + 1):
-        bucket = groups.setdefault(shift_power(mu, n), [])
-        for m in bucket:
-            found.append((n, m))
-        bucket.append(n)
-    return found
+    period = mu.shift_period()
+    if period is None:
+        return []
+    start, step = period
+    return [
+        (n, m) for n in range(start + step, bound + 1) for m in range(start + (n - start) % step, n, step)
+    ]
 
 
 @dataclass(frozen=True)
@@ -509,10 +509,10 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
     reductions_ok = True
     for i in range(samples):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
-        pairs = isotropy_search(mu, bound)
         # the report holds the first 8 hits; a hit at bound 320 can carry
-        # tens of thousands of pairs, so keep no more than those
-        if pairs and len(hits) < 8:
+        # tens of thousands of pairs, so list no more than those
+        pairs = isotropy_search(mu, bound) if len(hits) < 8 else ()
+        if pairs:
             hits.append((mu, tuple(pairs)))
         if isinstance(graph, ModelGraph):
             if not isotropy_reduction(mu, bound).ok:

@@ -268,6 +268,27 @@ def test_main_check_with_flag_overrides(capsys):
     assert record["evidence"]["violations"] == []
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_main_flag_overrides_must_be_positive(flag, value, capsys):
+    """A flag is held to the check a config file's bound gets: no vacuous
+    pass on zero samples, and the message names the flag."""
+    assert main(["check", "principality", flag, value, "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: expected a positive integer\n"
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+def test_main_flag_override_rejected_like_the_config_bound(tmp_path, flag, capsys):
+    key = {"--samples": "samples", "--bound": "isotropy_bound"}[flag]
+    cfg = write_json(tmp_path, "zero.json", {"bounds": {key: 0}})
+    assert main(["check", "principality", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: config.bounds.{key}: expected a positive integer\n"
+    assert main(["run", flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: expected a positive integer\n"
+
+
 def test_main_report_alias(tmp_path):
     cfg = write_json(
         tmp_path, "cfg.json", {"seeds": [5], "bounds": {"samples": 40, "axiom_trials": 40}}

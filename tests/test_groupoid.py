@@ -285,6 +285,123 @@ def test_isotropy_nonfree_base():
     assert short.periods == () and not short.ok
 
 
+def _hashed_isotropy(mu, bound):
+    """The oracle for the closed form: hash shift^n(mu) for n = 0..top
+    and pair each n with the earlier equal shifts, in the order found."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    top = min(bound, mu.length)
+    groups = {}
+    found = []
+    for n in range(top + 1):
+        bucket = groups.setdefault(shift_power(mu, n), [])
+        found.extend((n, m) for m in bucket)
+        bucket.append(n)
+    return found
+
+
+def _oracle_bounds(mu):
+    """Bounds 1, 7, 40 and 320, and just below and at the first pair."""
+    bounds = {1, 7, 40, 320}
+    period = mu.shift_period()
+    if period is not None:
+        first = sum(period)
+        bounds |= {b for b in (first - 1, first) if b >= 1}
+    return sorted(bounds)
+
+
+# (graph, whether its infinite paths have isotropy)
+ISOTROPY_GRAPHS = [
+    pytest.param(lambda: build_model_graph(golden_rotation(), point_backend()), False, id="golden"),
+    pytest.param(lambda: build_model_graph(odometer(), point_backend()), False, id="odometer"),
+    pytest.param(lambda: build_model_graph(finite_cyclic(3), point_backend()), True, id="cyclic3"),
+    pytest.param(OneVertexLoopGraph, True, id="loop"),
+]
+
+
+@pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS)
+def test_isotropy_search_matches_the_hash_search(make_graph, periodic):
+    """The closed form lists the pairs of the hash search, in its order,
+    on sampled paths and on shifts and extensions of them (which move an
+    infinite model path's exponent off its anchor)."""
+    graph = make_graph()
+    rng = random.Random(f"isotropy-oracle-{graph!r}")
+    hits = 0
+    for _ in range(24):
+        mu = random_boundary_path(graph, rng)
+        if rng.randrange(2):
+            mu = shift_power(mu, rng.randrange(0, min(3, mu.length) + 1)).cons(rng.randrange(1, 6))
+        for bound in _oracle_bounds(mu):
+            pairs = isotropy_search(mu, bound)
+            assert pairs == _hashed_isotropy(mu, bound), (path_to_line(mu), bound)
+            hits += bool(pairs)
+    assert bool(hits) == periodic
+
+
+@pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS)
+def test_principality_sample_keeps_the_first_eight_hits(make_graph, periodic):
+    """The hits are the first 8 samples on which the hash search finds a
+    pair, with its pairs; small bounds put a first pair at the bound."""
+    graph = make_graph()
+    hits = 0
+    for bound in (1, 2, 3, 4, 7):
+        rep = principality_sample(graph, 40, bound, bound)
+        rng = random.Random(bound)
+        want = []
+        for i in range(40):
+            mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
+            pairs = _hashed_isotropy(mu, bound)
+            if pairs and len(want) < 8:
+                want.append((mu, tuple(pairs)))
+        assert rep.isotropy == tuple(want)
+        hits += len(want)
+    assert bool(hits) == periodic
+    with pytest.raises(ValueError):
+        principality_sample(graph, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "head, cycle, step",
+    [((4, 5), (1, 2, 3), 3), ((4,), (1, 2, 3, 1, 2, 4), 6), ((2, 2), (1, 1, 2), 3)],
+)
+def test_isotropy_step_is_the_lcm_of_cycle_and_period(head, cycle, step):
+    """On the order-3 control the step is lcm(len(cycle), 3), which for
+    cycles of length 3 and 6 is not 3 * len(cycle)."""
+    graph = build_model_graph(finite_cyclic(3), point_backend())
+    mu = param_f(graph, FinitePoint(1, 3), EvPeriodic(head, cycle))
+    for path in (mu, mu.cons(5), shift_power(mu, 1)):
+        start, got = path.shift_period()
+        assert got == step
+        want = [
+            (n, m) for n in range(41) for m in range(n) if path.drop(n) == path.drop(m)
+        ]
+        assert want == [(n, m) for n in range(41) for m in range(start, n) if (n - m) % step == 0]
+        for bound in (1, 7, 40, start + step - 1, start + step):
+            assert isotropy_search(path, bound) == _hashed_isotropy(path, bound)
+        assert isotropy_search(path, 40) == want
+
+
+@pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS[:3])
+def test_isotropy_search_takes_no_dynamics_step(make_graph, periodic, monkeypatch):
+    graph = make_graph()
+    rng = random.Random(11)
+    paths = [random_boundary_path(graph, rng, force="infinite") for _ in range(6)]
+    paths += [shift_power(mu, 2).cons(3) for mu in paths]
+    calls = []
+    for name in ("power", "forward", "backward"):
+
+        def counted(self, *args, _name=name, _original=getattr(MinimalSystem, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(MinimalSystem, name, counted)
+    pairs = [isotropy_search(mu, 320) for mu in paths]
+    assert calls == []
+    monkeypatch.undo()
+    assert pairs == [_hashed_isotropy(mu, 320) for mu in paths]
+    assert any(pairs) == periodic
+
+
 @pytest.mark.parametrize("make_system", [golden_rotation, odometer])
 def test_principality_ten_seed_battery(make_system):
     graph = build_model_graph(make_system(), point_backend())
