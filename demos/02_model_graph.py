@@ -23,10 +23,10 @@ from groupoidlab import (
     golden_rotation,
     odometer,
     orbit_plus,
+    param_f_k,
     pitchfork,
     point_backend,
     verify_contracting_witness,
-    witness_path,
 )
 from groupoidlab.spaces import FinitePoint, PairPoint
 
@@ -47,7 +47,8 @@ print("== witness paths ==")
 g2 = build_model_graph(golden_rotation(), point_backend())
 t0 = CirclePoint(QPhi(0))
 for k in (1, 2, 3):
-    wp = witness_path(g2, star, t0, k)
+    # an index-1 edge, then k index-k edges walking the inverse orbit
+    wp = param_f_k(g2, t0, star, (1,) + (k,) * k)
     print(f"k={k}: length {len(wp)}, r = {wp.r()},")
     print(f"      d = {wp.d()}")
 

@@ -46,7 +46,6 @@ from .graphs import (
     OneVertexLoopGraph,
     OpenPathBox,
     build_model_graph,
-    compose_paths,
     find_contracting_witness,
     orbit_dense,
     orbit_plus,
@@ -54,7 +53,6 @@ from .graphs import (
     vertex_path,
     param_f_k,
     verify_contracting_witness,
-    witness_path,
 )
 from .boundary import (
     ApproachPointRule,
@@ -104,7 +102,6 @@ from .ktheory import (
     ZERO_GROUP,
     dim_bound,
     graph_ktheory,
-    invariant_factors,
     model_ktheory,
     snf,
     stabilize_ktheory,

@@ -52,13 +52,20 @@ class ShiftDomainError(BoundaryError):
 
 @dataclass(frozen=True)
 class EvPeriodic:
-    """head + cycle^infinity, canonical (primitive cycle, minimal head)."""
+    """head + cycle^infinity, canonical (primitive cycle, minimal head).
+
+    The entries are edge indices (loop labels in the loop graph), so one
+    below 1 is a ``BoundaryError``: every infinite path's index data is
+    validated here, once.
+    """
 
     head: tuple[int, ...]
     cycle: tuple[int, ...]
 
     def __post_init__(self):
         head, cycle = _canon_ev_periodic(self.head, self.cycle)
+        if any(v < 1 for v in head + cycle):
+            raise BoundaryError("edge indices must be >= 1")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "cycle", cycle)
 
@@ -205,8 +212,6 @@ class InfiniteModelPath:
     length = INFINITE
 
     def __init__(self, graph: ModelGraph, z: Point, idx: EvPeriodic):
-        if any(v < 1 for v in idx.head + idx.cycle):
-            raise BoundaryError("edge indices must be >= 1")
         self.graph = graph
         self.anchor = self._z = z
         self.exponent = 0
@@ -214,8 +219,8 @@ class InfiniteModelPath:
 
     @staticmethod
     def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, idx: EvPeriodic):
-        """The path with base point rho^exponent(anchor) and indices known
-        to be >= 1, such as a shift or an extension."""
+        """The path with base point rho^exponent(anchor), such as a shift
+        or an extension."""
         mu = object.__new__(InfiniteModelPath)
         mu.graph = graph
         mu.anchor = anchor
@@ -281,8 +286,6 @@ class InfiniteModelPath:
         return None if period is None else (len(self.idx.head), math.lcm(len(self.idx.cycle), period))
 
     def cons(self, m: int) -> "InfiniteModelPath":
-        if m < 1:
-            raise BoundaryError("edge indices must be >= 1")
         idx = self.idx.cons(m)
         return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx)
 
@@ -318,12 +321,10 @@ class InfiniteDiscretePath:
     def __post_init__(self):
         if not isinstance(self.graph, OneVertexLoopGraph):
             raise BoundaryError(f"unsupported graph {self.graph!r}")
-        if any(v < 1 for v in self.labels.head + self.labels.cycle):
-            raise BoundaryError("loop labels must be >= 1")
 
     @staticmethod
     def _unchecked(graph, labels: EvPeriodic) -> "InfiniteDiscretePath":
-        """A word whose labels are known to be >= 1, such as a shift."""
+        """A word on a graph known to be the loop graph, such as a shift."""
         mu = object.__new__(InfiniteDiscretePath)
         _set(mu, "graph", graph)
         _set(mu, "labels", labels)
@@ -336,10 +337,7 @@ class InfiniteDiscretePath:
         return self.graph.edge(self.labels.item(i - 1))
 
     def prefix(self, k: int) -> FinitePath:
-        g = self.graph
-        if k == 0:
-            return vertex_path(g, g.vertex)
-        return FinitePath(g, tuple(g.edge(m) for m in self.labels.prefix(k)))
+        return self.graph.path(self.labels.prefix(k))
 
     def same_edge(self, i: int, other: "InfiniteDiscretePath", j: int) -> bool:
         """Whether edge i of this word equals edge j of ``other``."""
@@ -353,8 +351,6 @@ class InfiniteDiscretePath:
         return len(self.labels.head), len(self.labels.cycle)
 
     def cons(self, m: int) -> "InfiniteDiscretePath":
-        if m < 1:
-            raise BoundaryError("loop labels must be >= 1")
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(m))
 
     def __eq__(self, other):
@@ -421,8 +417,7 @@ def homeo_h_inv(graph_f: OneVertexLoopGraph, mu: BoundaryPath) -> tuple[Point, B
             raise BoundaryError("h_inv expects a path of the one-point-X model graph")
         # the base point z is the Z coordinate of the range: rho of the
         # first edge's z, or the vertex itself
-        word = tuple(graph_f.edge(e.m) for e in mu.path.edges)
-        loop_path = FinitePath(graph_f, word) if word else vertex_path(graph_f, graph_f.vertex)
+        loop_path = graph_f.path(tuple(e.m for e in mu.path.edges))
         return mu.range().left, FiniteBoundaryPath(loop_path)
     raise BoundaryError(f"unsupported path {mu!r}")
 
@@ -718,10 +713,10 @@ def path_from_line(line: str, graph) -> BoundaryPath:
     if kind == "FINW":
         if not isinstance(graph, OneVertexLoopGraph):
             raise BoundaryError(f"a FINW line needs the loop graph, not {graph!r}")
-        if rest == "@":
-            return FiniteBoundaryPath(vertex_path(graph, graph.vertex))
-        edges = tuple(graph.edge(int(t)) for t in rest.split())
-        return FiniteBoundaryPath(FinitePath(graph, edges))
+        labels = () if rest == "@" else tuple(int(t) for t in rest.split())
+        if not labels and rest != "@":
+            raise BoundaryError("a FINW line lists loop labels or @")
+        return FiniteBoundaryPath(graph.path(labels))
     if kind == "FIN":
         if rest.startswith("@"):
             v = factor_point(graph.vertex_backend, rest[1:], "the vertex space Z x X")

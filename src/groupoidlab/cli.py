@@ -83,6 +83,8 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file")
+    except OSError as exc:  # a directory, no permission, a read error
+        raise ConfigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # e.g. an integer past the digit limit on conversion
@@ -433,11 +435,9 @@ def _factor_point(where: str, backend, factor: str, text: str):
 def _index_data(tok: str):
     """``<head>|<cycle>`` for infinite index data, else a finite tuple."""
     if "|" in tok:
-        idx = _ev_periodic_from_token(tok)
-        values = idx.head + idx.cycle
-    else:
-        idx = values = tuple(int(v) for v in tok.split(",") if v)
-    if any(v < 1 for v in values):
+        return _ev_periodic_from_token(tok)
+    idx = tuple(int(v) for v in tok.split(",") if v)
+    if any(v < 1 for v in idx):
         raise ValueError("edge indices must be >= 1")
     return idx
 
@@ -517,8 +517,11 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"{out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

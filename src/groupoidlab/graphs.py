@@ -128,6 +128,12 @@ class OneVertexLoopGraph:
     def edge_from(self, vertex, m: int) -> DiscreteEdge:
         return self.edge(m)
 
+    def path(self, labels) -> "FinitePath":
+        """The finite path that reads the word ``labels``, first edge
+        first; the empty word gives the vertex path."""
+        edges = tuple(self.edge(m) for m in labels)
+        return FinitePath(self, edges, None if edges else self.vertex)
+
     def is_singular(self, vertex) -> bool:
         return True
 
@@ -213,12 +219,11 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Three kinds of path are
+    Public construction checks every junction.  Two kinds of path are
     built by ``_unchecked`` instead, because a check of their junctions
     could not fail: slices of a valid path (the shifts and prefixes of a
-    finite boundary path), the joins made by ``compose_paths``, which
-    checks its one new junction first, and a boundary path's ``cons``,
-    which builds its new edge from ``range()`` and so needs no check.
+    finite boundary path) and a boundary path's ``cons``, which builds
+    its new edge from ``range()`` and so needs no check.
     """
 
     graph: TopGraph
@@ -272,23 +277,6 @@ def vertex_path(graph: TopGraph, vertex) -> FinitePath:
     return FinitePath(graph, (), vertex)
 
 
-def compose_paths(mu: FinitePath, nu: FinitePath) -> FinitePath:
-    """Concatenate mu followed by nu; requires d(mu) = r(nu) exactly."""
-    if mu.graph is not nu.graph:
-        raise CompositionError("paths live in different graphs")
-    if len(mu) == 0 and len(nu) == 0:
-        if mu.base != nu.base:
-            raise CompositionError(f"vertex mismatch: {mu.base!r} vs {nu.base!r}")
-        return mu
-    if mu.d() != nu.r():
-        raise CompositionError(f"junction mismatch: d(mu) = {mu.d()!r} but r(nu) = {nu.r()!r}")
-    if len(nu) == 0:
-        return mu
-    if len(mu) == 0:
-        return nu
-    return FinitePath._unchecked(mu.graph, mu.edges + nu.edges)
-
-
 def orbit_plus(graph: TopGraph, vertex, depth: int) -> set:
     """All ranges of paths out of ``vertex`` with length and edge indices
     bounded by ``depth``, in the model graph or the one-vertex loop graph.
@@ -331,14 +319,6 @@ def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> Fi
     return FinitePath(
         graph, tuple(ModelEdge(sys.power(z, -i), xs[i - 1], idx[i - 1]) for i in range(1, k + 1))
     )
-
-
-def witness_path(graph: ModelGraph, x: Point, z: Point, k: int) -> FinitePath:
-    """The length-(k+1) path from (rho^-(k+1) z, x) to (z, x_1): first an
-    index-1 edge, then k index-k edges walking the inverse orbit."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return param_f_k(graph, z, x, (1,) + (k,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +443,13 @@ class OpenPathBox:
 
 def pitchfork(u: OpenPathBox, v: OpenPathBox) -> OpenPathBox | None:
     """Truncate both boxes to the minimum length and intersect them
-    coordinatewise; None is the empty marker."""
+    coordinatewise; None exactly when the intersection holds no path."""
     k = min(len(u), len(v))
     coords = tuple(a.intersect(b) for a, b in zip(u.coords[:k], v.coords[:k]))
     if any(cb.is_empty() for cb in coords):
         return None
-    return OpenPathBox(u.graph, coords)
+    box = OpenPathBox(u.graph, coords)
+    return None if box.is_empty() else box
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .graphs import (
     ModelGraph,
     OneVertexLoopGraph,
     param_f_k,
-    vertex_path,
 )
 from .spaces import FinitePoint, PairPoint, dense_indices_hitting, freeness_check
 
@@ -289,11 +288,7 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     if isinstance(graph, OneVertexLoopGraph):
         if kind == "finite":
             labels = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 5)))
-            return FiniteBoundaryPath(
-                FinitePath(graph, tuple(graph.edge(m) for m in labels))
-                if labels
-                else vertex_path(graph, graph.vertex)
-            )
+            return FiniteBoundaryPath(graph.path(labels))
         return InfiniteDiscretePath(graph, random_ev_periodic(rng))
     if not isinstance(graph, ModelGraph):
         raise GroupoidError(f"no sampler for {graph!r}")
@@ -304,12 +299,6 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     x = graph.x_backend.random_point(rng)
     idx = tuple(rng.randrange(1, 6) for _ in range(k))
     return FiniteBoundaryPath(param_f_k(graph, z, x, idx))
-
-
-def _prepend_random_edge(graph, mu: BoundaryPath, rng) -> BoundaryPath:
-    """Prepend one random edge e with d(e) = r(mu); the new first index is
-    free, so this always succeeds."""
-    return mu.cons(rng.randrange(1, 6 if isinstance(graph, OneVertexLoopGraph) else 8))
 
 
 def box_index_of_dense_value(backend, x) -> int:
@@ -351,13 +340,13 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
 
 def random_element_at(graph, u: BoundaryPath, rng) -> GroupoidElement:
     """A random element with range u: shift it n times, then rebuild the
-    source by prepending m fresh edges."""
+    source by prepending m fresh edges, each of a random index."""
     n = rng.randrange(0, min(3, u.length) + 1)
     m = rng.randrange(0, 4)
-    tail = shift_power(u, n)
-    y = tail
+    top = 6 if isinstance(graph, OneVertexLoopGraph) else 8
+    y = shift_power(u, n)
     for _ in range(m):
-        y = _prepend_random_edge(graph, y, rng)
+        y = y.cons(rng.randrange(1, top))
     return make_element(u, n, m, y)
 
 

@@ -164,15 +164,6 @@ def snf(matrix):
     return a, p, q
 
 
-def invariant_factors(matrix) -> list[int]:
-    d, _p, _q = snf(matrix)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(abs(d[i][i]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 # ---------------------------------------------------------------------------

@@ -934,3 +934,23 @@ def test_cons_below_one_is_a_boundary_error(kind, graph):
         with pytest.raises(BoundaryError, match=">= 1"):
             mu.cons(m)
     assert mu.cons(1).drop(1) == mu
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EvPeriodic((0,), (1,)),
+        lambda: EvPeriodic((), (2, 0)),
+        lambda: EvPeriodic((-1,), (1,)),
+        lambda: InfiniteModelPath(ODO_POINT, ZERO_2ADIC, EvPeriodic((3,), (0,))),
+        lambda: InfiniteDiscretePath(LOOP, EvPeriodic((), (1, 0))),
+        lambda: path_from_line("INF z=P:.0 idx=2,0|1", ODO_POINT),
+        lambda: path_from_line("INFW idx=|0", LOOP),
+    ],
+    ids=["head-0", "cycle-0", "head-negative", "model-path", "loop-word", "INF-line", "INFW-line"],
+)
+def test_index_data_below_one_is_a_boundary_error(build):
+    """Index data is validated once, in EvPeriodic, and every way to build
+    an infinite path goes through that check."""
+    with pytest.raises(BoundaryError, match="edge indices must be >= 1"):
+        build()

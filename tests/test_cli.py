@@ -95,6 +95,18 @@ def test_oversized_integer_names_the_file(tmp_path, capsys, argv):
     assert err.startswith(f"error: {bad}: Exceeds the limit (4300 digits)")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config"], ["check", "ktheory", "--config"], ["ktheory"], ["snf"], ["converge"],
+     ["check", "backends", "--out"]],
+)
+def test_unreadable_or_unwritable_path_names_the_path(tmp_path, capsys, argv):
+    # a directory can be neither read nor written as a file; that is a bad
+    # path (exit 2), not a failed check (exit 1)
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------

@@ -15,15 +15,13 @@ from groupoidlab.graphs import (
     OneVertexLoopGraph,
     OpenPathBox,
     build_model_graph,
-    compose_paths,
     find_contracting_witness,
     make_witness_path_box,
     orbit_dense,
     orbit_plus,
+    param_f_k,
     pitchfork,
-    vertex_path,
     verify_contracting_witness,
-    witness_path,
     WitnessSearchError,
 )
 from groupoidlab.spaces import (
@@ -146,28 +144,6 @@ def test_range_sequence_continuous(golden_two):
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
-
-
-def test_compose_vertex_units(odo_point):
-    v = PairPoint(ZERO_2ADIC, FinitePoint(0, 1))
-    vp = vertex_path(odo_point, v)
-    assert compose_paths(vp, vp) == vp
-
-
-def test_witness_split_recompose(golden_two):
-    wp = witness_path(golden_two, FinitePoint(0, 2), ZERO_CIRCLE, 1)
-    first = FinitePath(golden_two, wp.edges[:1])
-    second = FinitePath(golden_two, wp.edges[1:])
-    assert compose_paths(first, second) == wp
-
-
-def test_compose_junction_mismatch(golden_two):
-    a = FinitePath(golden_two, (ModelEdge(ZERO_CIRCLE, FinitePoint(0, 2), 1),))
-    b = FinitePath(golden_two, (ModelEdge(ZERO_CIRCLE, FinitePoint(1, 2), 1),))
-    # d(a) = (0, x_a) but r(b) = (rot(0), x_1): mismatch
-    with pytest.raises(CompositionError) as err:
-        compose_paths(a, b)
-    assert "junction" in str(err.value)
 
 
 def test_path_validation_names_coordinates(golden_two):
@@ -339,7 +315,7 @@ def test_orbit_dense_odometer_matches_the_residues():
 
 def test_witness_path_k1(golden_two):
     x = FinitePoint(1, 2)
-    wp = witness_path(golden_two, x, ZERO_CIRCLE, 1)
+    wp = param_f_k(golden_two, ZERO_CIRCLE, x, (1, 1))
     assert len(wp) == 2
     assert wp.edges[0] == ModelEdge(circle_rotate(ZERO_CIRCLE, -1), golden_two.x_point(1), 1)
     assert wp.edges[1] == ModelEdge(circle_rotate(ZERO_CIRCLE, -2), x, 1)
@@ -353,7 +329,8 @@ def test_witness_path_endpoints(make_system):
         for _ in range(20):
             z = graph.z_system.backend.random_point(rng)
             x = graph.x_backend.random_point(rng)
-            wp = witness_path(graph, x, z, k)  # construction validates junctions
+            # an index-1 edge, then k index-k edges; construction validates junctions
+            wp = param_f_k(graph, z, x, (1,) + (k,) * k)
             assert len(wp) == k + 1
             assert wp.r() == PairPoint(z, graph.x_point(1))
             assert wp.d() == PairPoint(graph.z_system.power(z, -(k + 1)), x)
@@ -423,6 +400,14 @@ def test_path_box_emptiness_exact(golden_point, golden_two):
     assert z_empty.is_empty()
     assert z_empty.sample_path() is None
     assert x_empty.is_empty()
+
+
+def test_pitchfork_of_a_box_without_paths_is_none(golden_point, golden_two):
+    """No coordinate of these boxes is empty, yet no path meets them all,
+    so pitchfork marks them empty: it uses the exact emptiness rule."""
+    for box in _hand_built_empty_boxes(golden_point, golden_two):
+        assert not any(cb.is_empty() for cb in box.coords)
+        assert pitchfork(box, box) is None
 
 
 def reference_is_empty(box: OpenPathBox) -> bool:

@@ -803,3 +803,23 @@ def test_trusted_construction_stays_with_the_path_classes(module):
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_unchecked"
     ]
     assert not calls, f"{module}.py calls _unchecked at lines {calls}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(groupoidlab.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_every_import_is_used(path):
+    """Every name a module imports is used in that module, so a deletion
+    leaves no stale import behind (``__init__.py`` imports to re-export)."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
