@@ -26,19 +26,15 @@ from .spaces import (
     split_top_level,
 )
 from .graphs import (
+    BoundaryError,
     DiscreteEdge,
     FinitePath,
-    GraphError,
     ModelEdge,
     ModelGraph,
     OneVertexLoopGraph,
     param_f_k,
     vertex_path,
 )
-
-
-class BoundaryError(GraphError):
-    pass
 
 
 class ShiftDomainError(BoundaryError):

@@ -438,7 +438,7 @@ def _index_data(tok: str):
         return _ev_periodic_from_token(tok)
     idx = tuple(int(v) for v in tok.split(",") if v)
     if any(v < 1 for v in idx):
-        raise ValueError("edge indices must be >= 1")
+        raise BoundaryError("edge indices must be >= 1")
     return idx
 
 
@@ -580,9 +580,11 @@ def main(argv=None) -> int:
             obj = load_json(args.graph)
             graph = discrete_graph_from_obj(obj)
             k0, k1 = graph_ktheory(graph)
+            unit = None if k0.unit_class is None else list(k0.unit_class)
+            order = None if unit is None else k0.unit_order() or "infinite"
             out = {
                 "K0": {"rank": k0.rank, "torsion": list(k0.torsion),
-                       "unit": list(k0.unit_class) if k0.unit_class is not None else None},
+                       "unit": unit, "unit_order": order},
                 "K1": {"rank": k1.rank, "torsion": list(k1.torsion), "unit": None},
             }
             _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)

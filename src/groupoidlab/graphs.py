@@ -18,6 +18,7 @@ boxes, which makes the contracting conditions exactly decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .spaces import (
     Box,
@@ -43,6 +44,10 @@ class CompositionError(GraphError):
     pass
 
 
+class BoundaryError(GraphError):
+    """Bad path data; an edge index below 1 is one, wherever it appears."""
+
+
 # ---------------------------------------------------------------------------
 # edges and graphs
 # ---------------------------------------------------------------------------
@@ -58,7 +63,7 @@ class ModelEdge:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("edge index must be >= 1")
+            raise BoundaryError("edge indices must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class OneVertexLoopGraph:
 
     def edge(self, label: int) -> DiscreteEdge:
         if label < 1:
-            raise ValueError("loop labels start at 1")
+            raise BoundaryError("edge indices must be >= 1")
         return DiscreteEdge(self.vertex, self.vertex, label)
 
     def edge_from(self, vertex, m: int) -> DiscreteEdge:
@@ -145,7 +150,9 @@ class DiscreteGraph:
     """A finite directed graph; d(e) = source, r(e) = target.
 
     A vertex is regular when it receives at least one and finitely many
-    edges, unless an explicit singular override is given.
+    edges, unless an explicit singular override is given.  Construction
+    checks every endpoint and counts the edges of each (source, target)
+    pair; ``edges``, in input order, is built on its first read.
     """
 
     def __init__(self, vertices, edges, singular_override=()):
@@ -153,18 +160,23 @@ class DiscreteGraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex names")
-        self.edges = []
-        for src, dst, label in edges:
+        self._triples = list(edges)
+        counts: dict[tuple, int] = {}
+        for src, dst, label in self._triples:
             if src not in vset or dst not in vset:
                 raise GraphError(f"edge ({src!r}, {dst!r}, {label!r}) uses unknown vertex")
-            self.edges.append(DiscreteEdge(src, dst, label))
+            counts[src, dst] = counts.get((src, dst), 0) + 1
+        self._counts = counts
+        self._receiving = {dst for _src, dst in counts}
+        self._vset = vset
         unknown = set(singular_override) - vset
         if unknown:
             raise GraphError(f"singular override names unknown vertices: {sorted(unknown)}")
         self.singular_override = frozenset(singular_override)
-        self._indegree = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            self._indegree[e.dst] += 1
+
+    @cached_property
+    def edges(self) -> list[DiscreteEdge]:
+        return [DiscreteEdge(src, dst, label) for src, dst, label in self._triples]
 
     def d(self, e: DiscreteEdge) -> str:
         return e.src
@@ -173,9 +185,9 @@ class DiscreteGraph:
         return e.dst
 
     def is_regular(self, vertex) -> bool:
-        if vertex in self.singular_override:
-            return False
-        return self._indegree[vertex] > 0
+        if vertex not in self._vset:
+            raise GraphError(f"unknown vertex {vertex!r}")
+        return vertex in self._receiving and vertex not in self.singular_override
 
     def is_singular(self, vertex) -> bool:
         return not self.is_regular(vertex)
@@ -185,13 +197,10 @@ class DiscreteGraph:
 
     def adjacency(self) -> dict:
         """counts[(v, w)] = number of edges from v to w (d = v, r = w)."""
-        counts: dict[tuple, int] = {}
-        for e in self.edges:
-            counts[(e.src, e.dst)] = counts.get((e.src, e.dst), 0) + 1
-        return counts
+        return dict(self._counts)
 
     def __repr__(self):
-        return f"<DiscreteGraph |V|={len(self.vertices)} |E|={len(self.edges)}>"
+        return f"<DiscreteGraph |V|={len(self.vertices)} |E|={len(self._triples)}>"
 
 
 TopGraph = ModelGraph | OneVertexLoopGraph | DiscreteGraph
@@ -336,7 +345,7 @@ class EdgeBox:
 
     def __post_init__(self):
         if any(i < 1 for i in self.indices):
-            raise ValueError("edge indices start at 1")
+            raise BoundaryError("edge indices must be >= 1")
 
     def is_empty(self) -> bool:
         return self.zbox.is_empty() or self.xbox.is_empty() or not self.indices

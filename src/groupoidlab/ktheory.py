@@ -14,6 +14,7 @@ propagation is the identity with the unit class preserved for compact X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .graphs import DiscreteGraph, OneVertexLoopGraph
 from .spaces import SpaceBackend
@@ -29,7 +30,10 @@ class KTheoryError(ValueError):
 
 
 def _ident(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def mat_mul(a, b):
@@ -105,14 +109,18 @@ def snf(matrix):
     unimodular, and D diagonal with a divisibility chain d1 | d2 | ...
 
     Euclidean elimination.  The pivot is the nonzero entry of least
-    absolute value in the remaining block; quotient multiples of its row
-    and column are subtracted from the others, and while a nonzero
-    remainder is left the block is re-pivoted on a strictly smaller
-    entry.  A pivot that misses some entry of the block has that entry's
-    row folded into its own first.  D is canonical; P and Q are one
-    valid choice of transforms.  Least-remainder pivoting keeps the
-    transforms small in practice but has no proven size bound; Kannan
-    and Bachem (SIAM J. Comput. 8, 1979) give a polynomial algorithm.
+    absolute value in the remaining block, the first in row-major order
+    on a tie, so the scan for it stops at the first entry of size 1.
+    Quotient multiples of its row and column are subtracted from the
+    others, and while a nonzero remainder is left the block is
+    re-pivoted on a strictly smaller entry.  A pivot that misses some
+    entry of the block has that entry's row folded into its own first.
+    A pivot of size 1 divides every entry, so it leaves no remainder and
+    misses none, and neither is scanned for.  D is canonical; P and Q
+    are one valid choice of transforms.  Least-remainder pivoting keeps
+    the transforms small in practice but has no proven size bound;
+    Kannan and Bachem (SIAM J. Comput. 8, 1979) give a polynomial
+    algorithm.
     """
     a = [row[:] for row in matrix]
     rows = len(a)
@@ -121,35 +129,42 @@ def snf(matrix):
     q = _ident(cols)
     t = 0
     while t < min(rows, cols):
-        nonzero = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
-        if not nonzero:
+        nonzero = ((abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x)
+        best = next(nonzero, None)
+        if best is None:
             break
-        _size, i, j = min(nonzero)
+        while best[0] > 1 and (entry := next(nonzero, None)):  # row-major: a first 1 is least
+            best = min(best, entry)
+        _size, i, j = best
         a[t], a[i] = a[i], a[t]
         p[t], p[i] = p[i], p[t]
-        for row in a + q:
-            row[t], row[j] = row[j], row[t]
+        aq = a + q  # the rows a column operation acts on
+        if j != t:
+            for row in aq:
+                row[t], row[j] = row[j], row[t]
         pivot = a[t][t]
         for i in range(t + 1, rows):
             f = a[i][t] // pivot
             if f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[t])]
                 p[i] = [x - f * y for x, y in zip(p[i], p[t])]
+                aq = None  # stale: a row of a was replaced
         for j in range(t + 1, cols):
             f = a[t][j] // pivot
             if f:
-                for row in a + q:
+                aq = aq or a + q
+                for row in aq:
                     row[j] -= f * row[t]
-        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+        if abs(pivot) > 1 and (any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :])):
             continue  # re-pivot on a remainder, smaller than |pivot|
         if pivot < 0:
             a[t] = [-x for x in a[t]]
             p[t] = [-x for x in p[t]]
             pivot = -pivot
-        missed = next(
+        missed = pivot > 1 and next(
             (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])), None
         )
-        if missed is None:
+        if not missed:
             t += 1
         else:
             a[t] = [x + y for x, y in zip(a[t], a[missed])]
@@ -204,6 +219,16 @@ class FGAbelianGroup:
     def without_unit(self) -> "FGAbelianGroup":
         return FGAbelianGroup(self.rank, self.torsion, None)
 
+    def unit_order(self) -> int | None:
+        """The order of the unit class, None when infinite: the lcm of
+        d_i / gcd(d_i, u_i) over the torsion coordinates, unless a free
+        coordinate is nonzero.  Unlike the coordinates, it is basis-free."""
+        if self.unit_class is None:
+            raise KTheoryError("no unit class")
+        if any(self.unit_class[len(self.torsion) :]):
+            return None
+        return lcm(*(d // gcd(d, u) for d, u in zip(self.torsion, self.unit_class)))
+
     def __str__(self):
         parts = []
         if self.rank == 1:
@@ -251,24 +276,19 @@ def cokernel_with_unit(matrix, unit_vector=None):
     with Z^rows / im(D); coordinates with d_i = 1 vanish, d_i >= 2 give
     torsion, and rows beyond the rank stay free.
     """
-    rows = len(matrix)
     d, p, _q = snf(matrix)
-    diag = []
-    for i in range(min(rows, len(matrix[0]) if matrix else 0)):
-        diag.append(abs(d[i][i]))
+    diag = [abs(d[i][i]) for i in range(min(len(d), len(d[0]) if d else 0))]
     while diag and diag[-1] == 0:
         diag.pop()
-    torsion_slots = [(i, di) for i, di in enumerate(diag) if di >= 2]
-    free_slots = list(range(len(diag), rows))
-    group_rank = len(free_slots)
-    torsion = tuple(di for _i, di in torsion_slots)
+    torsion = [(row, di) for row, di in zip(p, diag) if di >= 2]
+    free = p[len(diag) :]
     unit = None
     if unit_vector is not None:
-        image = [sum(p[i][j] * unit_vector[j] for j in range(rows)) for i in range(rows)]
-        unit = tuple(image[i] % di for i, di in torsion_slots) + tuple(
-            image[i] for i in free_slots
-        )
-    return FGAbelianGroup(group_rank, torsion, unit)
+        def image(row):  # the coordinate of P * unit_vector that ``row`` of P gives
+            return sum(x * u for x, u in zip(row, unit_vector))
+
+        unit = tuple(image(row) % di for row, di in torsion) + tuple(map(image, free))
+    return FGAbelianGroup(len(free), tuple(di for _row, di in torsion), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +299,9 @@ def cokernel_with_unit(matrix, unit_vector=None):
 def connecting_matrix(graph: DiscreteGraph):
     """I - A^t with columns restricted to the regular vertices, where
     A[v][w] counts edges from v to w (d = v, r = w)."""
-    verts = graph.vertices
     regular = graph.regular_vertices()
     counts = graph.adjacency()
-    matrix = []
-    for v in verts:
-        row = []
-        for w in regular:
-            entry = (1 if v == w else 0) - counts.get((w, v), 0)
-            row.append(entry)
-        matrix.append(row)
-    return matrix, regular
+    return [[(v == w) - counts.get((w, v), 0) for w in regular] for v in graph.vertices], regular
 
 
 def graph_ktheory(graph) -> tuple[FGAbelianGroup, FGAbelianGroup]:

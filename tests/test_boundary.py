@@ -34,6 +34,7 @@ from groupoidlab.boundary import (
 from groupoidlab.graphs import (
     CompositionError,
     DiscreteGraph,
+    EdgeBox,
     FinitePath,
     ModelEdge,
     OneVertexLoopGraph,
@@ -41,7 +42,7 @@ from groupoidlab.graphs import (
     param_f_k,
     vertex_path,
 )
-from groupoidlab.cli import main
+from groupoidlab.cli import _index_data, main
 from groupoidlab.groupoid import isotropy_search
 from groupoidlab.spaces import (
     CantorBackend,
@@ -954,3 +955,44 @@ def test_index_data_below_one_is_a_boundary_error(build):
     an infinite path goes through that check."""
     with pytest.raises(BoundaryError, match="edge indices must be >= 1"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LOOP.edge(0),
+        lambda: LOOP.path((1, 0)),
+        lambda: ModelEdge(ZERO_2ADIC, FinitePoint(0, 1), 0),
+        lambda: EdgeBox(odometer().backend.full_box(), point_backend().full_box(), frozenset({0, 1})),
+        lambda: _index_data("1,0"),
+        lambda: path_from_line("FINW 0", LOOP),
+        lambda: path_from_line("FIN (P:.0;F:0/1;0)", ODO_POINT),
+    ],
+    ids=["loop-edge", "loop-word", "model-edge", "edge-box", "cli-index", "FINW-line", "FIN-line"],
+)
+def test_edge_index_below_one_has_one_type_and_message(build):
+    """A single edge index below 1, in an edge, a box, a word or a path
+    line, is the same error as in infinite index data."""
+    with pytest.raises(BoundaryError, match="^edge indices must be >= 1$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("sequence.tail.idx", {"tail": {"kind": "base-point", "idx": "1,0", "x_last": "F:0/1",
+                                         "z_rule": {"kind": "constant", "point": "P:.0"}}}),
+        ("sequence.limit", {"limit": "FIN (P:.0;F:0/1;0)"}),
+    ],
+)
+def test_converge_edge_index_below_one_exits_2(tmp_path, capsys, field, doc):
+    full = {
+        "model": {"z_backend": "odometer", "x_backend": "point"},
+        "head": [],
+        "tail": {"kind": "constant", "path": "FIN @(P:.0;F:0/1)"},
+        "limit": "FIN @(P:.0;F:0/1)",
+    }
+    path = tmp_path / "sequence.json"
+    path.write_text(json.dumps({**full, **doc}))
+    assert main(["converge", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: edge indices must be >= 1\n"

@@ -333,7 +333,7 @@ def test_main_ktheory_subcommand(tmp_path, capsys):
     )
     assert main(["ktheory", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["K0"] == {"rank": 0, "torsion": [2], "unit": [1]}
+    assert out["K0"] == {"rank": 0, "torsion": [2], "unit": [1], "unit_order": 2}
     assert out["K1"]["rank"] == 0
 
 
@@ -341,7 +341,7 @@ def test_main_ktheory_loop_graph(tmp_path, capsys):
     path = write_json(tmp_path, "loops.json", {"kind": "one-vertex-loops"})
     assert main(["ktheory", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["K0"] == {"rank": 1, "torsion": [], "unit": [1]}
+    assert out["K0"] == {"rank": 1, "torsion": [], "unit": [1], "unit_order": "infinite"}
 
 
 def test_main_snf_subcommand(tmp_path, capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from groupoidlab import graphs
+from groupoidlab.ktheory import graph_ktheory
 from groupoidlab.qphi import QPhi
 from groupoidlab.graphs import (
     CompositionError,
+    DiscreteEdge,
     DiscreteGraph,
     EdgeBox,
     FinitePath,
@@ -626,6 +628,41 @@ def test_discrete_graph_validation():
         DiscreteGraph(["u", "u"], [])
     with pytest.raises(GraphError):
         DiscreteGraph(["u"], [], singular_override=["w"])
+
+
+@pytest.mark.parametrize("as_iter", [list, iter], ids=["list", "generator"])
+def test_discrete_graph_checks_edges_at_construction(as_iter):
+    """An unknown endpoint is an error when the graph is built, although
+    the edge objects are built only when ``edges`` is read."""
+    triples = [("u", "v", "a"), ("v", "w", "b")]
+    with pytest.raises(GraphError, match="unknown vertex"):
+        DiscreteGraph(["u", "v"], as_iter(triples))
+
+
+def test_discrete_graph_edges_in_input_order():
+    triples = [("v", "u", "b"), ("u", "v", "a"), ("u", "v", "c"), ("v", "v", "d")]
+    g = DiscreteGraph(["u", "v"], (t for t in triples))
+    assert g.edges == [DiscreteEdge(*t) for t in triples]
+    assert g.edges is g.edges
+    assert g.adjacency() == {("v", "u"): 1, ("u", "v"): 2, ("v", "v"): 1}
+    assert repr(g) == "<DiscreteGraph |V|=2 |E|=4>"
+
+
+def test_discrete_graph_adjacency_is_a_copy():
+    g = DiscreteGraph(["u", "v"], [("u", "v", "a"), ("v", "v", "b"), ("v", "v", "c")])
+    before = graph_ktheory(g)
+    counts = g.adjacency()
+    counts[("v", "v")] = 7
+    counts[("u", "u")] = 1
+    assert g.adjacency() == {("u", "v"): 1, ("v", "v"): 2}
+    assert graph_ktheory(g) == before
+
+
+def test_discrete_graph_unknown_vertex_is_not_singular():
+    g = DiscreteGraph(["u", "v"], [("u", "v", "a")])
+    for ask in (g.is_regular, g.is_singular):
+        with pytest.raises(GraphError, match="unknown vertex 'w'"):
+            ask("w")
 
 
 def test_one_vertex_loop_graph():

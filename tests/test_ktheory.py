@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from groupoidlab import cli, ktheory
 from groupoidlab.cli import main
 from groupoidlab.graphs import DiscreteGraph, OneVertexLoopGraph
 from groupoidlab.ktheory import (
@@ -106,9 +108,14 @@ def test_snf_random_contract():
         assert_snf_contract(m, *snf(m))
 
 
+def labelled_matrix(label, n):
+    """An n x n matrix with entries -9..9, seeded by ``label``."""
+    rng = random.Random(label)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
 def snf32(i):
-    rng = random.Random(f"snf32-{i}")
-    return [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)]
+    return labelled_matrix(f"snf32-{i}", 32)
 
 
 @pytest.mark.parametrize("i", range(14))
@@ -130,6 +137,67 @@ def test_main_snf_large_matrix(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert_snf_contract(m, out["D"], out["P"], out["Q"])
     assert transform_bits(out["P"], out["Q"]) < 4000
+
+
+# sha256 of the `groupoidlab snf` JSON: the 16x16 matrices and the 32x32
+# one that the benchmark feeds the CLI, and two seeded 8x8 ones.  D is
+# canonical, but P and Q are one choice among many: these pins hold any
+# change to the elimination to the same transforms.
+@pytest.mark.parametrize(
+    "label, n, digest",
+    [
+        ("snf16-0", 16, "b626dbb572b2aac93cac615701f1f2fc8ab48e21ac8df4aea0233498d8fd08fe"),
+        ("snf16-1", 16, "75c9a7a8c042fde2040a5cb3ef30f5fbbdd8a116aa21ec91b70583e09732bdef"),
+        ("snf16-2", 16, "8acd7bec9d913e46ca52a96affecf3be1aa5555377f25a88b9d779177b5c47e7"),
+        ("snf16-3", 16, "fbbcc56194458a283d8ad92637cfd29e17df41d61f33ce55fbfa4c75a8011160"),
+        ("snf16-4", 16, "5f030ce2c41b15d8a4b98c1a7f27d4d0442472b4d3122faa77a524a4e864046a"),
+        ("snf16-5", 16, "f64c8066ff829a6b1d23ad0ece6297183f07db46097791f9f3afa902f98a0772"),
+        ("snf16-6", 16, "6143a96b4f2e470636493aa07489a6b991b35fa453dc8dbceb5a2f39a4ccc0fb"),
+        ("snf16-7", 16, "7bc3d1f3dd6fdbfd9d980c797a295082c2c8d4cd57d5d4583dd1707bd3c7b778"),
+        ("snf32-10", 32, "fafd2507b8d2a2a21fd81c43a64bfcad5164d33ca504dc66d5c404152793f676"),
+        ("ktheory-3-0", 8, "9284bb7c631fc9ee4ece78b576f393992ad54bd14fbcb920229672f09c78092a"),
+        ("ktheory-3-1", 8, "87b13df291efe8ce049f570fdc20fd562427c1adb3afbcb06bc96580673d1320"),
+    ],
+)
+def test_snf_output_pinned(tmp_path, capsys, label, n, digest):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(labelled_matrix(label, n)))
+    assert main(["snf", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+DOC_GRAPH = {
+    "vertices": ["u", "v"],
+    "edges": [["u", "v", "e1"], ["v", "v", "e2"]],
+    "singular": ["v"],
+}
+THREE_LOOPS = {"vertices": ["v"], "edges": [["v", "v", f"e{i}"] for i in range(3)]}
+
+
+# sha256 of the `groupoidlab ktheory` JSON for the example graph of
+# docs/formats.md and for loops(3), with the ``unit_order`` field set
+# aside (its values are checked in test_ktheory_cli_unit_order).
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (
+            DOC_GRAPH,
+            "be6b675ab599dd284410bac2df1c65674b3cfd0219c860f85eae2ecb2848d89a",
+        ),
+        (
+            THREE_LOOPS,
+            "b7ab876fe6711dbed6886721d216b8b7df6f0bb9ace5f572aee3cb033cef1d43",
+        ),
+    ],
+)
+def test_ktheory_output_pinned(tmp_path, capsys, doc, digest):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ktheory", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    out["K0"].pop("unit_order", None)
+    text = json.dumps(out, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def minors_divisor_oracle(m):
@@ -219,6 +287,20 @@ def test_element_order_oracle():
             assert lcm == biggest
 
 
+def test_snf_self_check_fires(monkeypatch):
+    """The self-check on inputs up to 8x8 is live: a wrong product, or a
+    transform whose determinant is not a unit, is an internal error."""
+    m = [[2, 4, 1], [6, 8, 3], [1, 0, 5]]
+    snf(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(ktheory, "mat_mul", lambda a, b: [[0] * len(b[0]) for _ in a])
+        with pytest.raises(KTheoryError, match=r"^internal error: P\*M\*Q != D$"):
+            snf(m)
+    monkeypatch.setattr(ktheory, "mat_det", lambda m: 2)
+    with pytest.raises(KTheoryError, match="^internal error: non-unimodular transform$"):
+        snf(m)
+
+
 def test_validate_matrix_diagnostics():
     with pytest.raises(KTheoryError):
         validate_matrix([[1, 2], [3]])
@@ -283,17 +365,6 @@ def graph_from_adjacency(mat_rows):
     return DiscreteGraph(verts, edges)
 
 
-def class_order(group):
-    """Order of the unit class in its own coordinates; None if infinite."""
-    if any(group.unit_class[len(group.torsion) :]):
-        return None
-    out = 1
-    for d, u in zip(group.torsion, group.unit_class):
-        k = d // gcd(d, u)
-        out = out * k // gcd(out, k)
-    return out
-
-
 def test_exhaustive_small_graphs_against_oracle():
     """All graphs with <= 3 vertices and <= 4 outgoing edges per vertex:
     the Smith-normal-form route agrees with the determinantal-divisor
@@ -309,7 +380,7 @@ def test_exhaustive_small_graphs_against_oracle():
             m, regular = connecting_matrix(g)
             if not regular:
                 assert k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
-                assert class_order(k0) is None
+                assert k0.unit_order() is None
                 continue
             inv = minors_divisor_oracle(m)
             assert k0.torsion == tuple(d for d in inv if d >= 2), mat_rows
@@ -319,7 +390,47 @@ def test_exhaustive_small_graphs_against_oracle():
             order = None
             if len(inv_unit) == len(inv):
                 order = prod(inv) // prod(inv_unit)
-            assert class_order(k0) == order, mat_rows
+            assert k0.unit_order() == order, mat_rows
+
+
+def test_unit_order():
+    assert FGAbelianGroup(0, (2, 4), (1, 2)).unit_order() == 2
+    assert FGAbelianGroup(0, (6,), (4,)).unit_order() == 3
+    assert FGAbelianGroup(0, (2, 6), (1, 2)).unit_order() == 6
+    assert FGAbelianGroup(2, (2,), (1, 0, 0)).unit_order() == 2
+    assert FGAbelianGroup(0, (3,), (0,)).unit_order() == 1
+    assert FGAbelianGroup(0, (), ()).unit_order() == 1
+    assert FGAbelianGroup(1, (2,), (0, -1)).unit_order() is None
+    assert Z_POINTED.unit_order() is None
+    with pytest.raises(KTheoryError, match="no unit class"):
+        FGAbelianGroup(1).unit_order()
+
+
+@pytest.mark.parametrize(
+    "doc, order",
+    [
+        (DOC_GRAPH, "infinite"),
+        (THREE_LOOPS, 2),
+        ({"vertices": ["v"], "edges": [["v", "v", "a"], ["v", "v", "b"]]}, 1),
+        ({"kind": "one-vertex-loops"}, "infinite"),
+    ],
+)
+def test_ktheory_cli_unit_order(tmp_path, capsys, doc, order):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ktheory", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["K0"]["unit_order"] == order
+    assert out["K1"]["unit"] is None
+
+
+def test_ktheory_cli_unit_order_without_unit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "graph_ktheory", lambda graph: (FGAbelianGroup(1), ZERO_GROUP))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(THREE_LOOPS))
+    assert main(["ktheory", str(path)]) == 0
+    k0 = json.loads(capsys.readouterr().out)["K0"]
+    assert k0["unit"] is None and k0["unit_order"] is None
 
 
 def test_cokernel_unit_class_reduction():
