@@ -92,6 +92,16 @@ class EvPeriodic:
         _set(seq, "cycle", cycle)
         return seq
 
+    def same_tail(self, n: int, other: "EvPeriodic", m: int) -> bool:
+        """Whether shifted(n) == other.shifted(m), building neither: both
+        are canonical, so their heads must agree and their cycles be the
+        same rotation, and the rotations of a primitive word are distinct."""
+        head, h, cycle, c = self.head, other.head, self.cycle, other.cycle
+        if len(cycle) != len(c) or head[n:] != h[m:]:
+            return False
+        r = (max(n - len(head), 0) - max(m - len(h), 0)) % len(c)
+        return r == 0 if cycle == c else cycle[r:] + cycle[:r] == c
+
     def cons(self, value: int) -> "EvPeriodic":
         return EvPeriodic((value,) + self.head, self.cycle)
 
@@ -114,8 +124,10 @@ class FiniteBoundaryPath:
     or ``INFINITE``), ``range()``, ``edge_at(i)``, ``same_edge(i, other,
     j)`` (edge i equals edge j of a path of the same kind), ``prefix(k)``
     (the first k edges as a finite path), ``drop(n)`` (the n-th shift,
-    n >= 1), ``cons(m)`` (prepend the edge of index ``m >= 1`` whose
-    domain is ``range()``; a lower index is a ``BoundaryError``) and
+    n >= 1), ``same_tail(n, other, m)`` (drop(n) equals ``other.drop(m)``
+    for n <= length and m <= other.length, built from neither path),
+    ``cons(m)`` (prepend the edge of index ``m >= 1`` whose domain is
+    ``range()``; a lower index is a ``BoundaryError``) and
     ``shift_period()`` (``(start, step)``: for n > m, drop(n) = drop(m)
     exactly when m >= start and step | n - m; ``None`` if never).  Both
     ``drop`` and ``cons`` keep the domain, so neither validates the path
@@ -172,6 +184,15 @@ class FiniteBoundaryPath:
     def same_edge(self, i: int, other: "FiniteBoundaryPath", j: int) -> bool:
         """Whether edge i of this path equals edge j of ``other``."""
         return self.path.edges[i - 1] == other.path.edges[j - 1]
+
+    def same_tail(self, n: int, other, m: int) -> bool:
+        if not isinstance(other, FiniteBoundaryPath):
+            return False
+        p, q = self.path, other.path
+        rest = len(p.edges) - n
+        if p.graph is not q.graph or rest != len(q.edges) - m:
+            return False
+        return p.edges[n:] == q.edges[m:] if rest else p.d() == q.d()
 
     def shift_period(self) -> None:
         """None: shifts of a finite path have pairwise different lengths."""
@@ -256,6 +277,15 @@ class InfiniteModelPath:
             and self._same_point(self.exponent - i, other, other.exponent - j)
         )
 
+    def same_tail(self, n: int, other, m: int) -> bool:
+        """By index tails and exponents: on a shared anchor no dynamics step."""
+        return (
+            isinstance(other, InfiniteModelPath)
+            and self.graph is other.graph
+            and self.idx.same_tail(n, other.idx, m)
+            and self._same_point(self.exponent - n, other, other.exponent - m)
+        )
+
     def _same_point(self, e: int, other: "InfiniteModelPath", f: int) -> bool:
         """Whether rho^e(self.anchor) = rho^f(other.anchor); a shared
         anchor decides it by the exponents, with no dynamics step."""
@@ -286,6 +316,8 @@ class InfiniteModelPath:
         return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, InfiniteModelPath):
             return NotImplemented
         if self.graph is not other.graph or self.idx != other.idx:
@@ -338,6 +370,10 @@ class InfiniteDiscretePath:
     def same_edge(self, i: int, other: "InfiniteDiscretePath", j: int) -> bool:
         """Whether edge i of this word equals edge j of ``other``."""
         return self.labels.item(i - 1) == other.labels.item(j - 1)
+
+    def same_tail(self, n: int, other, m: int) -> bool:
+        same_graph = isinstance(other, InfiniteDiscretePath) and self.graph is other.graph
+        return same_graph and self.labels.same_tail(n, other.labels, m)
 
     def drop(self, n: int) -> "InfiniteDiscretePath":
         return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))

@@ -169,10 +169,10 @@ class DiscreteGraph:
         self._counts = counts
         self._receiving = {dst for _src, dst in counts}
         self._vset = vset
-        unknown = set(singular_override) - vset
+        self.singular_override = frozenset(singular_override)
+        unknown = self.singular_override - vset
         if unknown:
             raise GraphError(f"singular override names unknown vertices: {sorted(unknown)}")
-        self.singular_override = frozenset(singular_override)
 
     @cached_property
     def edges(self) -> list[DiscreteEdge]:

@@ -55,7 +55,8 @@ class GroupoidElement:
 
 def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidElement:
     """Validate shift^n(x) = shift^m(y) exactly and store the element with
-    the minimal witness.
+    the minimal witness.  ``x.same_tail(n, y, m)`` decides the equality
+    without building either shifted path.
 
     Given equal shifts, shift^(n-1)(x) and shift^(m-1)(y) prepend the
     edges x_n and y_m to the same path, so they are equal exactly when
@@ -68,7 +69,7 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
         raise GroupoidError(f"shift^{n} undefined on a path of length {x.length}")
     if y.length < m:
         raise GroupoidError(f"shift^{m} undefined on a path of length {y.length}")
-    if shift_power(x, n) != shift_power(y, m):
+    if not x.same_tail(n, y, m):
         raise GroupoidError("shifted paths differ; not a groupoid element")
     while n > 0 and m > 0 and x.same_edge(n, y, m):
         n -= 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -43,7 +44,7 @@ from groupoidlab.graphs import (
     vertex_path,
 )
 from groupoidlab.cli import _index_data, main
-from groupoidlab.groupoid import isotropy_search
+from groupoidlab.groupoid import isotropy_search, random_boundary_path, random_element
 from groupoidlab.spaces import (
     CantorBackend,
     CircleBackend,
@@ -168,6 +169,24 @@ def test_ev_periodic_shift():
     assert s.shifted(2) == EvPeriodic((), (3, 4))
     assert s.shifted(3) == EvPeriodic((), (4, 3))
     assert s.cons(9).shifted() == s
+
+
+def test_same_tail_matches_shifted_sequences_exhaustively():
+    """Every canonical sequence over {1, 2} with a head of length <= 3 and
+    a cycle of length <= 4, every pair, every n, m <= 7: same_tail gives
+    the verdict of comparing the two shifted sequences."""
+    words = [w for k in range(5) for w in itertools.product((1, 2), repeat=k)]
+    seqs = sorted(
+        {EvPeriodic(h, c) for h in words if len(h) <= 3 for c in words if c},
+        key=lambda s: (s.head, s.cycle),
+    )
+    shifts = {s: [s.shifted(n) for n in range(8)] for s in seqs}
+    equal = 0
+    for a, b in itertools.product(seqs, repeat=2):
+        want = [[u == v for v in shifts[b]] for u in shifts[a]]
+        assert [[a.same_tail(n, b, m) for m in range(8)] for n in range(8)] == want, (a, b)
+        equal += sum(map(sum, want))
+    assert len(seqs) == 176 and equal == 50160
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +928,50 @@ def test_finite_cyclic_exponents_compare_modulo_the_period():
         want = [(n, m) for n in range(13) for m in range(n) if rebuilt[n] == rebuilt[m]]
         assert want == [(n, m) for n in range(13) for m in range(n) if (n - m) % p == 0]
         assert isotropy_search(mu, 12) == want
+
+
+def _rebuilt(mu):
+    """The same path through the public constructors: an infinite model
+    path on its materialised base point, so that it shares no anchor."""
+    if isinstance(mu, InfiniteModelPath):
+        return InfiniteModelPath(mu.graph, mu.z, mu.idx)
+    if isinstance(mu, InfiniteDiscretePath):
+        return InfiniteDiscretePath(mu.graph, mu.labels)
+    p = mu.path
+    return FiniteBoundaryPath(FinitePath(p.graph, p.edges, p.base))
+
+
+@pytest.mark.parametrize(
+    "make_z, make_x",
+    FREE_CONFIGS
+    + [
+        pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic"),
+        pytest.param(None, None, id="loop"),
+    ],
+)
+def test_same_tail_matches_shifted_paths(make_z, make_x):
+    """same_tail(n, other, m) gives the verdict of comparing the two
+    shifted paths, for sampled elements' x and y, fresh finite and
+    infinite paths and their rebuilt copies, in every kind pairing and
+    for every n, m up to the length of a finite path, so that it also
+    drops to its vertex path, or up to 5 on an infinite one."""
+    graph = LOOP if make_z is None else build_model_graph(make_z(), make_x())
+    rng = random.Random(f"same-tail-{graph!r}")
+    paths = []
+    for _ in range(10):
+        g = random_element(graph, rng)
+        paths += [g.x, g.y]
+    paths += [random_boundary_path(graph, rng, force=kind) for kind in ("finite", "infinite") * 3]
+    paths += [_rebuilt(mu) for mu in paths[::2]]
+    drops = {id(mu): range((5 if mu.length == INFINITE else mu.length) + 1) for mu in paths}
+    equal = 0
+    for p, q in itertools.product(paths, repeat=2):
+        for n in drops[id(p)]:
+            for m in drops[id(q)]:
+                want = shift_power(p, n) == shift_power(q, m)
+                assert p.same_tail(n, q, m) == want, (path_to_line(p), n, path_to_line(q), m)
+                equal += want
+    assert equal > len(paths) * 6
 
 
 @pytest.mark.parametrize(

@@ -639,6 +639,17 @@ def test_discrete_graph_checks_edges_at_construction(as_iter):
         DiscreteGraph(["u", "v"], as_iter(triples))
 
 
+def test_discrete_graph_singular_override_read_once():
+    """A generator override is materialised once, so it marks the same
+    vertices as a list does, and an unknown name in it is still an error."""
+    for as_iter in (list, iter):
+        g = DiscreteGraph(["v"], [("v", "v", "a")], singular_override=as_iter(["v"]))
+        assert g.singular_override == frozenset({"v"})
+        assert not g.is_regular("v") and g.is_singular("v")
+        with pytest.raises(GraphError, match=r"unknown vertices: \['w'\]"):
+            DiscreteGraph(["v"], [], singular_override=as_iter(["v", "w"]))
+
+
 def test_discrete_graph_edges_in_input_order():
     triples = [("v", "u", "b"), ("u", "v", "a"), ("u", "v", "c"), ("v", "v", "d")]
     g = DiscreteGraph(["u", "v"], (t for t in triples))

@@ -21,6 +21,7 @@ from groupoidlab.boundary import (
 from groupoidlab.graphs import (
     OneVertexLoopGraph,
     build_model_graph,
+    param_f_k,
     vertex_path,
 )
 from groupoidlab.groupoid import (
@@ -232,6 +233,42 @@ def test_axiom_sample_detects_corruption(odo_point):
 
     rep = axiom_sample(Corrupted(odo_point), 50, seed=3)
     assert not rep.ok and rep.failures
+
+
+class LiftsOneSide(DRGroupoid):
+    """A mutation-control double: compose lifts the witness on the range
+    side only, so the tail check of make_element rejects the result."""
+
+    def compose(self, a, b):
+        good = compose(a, b)
+        return make_element(good.x, good.n + 1, good.m, good.y)
+
+
+class ComposesToUnit(DRGroupoid):
+    """A mutation-control double: every product is the unit at its range."""
+
+    def compose(self, a, b):
+        return unit(a.x)
+
+
+SMALL_GRAPHS = [
+    pytest.param(lambda: build_model_graph(odometer(), point_backend()), id="odometer-point"),
+    pytest.param(lambda: build_model_graph(golden_rotation(), CircleBackend()), id="golden-circle"),
+    pytest.param(lambda: build_model_graph(finite_cyclic(3), point_backend()), id="finite-cyclic"),
+    pytest.param(OneVertexLoopGraph, id="loop"),
+]
+
+
+@pytest.mark.parametrize("double", [LiftsOneSide, ComposesToUnit])
+@pytest.mark.parametrize("make_graph", SMALL_GRAPHS)
+def test_axiom_sample_reports_a_wrong_compose(double, make_graph):
+    """A descriptor with a wrong compose gives failing trials, not an
+    exception; a one-sided lift fails in make_element's tail check."""
+    rep = axiom_sample(double(make_graph()), 50, seed=11)
+    assert not rep.ok and rep.failures
+    assert all(f.startswith("trial ") for f in rep.failures)
+    if double is LiftsOneSide:
+        assert any("shifted paths differ" in f for f in rep.failures)
 
 
 def test_axiom_sample_deterministic(odo_point):
@@ -709,3 +746,89 @@ def test_make_element_takes_no_dynamics_step_on_a_shared_anchor(monkeypatch):
     assert (e.n, e.m, e.k) == (1, 1, 0)
     monkeypatch.undo()
     assert (e.n, e.m) == reference_witness(x, 2, 2, y)
+
+
+def test_make_element_and_compose_build_no_shifted_path(monkeypatch):
+    """The tail check answers by same_tail: neither make_element nor
+    compose calls drop on any path kind, whether it accepts or rejects."""
+    cases = []
+    for graph in (build_model_graph(golden_rotation(), CircleBackend()), OneVertexLoopGraph()):
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_element(graph, rng)
+            h = random_element_at(graph, g.y, rng)
+            lifted = g.y.length > g.m and shift_power(g.x, g.n) == shift_power(g.y, g.m + 1)
+            cases.append((g, h, lifted))
+    kinds = {FiniteBoundaryPath, InfiniteModelPath, InfiniteDiscretePath}
+    assert {type(g.x) for g, _h, _lifted in cases} == kinds
+    assert not all(lifted for _g, _h, lifted in cases)
+    calls = []
+    for kind in kinds:
+
+        def counted(self, n, _original=kind.drop):
+            calls.append(type(self).__name__)
+            return _original(self, n)
+
+        monkeypatch.setattr(kind, "drop", counted)
+    for g, h, lifted in cases:
+        compose(g, h)
+        assert make_element(g.x, g.n, g.m, g.y) == g
+        try:
+            make_element(g.x, g.n, g.m + 1, g.y)
+            assert lifted
+        except GroupoidError:
+            assert not lifted
+    assert calls == []
+
+
+def _infinite_pair(graph, z, idx_x, idx_y):
+    """Two infinite paths with the given index sequences, on one anchor."""
+    if isinstance(graph, OneVertexLoopGraph):
+        return InfiniteDiscretePath(graph, idx_x), InfiniteDiscretePath(graph, idx_y)
+    return param_f(graph, z, idx_x), param_f(graph, z, idx_y)
+
+
+def _finite_pair(graph, z, word_x, word_y):
+    """Two finite paths with the given edge indices and one base point."""
+    if isinstance(graph, OneVertexLoopGraph):
+        return FiniteBoundaryPath(graph.path(word_x)), FiniteBoundaryPath(graph.path(word_y))
+    x_last = graph.x_backend.random_point(random.Random(5))
+    return tuple(FiniteBoundaryPath(param_f_k(graph, z, x_last, w)) for w in (word_x, word_y))
+
+
+@pytest.mark.parametrize("make_graph", SMALL_GRAPHS)
+def test_make_element_rejects_tails_that_differ_in_one_respect(make_graph):
+    """Tails that differ only in a rotation of an equal cycle, one head
+    entry, the exponent or the path kind give no element; on the cyclic
+    control, exponents equal mod the period give the same tail."""
+    graph = make_graph()
+    loop = isinstance(graph, OneVertexLoopGraph)
+    z = None if loop else graph.z_system.backend.random_point(random.Random(4))
+    mu, _ = _infinite_pair(graph, z, EvPeriodic((2,), (1, 3)), EvPeriodic((2,), (1, 3)))
+    rejected = [
+        # the cycle (1, 2) rotated once against not at all, and two rotations
+        (*_infinite_pair(graph, z, EvPeriodic((3,), (1, 2)), EvPeriodic((), (1, 2))), 2, 2),
+        (*_infinite_pair(graph, z, EvPeriodic((3,), (1, 2)), EvPeriodic((4,), (2, 1))), 1, 1),
+        # one head entry, of an infinite and of a finite path
+        (*_infinite_pair(graph, z, EvPeriodic((3, 5), (1, 2)), EvPeriodic((3, 6), (1, 2))), 1, 1),
+        (*_finite_pair(graph, z, (3, 5, 1), (3, 6, 1)), 1, 1),
+        # the kind: a vertex path and the infinite path from that vertex
+        (FiniteBoundaryPath(mu.prefix(2)), mu, 2, 2),
+    ]
+    for x, y, n, m in rejected:
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(GroupoidError, match="^shifted paths differ; not a groupoid element$"):
+                make_element(a, n, m, b)
+    if loop:
+        return
+    # the exponent: the same index sequence on the base point moved by rho^-d
+    period = graph.z_system.period(z)
+    assert (period == 3) == ("cyclic" in graph.z_system.name)
+    word = param_f(graph, z, EvPeriodic((), (1,)))
+    for d in range(1, 7):
+        for y in (word.drop(d), InfiniteModelPath(graph, word.drop(d).z, word.idx)):
+            if period and d % period == 0:
+                assert make_element(word, 0, 0, y) == unit(word)
+            else:
+                with pytest.raises(GroupoidError, match="^shifted paths differ"):
+                    make_element(word, 0, 0, y)
