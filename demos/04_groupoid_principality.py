@@ -60,14 +60,14 @@ for make in (golden_rotation, odometer):
 
 golden = build_model_graph(golden_rotation(), point_backend())
 path = param_f(golden, CirclePoint(QPhi(0)), EvPeriodic((), (1,)))
-print("isotropy pairs at the constant-index path:", isotropy_search(path, 20))
+print("isotropy pairs at the constant-index path:", list(isotropy_search(path, 20)))
 print("reduction:", isotropy_reduction(path, 20).note)
 
 print()
 print("== the control: the loop graph alone is NOT principal ==")
 loop = OneVertexLoopGraph()
 periodic = InfiniteDiscretePath(loop, EvPeriodic((), (1,)))
-print("isotropy pairs at the all-ones word:", isotropy_search(periodic, 5))
+print("isotropy pairs at the all-ones word:", list(isotropy_search(periodic, 5)))
 rep = principality_sample(loop, 500, 20, seed=1)
 print(f"sampled: isotropy found at {len(rep.isotropy)} displayed paths (of 500)")
 print("integrating the free minimal Z factor is exactly what removes these.")

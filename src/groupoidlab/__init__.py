@@ -81,6 +81,7 @@ from .groupoid import (
     CompleteRelation,
     DRGroupoid,
     GroupoidElement,
+    IsotropyPairs,
     PathCylinder,
     ProductGroupoid,
     ReducedGroupoid,

@@ -12,8 +12,10 @@ case to freeness of the base dynamics, which the system's declared
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .boundary import (
     BoundaryPath,
@@ -418,20 +420,55 @@ def axiom_sample(descriptor, trials: int, seed: int) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def isotropy_search(mu: BoundaryPath, bound: int) -> list[tuple[int, int]]:
+class IsotropyPairs:
+    """The pairs (n, m) with bound >= n > m >= start and step | n - m, by n
+    and then m ascending, held as (start, step, bound) and listed only on
+    iteration.  ``len`` and ``in`` are arithmetic; equality, hash and repr
+    are those of the tuple of the pairs, and it equals a list of them."""
+
+    __slots__ = ("start", "step", "bound")
+
+    def __init__(self, start: int, step: int, bound: int):
+        self.start, self.step, self.bound = start, step, bound
+
+    def __iter__(self):
+        start, step = self.start, self.step
+        for n in range(start + step, self.bound + 1):
+            yield from zip(repeat(n), range(start + (n - start) % step, n, step))
+
+    def __len__(self) -> int:
+        # each n = start + d with d >= step pairs with d // step values of m
+        q, r = divmod(max(self.bound - self.start, 0), self.step)
+        return self.step * q * (q - 1) // 2 + q * (r + 1)
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        n, m = pair
+        ints = isinstance(n, int) and isinstance(m, int)
+        return ints and self.start <= m < n <= self.bound and (n - m) % self.step == 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (IsotropyPairs, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def isotropy_search(mu: BoundaryPath, bound: int) -> IsotropyPairs:
     """All pairs (n, m), bound >= n > m, with shift^n(mu) = shift^m(mu)
-    exactly, by n and then m ascending; empty certifies trivial isotropy
-    at mu within the window.  The pairs are read off ``mu.shift_period()``
-    (isotropy of the shift is eventual periodicity); no path is shifted."""
+    exactly; empty certifies trivial isotropy at mu within the window.
+    The pairs are read off ``mu.shift_period()`` (isotropy of the shift is
+    eventual periodicity); no path is shifted and none is listed here."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     period = mu.shift_period()
-    if period is None:
-        return []
-    start, step = period
-    return [
-        (n, m) for n in range(start + step, bound + 1) for m in range(start + (n - start) % step, n, step)
-    ]
+    return IsotropyPairs(0, 1, 0) if period is None else IsotropyPairs(*period, bound)
 
 
 @dataclass(frozen=True)
@@ -479,6 +516,9 @@ def isotropy_reduction(mu: BoundaryPath, bound: int) -> ReductionReport:
 
 @dataclass(frozen=True)
 class PrincipalityReport:
+    """``isotropy`` holds the first 8 hits in sample order, each a pair
+    ``(mu, pairs)`` with ``pairs`` the nonempty ``isotropy_search(mu, bound)``."""
+
     samples: int
     bound: int
     seed: int
@@ -499,11 +539,11 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
     reductions_ok = True
     for i in range(samples):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
-        # the report holds the first 8 hits; a hit at bound 320 can carry
-        # tens of thousands of pairs, so list no more than those
+        # the report keeps the first 8 hits, which bounds its size; each
+        # hit's pairs stay in closed form however many the bound allows
         pairs = isotropy_search(mu, bound) if len(hits) < 8 else ()
         if pairs:
-            hits.append((mu, tuple(pairs)))
+            hits.append((mu, pairs))
         if isinstance(graph, ModelGraph):
             if not isotropy_reduction(mu, bound).ok:
                 reductions_ok = False
@@ -580,10 +620,10 @@ def basic_bisection(graph, b: BasicOpenBisection, trials: int = 64, seed: int = 
     for _ in range(trials):
         xa = sample_in(b.u)
         xb = sample_in(b.u)
-        if xa != xb and shift_power(xa, b.n) == shift_power(xb, b.n):
+        if xa != xb and xa.same_tail(b.n, xb, b.n):
             inj = False
         ya = sample_in(b.v)
         yb = sample_in(b.v)
-        if ya != yb and shift_power(ya, b.m) == shift_power(yb, b.m):
+        if ya != yb and ya.same_tail(b.m, yb, b.m):
             inj = False
     return BisectionReport(True, inj, trials, "range/source injectivity follows from the certificates")

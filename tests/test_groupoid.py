@@ -1,6 +1,9 @@
 import ast
+import bisect
 import hashlib
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from groupoidlab.graphs import (
 )
 from groupoidlab.groupoid import (
     BasicOpenBisection,
+    BisectionReport,
     CompleteRelation,
     DRGroupoid,
     GroupoidElement,
@@ -439,6 +443,88 @@ def test_isotropy_search_takes_no_dynamics_step(make_graph, periodic, monkeypatc
     assert any(pairs) == periodic
 
 
+def _contract_paths():
+    """Every canonical word over {1, 2} with a head of length <= 3 and a
+    cycle of length <= 4, on the loop graph and as an infinite path of the
+    finite-cyclic control."""
+    words = [w for k in range(5) for w in itertools.product((1, 2), repeat=k)]
+    seqs = sorted({EvPeriodic(h, c) for h in words if len(h) <= 3 for c in words if c}, key=repr)
+    cyclic = build_model_graph(finite_cyclic(3), point_backend())
+    loop = OneVertexLoopGraph()
+    return [InfiniteDiscretePath(loop, w) for w in seqs] + [
+        param_f(cyclic, FinitePoint(1, 3), w) for w in seqs
+    ]
+
+
+def _assert_behaves_as_the_tuple(pairs, want, start, step, bound):
+    listed, wanted = tuple(want), set(want)
+    assert bool(pairs) is bool(want)
+    assert pairs == want and want == pairs and pairs == listed and listed == pairs
+    assert pairs != want + [(bound + 1, start)] and (not want or pairs != listed[1:])
+    assert hash(pairs) == hash(listed) and repr(pairs) == repr(listed)
+    assert all(map(pairs.__contains__, want))
+    # just below start, past the bound and off the step; up to bound 40,
+    # every pair with n <= bound + 1
+    near = {(start + step, start - 1), (bound + 1, bound + 1 - step), (start + step + 1, start)}
+    if bound <= 40:
+        near |= {(n, m) for n in range(bound + 2) for m in range(n)}
+    assert all((p in pairs) == (p in wanted) for p in near)
+    assert [start + step, start] not in pairs and "pair" not in pairs
+
+
+def test_isotropy_pairs_behave_as_the_tuple_of_the_hash_search():
+    """Iteration, len, in, bool, ==, hash and repr of the closed form
+    agree with the tuple the hash search lists, at bounds 1-40 and 320."""
+    paths = _contract_paths()
+    assert len(paths) == 2 * 176
+    checked = set()
+    for mu in paths:
+        # the hash search goes up n by n, so at a smaller bound it lists
+        # the pairs of its search at 320 that have n <= bound
+        full = _hashed_isotropy(mu, 320)
+        for bound in (*range(1, 41), 320):
+            pairs = isotropy_search(mu, bound)
+            want = full[: bisect.bisect(full, (bound, bound))]
+            assert list(pairs) == want and len(pairs) == len(want), (path_to_line(mu), bound)
+            # the rest depends on (start, step, bound) alone: check it once
+            key = (*mu.shift_period(), bound)
+            if key not in checked:
+                checked.add(key)
+                _assert_behaves_as_the_tuple(pairs, want, *key)
+        with pytest.raises(ValueError):
+            isotropy_search(mu, 0)
+    assert len(checked) == 24 * 41
+
+
+def test_isotropy_pairs_of_a_path_without_a_period_are_empty(golden_point):
+    finite = random_boundary_path(golden_point, random.Random(4), force="finite")
+    infinite = param_f(golden_point, ZERO_CIRCLE, EvPeriodic((2,), (1,)))
+    for mu in (finite, infinite):
+        pairs = isotropy_search(mu, 320)
+        assert not pairs and len(pairs) == 0 and list(pairs) == []
+        assert pairs == [] and () == pairs and hash(pairs) == hash(()) and repr(pairs) == "()"
+        assert (1, 0) not in pairs
+        with pytest.raises(ValueError):
+            isotropy_search(mu, 0)
+
+
+def test_principality_sample_holds_the_loop_pairs_in_closed_form():
+    """The loop control at bound 320 keeps 8 hits of tens of thousands of
+    pairs each; the report must not list them."""
+    graph = OneVertexLoopGraph()
+    tracemalloc.start()
+    try:
+        rep = principality_sample(graph, 50, 320, 7)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert len(rep.isotropy) == 8
+    assert sum(len(pairs) for _mu, pairs in rep.isotropy) > 200_000
+    for mu, pairs in rep.isotropy:
+        assert pairs == _hashed_isotropy(mu, 320)
+
+
 @pytest.mark.parametrize("make_system", [golden_rotation, odometer])
 def test_principality_ten_seed_battery(make_system):
     graph = build_model_graph(make_system(), point_backend())
@@ -664,6 +750,38 @@ def test_bisection_certificate(odo_point):
     bad = BasicOpenBisection(nothing, 1, 0, one_edge)
     assert not bad.certificate_valid()
     assert not basic_bisection(odo_point, bad).ok
+
+
+def test_basic_bisection_builds_no_shifted_path(odo_point, monkeypatch):
+    """The injectivity probe asks same_tail: basic_bisection calls drop on
+    no path kind, and its reports are those it gave comparing shifted paths."""
+    ones = PathCylinder(param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,))).prefix(1))
+    mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (2,)))
+    one, two = PathCylinder(mu.prefix(1)), PathCylinder(mu.prefix(2))
+    nothing = PathCylinder(vertex_path(odo_point, mu.range()))
+    kinds = (FiniteBoundaryPath, InfiniteModelPath, InfiniteDiscretePath)
+    calls = []
+    for kind in kinds:
+
+        def counted(self, n, _original=kind.drop):
+            calls.append(type(self).__name__)
+            return _original(self, n)
+
+        monkeypatch.setattr(kind, "drop", counted)
+    reports = [
+        basic_bisection(odo_point, BasicOpenBisection(ones, 0, 0, ones), trials=8, seed=0),
+        basic_bisection(odo_point, BasicOpenBisection(one, 1, 0, nothing), trials=16, seed=1),
+        basic_bisection(odo_point, BasicOpenBisection(nothing, 1, 0, one)),
+        basic_bisection(odo_point, BasicOpenBisection(two, 2, 1, one), trials=32, seed=2),
+    ]
+    assert calls == []
+    note = "range/source injectivity follows from the certificates"
+    assert reports == [
+        BisectionReport(True, True, 8, note),
+        BisectionReport(True, True, 16, note),
+        BisectionReport(False, False, 0, "a cylinder fixes fewer edges than the shift exponent"),
+        BisectionReport(True, True, 32, note),
+    ]
 
 
 # ---------------------------------------------------------------------------
