@@ -59,6 +59,7 @@ from .spaces import (
     SYSTEM_BUILDERS,
     X_BACKEND_BUILDERS,
     box_contains,
+    dense_indices_hitting,
     factor_point,
     freeness_check,
 )
@@ -242,27 +243,23 @@ def check_freeness(cfg, graph) -> CheckRecord:
 
 
 def check_singular(cfg, graph) -> CheckRecord:
-    """Every vertex is singular: each basic open vertex box pulls back to
-    edges with unboundedly many indices, so no preimage is compact."""
-    ok = True
+    """Every vertex is singular: each distinct basic open (boxes 0-3 when
+    there are countably many) takes its first three hits from the closed
+    form of ``dense_indices_hitting``, which has one for every k."""
+    x = graph.x_backend
     witnesses = {}
-    for b in range(4):
-        xbox = graph.x_backend.basic_open(b % (graph.x_backend.basic_count or 4))
-        hits = []
-        m = 1
-        while len(hits) < 3 and m < 10_000:
-            if box_contains(xbox, graph.x_point(m)):
-                hits.append(m)
-            m += 1
-        if len(hits) < 3:
-            ok = False
-        witnesses[f"box_{b}"] = hits
+    outside = []
+    for b in range(x.basic_count or 4):
+        hits = witnesses[f"box_{b}"] = dense_indices_hitting(x, b, 3)
+        if not all(box_contains(x.basic_open(b), graph.x_point(m)) for m in hits):
+            outside.append(f"box_{b}")
     return CheckRecord(
         "singular",
-        "no vertex is regular: edge indices into any basic open are unbounded",
-        {"boxes": 4},
-        ok,
-        {"index_witnesses": witnesses},
+        "no vertex is regular: the dense sequence hits basic open b at index b + 1 + k*count "
+        "(finite X) or pair_index(b, k) + 1 for every k, so edge indices into it are unbounded",
+        {"boxes": len(witnesses)},
+        not outside,
+        {"index_witnesses": witnesses, "outside": outside},
     )
 
 
@@ -539,13 +536,14 @@ def _load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output to a file")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", help="path to a JSON config")
     common.add_argument("--seed", type=int, help="replace the config seed list")
     common.add_argument("--samples", type=int, help="override the sample count")
     common.add_argument("--bound", type=int, help="override the isotropy bound")
     common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--out", help="write the report to a file")
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="exact verification battery for groupoid models of graph algebras",
@@ -556,12 +554,12 @@ def main(argv=None) -> int:
     sub.add_parser("report", help="alias for run", parents=[common])
     p_check = sub.add_parser("check", help="run a single check", parents=[common])
     p_check.add_argument("name")
-    p_kt = sub.add_parser("ktheory", help="K-theory of a discrete graph from JSON", parents=[common])
+    p_kt = sub.add_parser("ktheory", help="K-theory of a discrete graph from JSON", parents=[out])
     p_kt.add_argument("graph")
-    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix from JSON", parents=[common])
+    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix from JSON", parents=[out])
     p_snf.add_argument("matrix")
     p_conv = sub.add_parser(
-        "converge", help="run the convergence oracle on a sequence document", parents=[common]
+        "converge", help="run the convergence oracle on a sequence document", parents=[out]
     )
     p_conv.add_argument("sequence")
     args = parser.parse_args(argv)

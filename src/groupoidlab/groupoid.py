@@ -327,6 +327,8 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
     vertices receive edges.  A finite path of length k is
     ``param_f_k(graph, v.left, x, idx)``: each index after the first hits
     a random dense value x_r (1 <= r < 8), and x is a random point."""
+    if isinstance(graph, OneVertexLoopGraph):  # every label is a loop at v
+        return random_boundary_path(graph, rng, force)
     kind = force or ("finite" if rng.randrange(2) else "infinite")
     j = _dense_index_at(graph, v.right, rng)
     if kind == "infinite":
@@ -613,7 +615,7 @@ def basic_bisection(graph, b: BasicOpenBisection, trials: int = 64, seed: int = 
             return random_boundary_path(graph, rng)
         mu = random_path_from(graph, cyl.prefix.d(), rng)
         for e in reversed(cyl.prefix.edges):
-            mu = mu.cons(e.m)
+            mu = mu.cons(e.label if isinstance(graph, OneVertexLoopGraph) else e.m)
         return mu
 
     inj = True

@@ -5,12 +5,10 @@ Every tolerance and sample count is pinned here; nothing is deferred to
 later calibration.
 """
 
-import itertools
 import json
 import random
 import time
 from fractions import Fraction
-from math import gcd
 
 from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
@@ -48,12 +46,10 @@ from groupoidlab.ktheory import (
     SymbolicGroup,
     Z_POINTED,
     ZERO_GROUP,
-    connecting_matrix,
     declared_space_ktheory,
     DimBudget,
     dim_bound,
     graph_ktheory,
-    mat_det,
     model_ktheory,
     z_factor_ktheory,
 )
@@ -72,6 +68,8 @@ from groupoidlab.spaces import (
     point_backend,
 )
 from groupoidlab.graphs import DiscreteGraph
+
+from small_graphs import small_graph_sweep
 
 BACKENDS = [("golden-rotation", golden_rotation), ("odometer", odometer)]
 
@@ -191,23 +189,10 @@ def test_criterion_4_contracting():
 # 5 ------------------------------------------------------------------------
 
 
-def minors_divisor_oracle(m):
-    rows, cols = len(m), len(m[0])
-    out, prev = [], 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for rr in itertools.combinations(range(rows), k):
-            for cc in itertools.combinations(range(cols), k):
-                sub = [[m[i][j] for j in cc] for i in rr]
-                g = gcd(g, abs(mat_det(sub)))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
-
-
 def test_criterion_5_graph_ktheory_oracles():
+    # the timed part is the shared sweep (graph_ktheory and the minors
+    # oracle for every graph) plus the checks below
+    cases, sweep_s = small_graph_sweep()
     start = time.monotonic()
     ok = graph_ktheory(OneVertexLoopGraph()) == (FGAbelianGroup(1, (), (1,)), ZERO_GROUP)
 
@@ -217,36 +202,25 @@ def test_criterion_5_graph_ktheory_oracles():
     ok = ok and graph_ktheory(loops(2)) == (FGAbelianGroup(0, (), ()), ZERO_GROUP)
     ok = ok and graph_ktheory(loops(3)) == (FGAbelianGroup(0, (2,), (1,)), ZERO_GROUP)
 
-    for n in (1, 2, 3):
-        rows = [c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4]
-        for mat_rows in itertools.product(rows, repeat=n):
-            verts = [f"v{i}" for i in range(n)]
-            edges = []
-            for i in range(n):
-                for j in range(n):
-                    for t in range(mat_rows[i][j]):
-                        edges.append((verts[i], verts[j], f"e{i}.{j}.{t}"))
-            g = DiscreteGraph(verts, edges)
-            k0, k1 = graph_ktheory(g)
-            m, regular = connecting_matrix(g)
-            if not regular:
-                ok = ok and k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
-                continue
-            inv = minors_divisor_oracle(m)
-            ok = (
-                ok
-                and k0.torsion == tuple(d for d in inv if d >= 2)
-                and k0.rank == n - len(inv)
-                and k1.rank == len(regular) - len(inv)
-            )
-            if not ok:
-                break
-    elapsed = time.monotonic() - start
+    for mat_rows, k0, k1, _m, regular, inv in cases:
+        n = len(mat_rows)
+        if not regular:
+            ok = ok and k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
+            continue
+        ok = (
+            ok
+            and k0.torsion == tuple(d for d in inv if d >= 2)
+            and k0.rank == n - len(inv)
+            and k1.rank == len(regular) - len(inv)
+        )
+        if not ok:
+            break
+    elapsed = sweep_s + time.monotonic() - start
     ok = ok and elapsed < 10.0
     verdict(
         5,
         ok,
-        f"loop-graph values exact; all graphs with <= 3 vertices and <= 4 "
+        f"loop-graph values exact; all {len(cases)} graphs with <= 3 vertices and <= 4 "
         f"out-edges per vertex agree with the minor-gcd oracle in {elapsed:.1f} s < 10 s",
     )
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import re
 
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from groupoidlab import graphs
 from groupoidlab.cli import (
     ConfigError,
+    build_x_backend,
+    check_singular,
     discrete_graph_from_obj,
     main,
     parse_config,
     run_battery,
 )
+from groupoidlab.spaces import FiniteBackend, FiniteBox, FinitePoint, box_contains, odometer
 
 
 @pytest.fixture
@@ -172,30 +176,79 @@ def test_battery_negative_control():
     assert verdicts["minimality"] is True  # the control is minimal, just not free
 
 
+@pytest.mark.parametrize(
+    "x, boxes",
+    [("point", 1), ({"kind": "finite", "size": 3}, 3), ("circle", 4), ("cantor", 4)],
+    ids=["point", "finite3", "circle", "cantor"],
+)
+def test_singular_takes_each_basic_open_once(x, boxes):
+    cfg = parse_config({"x_backend": x, "seeds": [3]})
+    graph = graphs.build_model_graph(odometer(), build_x_backend(cfg))
+    record = check_singular(cfg, graph)
+    assert record.verdict is True and record.params == {"boxes": boxes}
+    assert record.evidence["outside"] == []
+    witnesses = record.evidence["index_witnesses"]
+    assert list(witnesses) == [f"box_{b}" for b in range(boxes)]
+    opens = [graph.x_backend.basic_open(b) for b in range(boxes)]
+    assert all(a != b for a, b in itertools.combinations(opens, 2))
+    for b, hits in enumerate(witnesses.values()):
+        assert len(hits) == 3 and hits == sorted(set(hits))
+        assert all(box_contains(opens[b], graph.x_point(m)) for m in hits)
+    if x == "point":
+        assert witnesses == {"box_0": [1, 2, 3]}
+    if boxes == 3:
+        assert witnesses == {"box_0": [1, 4, 7], "box_1": [2, 5, 8], "box_2": [3, 6, 9]}
+
+
+class _RepOutside(FiniteBox):
+    """A finite box whose representative is the next point, outside it."""
+
+    def rep_point(self):
+        return FinitePoint((min(self.indices) + 1) % self.size, self.size)
+
+
+class _SkewedFinite(FiniteBackend):
+    """Three points whose dense-sequence term for box 1 is the point 2."""
+
+    def basic_open(self, i):
+        box = super().basic_open(i)
+        return _RepOutside(box.indices, box.size) if i % self.size == 1 else box
+
+
+def test_singular_fails_on_a_dense_term_outside_its_box(fast_cfg):
+    graph = graphs.build_model_graph(odometer(), _SkewedFinite(3))
+    record = check_singular(fast_cfg, graph)
+    assert record.verdict is False
+    assert record.evidence["outside"] == ["box_1"]
+    assert record.evidence["index_witnesses"]["box_1"] == [2, 5, 8]
+
+
 # sha256 of the JSON report for seed 1 with samples and axiom_trials at 60,
 # pinned so that refactors of the exact cores cannot change a report byte
 @pytest.mark.parametrize(
     "z, x, digest",
     [
         ("odometer", "point",
-         "626bff7a55b722a30b4052260bf44090e279152dcbe9b492e63282a7e2a14dee"),
+         "8408c639ae777c57e42f5d6f23a5fd6a5138a244a89941b1e3f97f6adbe92cd7"),
         ("odometer", "cantor",
-         "6f463756a2e944019ca92245c986847d81f1453af75caa4dd14e0202141121bc"),
+         "b2f9b99371e33adbabb9f30daff194885b49a039c64a02fc3c4968b4046d518c"),
         ("odometer", "circle",
-         "5dfa09a38808e928b43defcf7bb6ec166538cc388fc70d777bfdb6fd2e89d9f9"),
+         "f07af9283772912a95c93fda8e9fec8f7e9e930e059fe75fb48df55497de99c8"),
         ("odometer", {"kind": "finite", "size": 3},
-         "a3d8e97974c9d2e284e4e9a0921b160c29733849504662eb1c4fba915efda373"),
+         "e4aa615563b373de32c01a1af0330429983efdc28557bcf81cdb1bafe0264b1a"),
         ("golden-rotation", "point",
-         "488f5b2c2e0a23dfa96e1de17af978eb8783d787524a7a8d6cffe00c40cd0291"),
+         "e8e9ad32ff552c4e8f36b9e708628a54fdd2d475eb908c5e29528db9657cba44"),
         ("golden-rotation", "cantor",
-         "6549cd3277ec6863dd6d6363953bee2e5dfee76c62f6df1c2c26c41e5051531e"),
+         "e458271ce4e7f45f6d17e432876b1dff42e1cf2bce6f360bc9de500a21adade3"),
         ("golden-rotation", "circle",
-         "598a7fa64072c07d56be7a149e61615b36454cb6ff512ef8a1d036ac374a471f"),
+         "3bcc33e1123dc10c7466bc556e33b28e504ecb0d712957f9f4ce458a1cdd418e"),
         ("golden-rotation", {"kind": "finite", "size": 3},
-         "1f25bacad16c4738be6fc359e98f096f977e89ee3a2098ee9b78172e44d2aa8c"),
+         "0390164c889b6dea15ba3f860763bad8fb4d86776c201986761d7f3447b42ca3"),
         ({"kind": "finite-cyclic", "order": 3}, "point",
-         "511079b1a241691aa30a7dcd3792bd68b44036ce9c7095a3536b22c5c1c00c0e"),
+         "8c71155a7120cb5e3528b2214edad75fbbf01a54d452a8a2bca7c8791544dd7c"),
     ],
+    ids=[f"{z}-{x}" for z in ("odometer", "golden-rotation")
+         for x in ("point", "cantor", "circle", "finite3")] + ["finite-cyclic-point"],
 )
 def test_battery_report_digest_pinned(z, x, digest):
     cfg = parse_config(
@@ -354,6 +407,38 @@ def test_main_snf_subcommand(tmp_path, capsys):
 def test_main_snf_rejects_ragged(tmp_path):
     path = write_json(tmp_path, "ragged.json", [[1, 2], [3]])
     assert main(["snf", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["ktheory", "snf", "converge"])
+@pytest.mark.parametrize(
+    "flag", [["--config", "c.json"], ["--seed", "3"], ["--samples", "5"], ["--bound", "5"],
+             ["--format", "text"]],
+    ids=["config", "seed", "samples", "bound", "format"],
+)
+def test_document_commands_take_only_the_path_and_out(tmp_path, capsys, command, flag):
+    """ktheory, snf and converge read one document and write one output:
+    a battery flag there is a usage error, not an option they ignore."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "doc.json")] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["report"], ["check", "backends"]])
+def test_battery_commands_keep_every_flag(tmp_path, command):
+    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20, "density_depth": 16}})
+    out = tmp_path / "r.txt"
+    flags = ["--config", cfg, "--seed", "3", "--samples", "5", "--bound", "5",
+             "--format", "text", "--out", str(out)]
+    assert main(command + flags) == 0
+    assert out.read_text().endswith("overall: PASS\n")
+
+
+def test_document_commands_keep_out(tmp_path):
+    path = write_json(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    out = tmp_path / "d.json"
+    assert main(["snf", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["D"] == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize(

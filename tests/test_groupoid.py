@@ -15,6 +15,7 @@ from groupoidlab.boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
     InfiniteDiscretePath,
+    INFINITE,
     InfiniteModelPath,
     param_f,
     path_to_line,
@@ -782,6 +783,21 @@ def test_basic_bisection_builds_no_shifted_path(odo_point, monkeypatch):
         BisectionReport(False, False, 0, "a cylinder fixes fewer edges than the shift exponent"),
         BisectionReport(True, True, 32, note),
     ]
+
+
+def test_basic_bisection_on_the_loop_graph(loop_graph):
+    """Every loop label is an edge into the one vertex, so the sampler
+    extends a nonempty loop cylinder like an empty one, in every kind."""
+    two = PathCylinder(loop_graph.path((1, 2)))
+    note = "range/source injectivity follows from the certificates"
+    rep = basic_bisection(loop_graph, BasicOpenBisection(two, 2, 1, two))
+    assert rep == BisectionReport(True, True, 64, note)
+    rng = random.Random(4)
+    for force in (None, "finite", "infinite"):
+        for _ in range(8):
+            mu = random_path_from(loop_graph, loop_graph.vertex, rng, force)
+            assert isinstance(mu, (FiniteBoundaryPath, InfiniteDiscretePath))
+            assert force is None or (mu.length == INFINITE) == (force == "infinite")
 
 
 # ---------------------------------------------------------------------------

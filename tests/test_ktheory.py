@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,7 +17,6 @@ from groupoidlab.ktheory import (
     Z_POINTED,
     ZERO_GROUP,
     cokernel_with_unit,
-    connecting_matrix,
     declared_space_ktheory,
     dim_bound,
     graph_ktheory,
@@ -41,6 +39,8 @@ from groupoidlab.spaces import (
     odometer,
     point_backend,
 )
+
+from small_graphs import minors_divisor_oracle, small_graph_sweep
 
 
 def loops(n, regular=True):
@@ -200,25 +200,6 @@ def test_ktheory_output_pinned(tmp_path, capsys, doc, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def minors_divisor_oracle(m):
-    """Invariant factors via determinantal divisors: d_k = D_k / D_{k-1}
-    with D_k the gcd of all k x k minors.  Independent of any row
-    reduction."""
-    rows, cols = len(m), len(m[0])
-    out, prev = [], 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for rr in itertools.combinations(range(rows), k):
-            for cc in itertools.combinations(range(cols), k):
-                sub = [[m[i][j] for j in cc] for i in rr]
-                g = gcd(g, abs(mat_det(sub)))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
-
-
 def snf_diagonal(m) -> list[int]:
     """The nonzero diagonal entries of the D of ``snf(m)``, up to sign."""
     d = snf(m)[0]
@@ -354,17 +335,6 @@ def test_single_edge_graph():
     assert k1 == ZERO_GROUP
 
 
-def graph_from_adjacency(mat_rows):
-    n = len(mat_rows)
-    verts = [f"v{i}" for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            for t in range(mat_rows[i][j]):
-                edges.append((verts[i], verts[j], f"e{i}.{j}.{t}"))
-    return DiscreteGraph(verts, edges)
-
-
 def test_exhaustive_small_graphs_against_oracle():
     """All graphs with <= 3 vertices and <= 4 outgoing edges per vertex:
     the Smith-normal-form route agrees with the determinantal-divisor
@@ -372,25 +342,22 @@ def test_exhaustive_small_graphs_against_oracle():
     class, which does not depend on the coordinates SNF picks: the
     order of v in coker M is prod(inv(M)) / prod(inv([M | v])) when both
     have the same rank, and infinite otherwise."""
-    for n in (1, 2, 3):
-        rows = [c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4]
-        for mat_rows in itertools.product(rows, repeat=n):
-            g = graph_from_adjacency(mat_rows)
-            k0, k1 = graph_ktheory(g)
-            m, regular = connecting_matrix(g)
-            if not regular:
-                assert k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
-                assert k0.unit_order() is None
-                continue
-            inv = minors_divisor_oracle(m)
-            assert k0.torsion == tuple(d for d in inv if d >= 2), mat_rows
-            assert k0.rank == n - len(inv), mat_rows
-            assert k1.rank == len(regular) - len(inv), mat_rows
-            inv_unit = minors_divisor_oracle([row + [1] for row in m])
-            order = None
-            if len(inv_unit) == len(inv):
-                order = prod(inv) // prod(inv_unit)
-            assert k0.unit_order() == order, mat_rows
+    cases, _seconds = small_graph_sweep()
+    assert len(cases) == 43_105
+    for mat_rows, k0, k1, m, regular, inv in cases:
+        n = len(mat_rows)
+        if not regular:
+            assert k0.rank == n and k0.torsion == () and k1 == ZERO_GROUP
+            assert k0.unit_order() is None
+            continue
+        assert k0.torsion == tuple(d for d in inv if d >= 2), mat_rows
+        assert k0.rank == n - len(inv), mat_rows
+        assert k1.rank == len(regular) - len(inv), mat_rows
+        inv_unit = minors_divisor_oracle([row + [1] for row in m])
+        order = None
+        if len(inv_unit) == len(inv):
+            order = prod(inv) // prod(inv_unit)
+        assert k0.unit_order() == order, mat_rows
 
 
 def test_unit_order():
