@@ -86,7 +86,6 @@ from .groupoid import (
     ProductGroupoid,
     ReducedGroupoid,
     axiom_sample,
-    basic_bisection,
     compose,
     inverse,
     isotropy_reduction,

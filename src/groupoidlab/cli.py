@@ -69,6 +69,9 @@ class ConfigError(ValueError):
     pass
 
 
+#: the battery enumerates every point and basic open of a finite factor
+MAX_FINITE_SIZE = 4096
+
 DEFAULT_BOUNDS = {
     "isotropy_bound": 20,
     "samples": 500,
@@ -88,6 +91,8 @@ def load_json(path: str):
         raise ConfigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply")
     except ValueError as exc:  # e.g. an integer past the digit limit on conversion
         raise ConfigError(f"{path}: {exc}")
 
@@ -131,7 +136,10 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict):
         if isinstance(value, str) and param is None:
             return value
         if isinstance(value, dict) and param is not None:
-            return {"kind": kind, param: _positive_int(value.get(param), f"config.{key}.{param}")}
+            n = _positive_int(value.get(param), f"config.{key}.{param}")
+            if n > MAX_FINITE_SIZE:
+                raise ConfigError(f"config.{key}.{param}: expected at most {MAX_FINITE_SIZE}")
+            return {"kind": kind, param: n}
     forms = [
         repr(name) if param is None else f"{{'kind': {name!r}, {param!r}: n}}"
         for name, (_build, param) in builders.items()
@@ -535,15 +543,21 @@ def _load_config(args) -> dict:
     return cfg
 
 
+#: the flags only run, report, check and a bare ``groupoidlab`` take, with their defaults
+BATTERY_FLAGS = {"config": None, "seed": None, "samples": None, "bound": None, "format": "json"}
+
+
 def main(argv=None) -> int:
-    out = argparse.ArgumentParser(add_help=False)
+    # A subparser sets only the options it was given (SUPPRESS), so an
+    # option may go before or after the subcommand.
+    out = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     out.add_argument("--out", help="write the output to a file")
-    common = argparse.ArgumentParser(add_help=False, parents=[out])
+    common = argparse.ArgumentParser(add_help=False, parents=[out], argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a JSON config")
     common.add_argument("--seed", type=int, help="replace the config seed list")
     common.add_argument("--samples", type=int, help="override the sample count")
     common.add_argument("--bound", type=int, help="override the isotropy bound")
-    common.add_argument("--format", choices=["json", "text"], default="json")
+    common.add_argument("--format", choices=["json", "text"], help="default: json")
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="exact verification battery for groupoid models of graph algebras",
@@ -563,6 +577,10 @@ def main(argv=None) -> int:
     )
     p_conv.add_argument("sequence")
     args = parser.parse_args(argv)
+    given = sorted(BATTERY_FLAGS.keys() & vars(args).keys())
+    if given and args.command in ("ktheory", "snf", "converge"):
+        sub.choices[args.command].error("unrecognized arguments: " + " ".join(f"--{k}" for k in given))
+    args = argparse.Namespace(**{"out": None, **BATTERY_FLAGS, **vars(args)})
 
     try:
         if args.command in (None, "run", "report", "check"):

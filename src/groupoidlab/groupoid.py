@@ -572,9 +572,11 @@ class PathCylinder:
 class BasicOpenBisection:
     """B(U, n, m, V): elements (x, n - m, y) with x in U, y in V.
 
-    The injectivity certificates are syntactic: a cylinder fixing at
-    least n leading edges determines the pre-shift part, so the n-th
-    shift is injective on it.
+    It is a bisection when shift^n is injective on U and shift^m on V:
+    two elements with range x have shift^m(y1) = shift^n(x) = shift^m(y2),
+    so y1 = y2, and symmetrically for sources.  The certificate: paths of
+    a cylinder fixing at least j leading edges share those edges, so
+    equal j-th shifts make them equal.
     """
 
     u: PathCylinder
@@ -584,48 +586,3 @@ class BasicOpenBisection:
 
     def certificate_valid(self) -> bool:
         return len(self.u.prefix) >= self.n and len(self.v.prefix) >= self.m
-
-
-@dataclass(frozen=True)
-class BisectionReport:
-    certificate_valid: bool
-    shift_injective_on_samples: bool
-    trials: int
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.certificate_valid and self.shift_injective_on_samples
-
-
-def basic_bisection(graph, b: BasicOpenBisection, trials: int = 64, seed: int = 0) -> BisectionReport:
-    """Check the injectivity certificates and probe them on samples.
-
-    Injectivity of the restricted shifts is what makes B(U, n, m, V) a
-    bisection: two elements with the same range x satisfy
-    shift^m(y1) = shift^n(x) = shift^m(y2) with y1, y2 in V, so y1 = y2,
-    and symmetrically for sources.
-    """
-    if not b.certificate_valid():
-        return BisectionReport(False, False, 0, "a cylinder fixes fewer edges than the shift exponent")
-    rng = random.Random(seed)
-
-    def sample_in(cyl: PathCylinder) -> BoundaryPath:
-        if len(cyl.prefix) == 0:
-            return random_boundary_path(graph, rng)
-        mu = random_path_from(graph, cyl.prefix.d(), rng)
-        for e in reversed(cyl.prefix.edges):
-            mu = mu.cons(e.label if isinstance(graph, OneVertexLoopGraph) else e.m)
-        return mu
-
-    inj = True
-    for _ in range(trials):
-        xa = sample_in(b.u)
-        xb = sample_in(b.u)
-        if xa != xb and xa.same_tail(b.n, xb, b.n):
-            inj = False
-        ya = sample_in(b.v)
-        yb = sample_in(b.v)
-        if ya != yb and ya.same_tail(b.m, yb, b.m):
-            inj = False
-    return BisectionReport(True, inj, trials, "range/source injectivity follows from the certificates")

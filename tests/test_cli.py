@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from groupoidlab import graphs
 from groupoidlab.cli import (
+    MAX_FINITE_SIZE,
     ConfigError,
     build_x_backend,
     check_singular,
@@ -78,6 +79,24 @@ def test_config_field_diagnostics():
         parse_config({"bounds": {"samples": True}})
 
 
+@pytest.mark.parametrize("key, param", [("x_backend", "size"), ("z_backend", "order")])
+def test_finite_sizes_are_bounded(tmp_path, capsys, key, param):
+    """The battery enumerates every point and basic open of a finite
+    factor, so its size is capped where it is parsed."""
+    kind = {"x_backend": "finite", "z_backend": "finite-cyclic"}[key]
+    top = parse_config({key: {"kind": kind, param: MAX_FINITE_SIZE}})
+    assert top[key] == {"kind": kind, param: MAX_FINITE_SIZE}
+    for n in (MAX_FINITE_SIZE + 1, 10**20):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({key: {"kind": kind, param: n}})
+        assert str(exc.value) == f"config.{key}.{param}: expected at most {MAX_FINITE_SIZE}"
+    cfg = write_json(tmp_path, "big.json", {key: {"kind": kind, param: 10**20}})
+    assert main(["run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config.{key}.{param}: expected at most {MAX_FINITE_SIZE}\n"
+
+
 def test_json_parse_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seeds": [1,]}')
@@ -97,6 +116,17 @@ def test_oversized_integer_names_the_file(tmp_path, capsys, argv):
     assert main(argv + [str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["ktheory"], ["snf"], ["converge"]])
+def test_too_deep_json_names_the_file(tmp_path, capsys, argv):
+    # the JSON decoder recurses once per level: a document nested past the
+    # interpreter's recursion limit is a bad input file, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(argv + [str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {deep}: nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -422,6 +452,33 @@ def test_document_commands_take_only_the_path_and_out(tmp_path, capsys, command,
         main([command, str(tmp_path / "doc.json")] + flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ktheory", "snf", "converge"])
+def test_document_commands_reject_battery_flags_before_them(tmp_path, capsys, command):
+    """A battery flag before the subcommand is the same usage error as one
+    after it, not an option it ignores."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "--format", "text", command, str(tmp_path / "doc.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["report"], ["check", "backends"]])
+def test_battery_flags_before_or_after_the_command(tmp_path, command):
+    """The battery flags read the same on either side of the subcommand,
+    and a flag given on both sides takes the later value."""
+    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20, "density_depth": 16}})
+    flags = ["--config", cfg, "--seed", "5", "--samples", "3", "--bound", "5", "--format", "text"]
+    after, before, both = (tmp_path / name for name in ("after", "before", "both"))
+    assert main(command + flags + ["--out", str(after)]) == 0
+    assert main(["--out", str(before)] + flags + command) == 0
+    assert before.read_bytes() == after.read_bytes()
+    assert after.read_text().endswith("overall: PASS\n")
+    assert main(flags + command + ["--seed", "7", "--format", "json", "--out", str(both)]) == 0
+    config = json.loads(both.read_text())["config"]
+    assert config["seeds"] == [7]
+    assert (config["bounds"]["samples"], config["bounds"]["isotropy_bound"]) == (3, 5)
 
 
 @pytest.mark.parametrize("command", [["run"], ["report"], ["check", "backends"]])

@@ -30,7 +30,6 @@ from groupoidlab.graphs import (
 )
 from groupoidlab.groupoid import (
     BasicOpenBisection,
-    BisectionReport,
     CompleteRelation,
     DRGroupoid,
     GroupoidElement,
@@ -39,7 +38,6 @@ from groupoidlab.groupoid import (
     ProductGroupoid,
     ReducedGroupoid,
     axiom_sample,
-    basic_bisection,
     compose,
     inverse,
     isotropy_reduction,
@@ -570,7 +568,7 @@ def test_loop_graph_elements_pinned():
 
 
 def test_random_path_from_pinned():
-    """The bisection sampler's paths and rng use over every free config,
+    """random_path_from's paths and rng use over every free config,
     three range vertices and all three kinds, pinned by a sha256 recorded
     while it still built its finite paths edge by edge."""
     lines = []
@@ -734,8 +732,7 @@ def test_bisection_unit_box(odo_point):
     # membership and prefix equality are bools, not the shared edge tuple
     assert cyl.contains(mu) is True and (mu.prefix(2) == mu.prefix(2)) is True
     assert PathCylinder(mu.prefix(2)).contains(mu) is True and cyl.contains(shift(mu)) is False
-    rep = basic_bisection(odo_point, BasicOpenBisection(cyl, 0, 0, cyl), trials=8, seed=0)
-    assert rep.ok
+    assert BasicOpenBisection(cyl, 0, 0, cyl).certificate_valid()
 
 
 def test_bisection_certificate(odo_point):
@@ -744,54 +741,16 @@ def test_bisection_certificate(odo_point):
     nothing = PathCylinder(vertex_path(odo_point, mu.range()))
     assert one_edge.contains(mu) is True and nothing.contains(mu) is True
     assert one_edge.contains(FiniteBoundaryPath(nothing.prefix)) is False
-    good = BasicOpenBisection(one_edge, 1, 0, nothing)
-    assert good.certificate_valid()
-    rep = basic_bisection(odo_point, good, trials=16, seed=1)
-    assert rep.ok
-    bad = BasicOpenBisection(nothing, 1, 0, one_edge)
-    assert not bad.certificate_valid()
-    assert not basic_bisection(odo_point, bad).ok
+    assert BasicOpenBisection(one_edge, 1, 0, nothing).certificate_valid()
+    assert PathCylinder(mu.prefix(2)).contains(mu) is True
+    assert BasicOpenBisection(PathCylinder(mu.prefix(2)), 2, 1, one_edge).certificate_valid()
+    assert not BasicOpenBisection(nothing, 1, 0, one_edge).certificate_valid()
+    assert not BasicOpenBisection(one_edge, 1, 2, one_edge).certificate_valid()
 
 
-def test_basic_bisection_builds_no_shifted_path(odo_point, monkeypatch):
-    """The injectivity probe asks same_tail: basic_bisection calls drop on
-    no path kind, and its reports are those it gave comparing shifted paths."""
-    ones = PathCylinder(param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,))).prefix(1))
-    mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (2,)))
-    one, two = PathCylinder(mu.prefix(1)), PathCylinder(mu.prefix(2))
-    nothing = PathCylinder(vertex_path(odo_point, mu.range()))
-    kinds = (FiniteBoundaryPath, InfiniteModelPath, InfiniteDiscretePath)
-    calls = []
-    for kind in kinds:
-
-        def counted(self, n, _original=kind.drop):
-            calls.append(type(self).__name__)
-            return _original(self, n)
-
-        monkeypatch.setattr(kind, "drop", counted)
-    reports = [
-        basic_bisection(odo_point, BasicOpenBisection(ones, 0, 0, ones), trials=8, seed=0),
-        basic_bisection(odo_point, BasicOpenBisection(one, 1, 0, nothing), trials=16, seed=1),
-        basic_bisection(odo_point, BasicOpenBisection(nothing, 1, 0, one)),
-        basic_bisection(odo_point, BasicOpenBisection(two, 2, 1, one), trials=32, seed=2),
-    ]
-    assert calls == []
-    note = "range/source injectivity follows from the certificates"
-    assert reports == [
-        BisectionReport(True, True, 8, note),
-        BisectionReport(True, True, 16, note),
-        BisectionReport(False, False, 0, "a cylinder fixes fewer edges than the shift exponent"),
-        BisectionReport(True, True, 32, note),
-    ]
-
-
-def test_basic_bisection_on_the_loop_graph(loop_graph):
-    """Every loop label is an edge into the one vertex, so the sampler
-    extends a nonempty loop cylinder like an empty one, in every kind."""
-    two = PathCylinder(loop_graph.path((1, 2)))
-    note = "range/source injectivity follows from the certificates"
-    rep = basic_bisection(loop_graph, BasicOpenBisection(two, 2, 1, two))
-    assert rep == BisectionReport(True, True, 64, note)
+def test_random_path_from_on_the_loop_graph(loop_graph):
+    """Every loop label is an edge into the one vertex, so a path from it
+    is any boundary path of the loop graph, in every kind."""
     rng = random.Random(4)
     for force in (None, "finite", "infinite"):
         for _ in range(8):
