@@ -61,7 +61,8 @@ for make in (golden_rotation, odometer):
 golden = build_model_graph(golden_rotation(), point_backend())
 path = param_f(golden, CirclePoint(QPhi(0)), EvPeriodic((), (1,)))
 print("isotropy pairs at the constant-index path:", list(isotropy_search(path, 20)))
-print("reduction:", isotropy_reduction(path, 20).note)
+print(f"shift period: {path.shift_period()}, so no isotropy at any exponent: "
+      f"{isotropy_reduction(path)}")
 
 print()
 print("== the control: the loop graph alone is NOT principal ==")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .spaces import (
     PairPoint,
     Point,
-    _canon_ev_periodic,
     _set,
     dense_indices_hitting,
     factor_point,
@@ -44,6 +43,27 @@ class ShiftDomainError(BoundaryError):
 # ---------------------------------------------------------------------------
 # eventually periodic integer sequences
 # ---------------------------------------------------------------------------
+
+
+def _canon_ev_periodic(head, cycle):
+    """Canonical (head, cycle) for an eventually periodic sequence.
+
+    The cycle is made primitive (not a power of a shorter word) and the
+    head minimal (no trailing head item that merely repeats the cycle).
+    """
+    head = tuple(head)
+    cycle = tuple(cycle)
+    if not cycle:
+        raise ValueError("cycle must be non-empty")
+    n = len(cycle)
+    for d in range(1, n + 1):
+        if n % d == 0 and cycle[:d] * (n // d) == cycle:
+            cycle = cycle[:d]
+            break
+    while head and head[-1] == cycle[-1]:
+        head = head[:-1]
+        cycle = (cycle[-1],) + cycle[:-1]
+    return head, cycle
 
 
 @dataclass(frozen=True)

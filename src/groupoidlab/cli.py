@@ -126,9 +126,10 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
-def _parse_factor(obj: dict, key: str, default: str, builders: dict):
+def _parse_factor(obj: dict, key: str, default: str, builders: dict, where: str = "config"):
     """A name of ``builders`` taking no parameter, or ``{"kind": kind,
-    <parameter>: n}`` for one that takes one, with any other key dropped."""
+    <parameter>: n}`` for one that takes one, with any other key dropped;
+    errors name the field ``<where>.<key>``."""
     value = obj.get(key, default)
     kind = value.get("kind") if isinstance(value, dict) else value
     if isinstance(kind, str) and kind in builders:
@@ -136,15 +137,15 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict):
         if isinstance(value, str) and param is None:
             return value
         if isinstance(value, dict) and param is not None:
-            n = _positive_int(value.get(param), f"config.{key}.{param}")
+            n = _positive_int(value.get(param), f"{where}.{key}.{param}")
             if n > MAX_FINITE_SIZE:
-                raise ConfigError(f"config.{key}.{param}: expected at most {MAX_FINITE_SIZE}")
+                raise ConfigError(f"{where}.{key}.{param}: expected at most {MAX_FINITE_SIZE}")
             return {"kind": kind, param: n}
     forms = [
         repr(name) if param is None else f"{{'kind': {name!r}, {param!r}: n}}"
         for name, (_build, param) in builders.items()
     ]
-    raise ConfigError(f"config.{key}: expected {', '.join(forms[:-1])} or {forms[-1]}")
+    raise ConfigError(f"{where}.{key}: expected {', '.join(forms[:-1])} or {forms[-1]}")
 
 
 def parse_config(obj: dict) -> dict:
@@ -212,7 +213,7 @@ def check_backends(cfg, graph) -> CheckRecord:
 def check_minimality(cfg, graph) -> CheckRecord:
     depth = cfg["bounds"]["density_depth"]
     eps, depth = graph.x_backend.density_resolution(depth)
-    ok = True
+    missed = []
     tried = 0
     for seed in cfg["seeds"]:
         rng = random.Random(seed)
@@ -220,13 +221,13 @@ def check_minimality(cfg, graph) -> CheckRecord:
             v = graph.vertex_backend.random_point(rng)
             tried += 1
             if not orbit_dense(graph, v, depth, eps):
-                ok = False
+                missed.append(v.token())
     return CheckRecord(
         "minimality",
         "forward orbits in the graph are eps-dense in the vertex space",
         {"eps": str(eps), "depth": depth, "base_points": tried},
-        ok,
-        {},
+        not missed,
+        {"not_dense_from": missed[:4]} if missed else {},
         cfg["seeds"][0],
     )
 
@@ -461,10 +462,9 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if not isinstance(obj, dict):
         raise ConfigError("sequence: expected a JSON object")
     model = _field(obj, "model", "sequence", dict, {})
-    cfg = parse_config(
-        {"z_backend": model.get("z_backend", "odometer"), "x_backend": model.get("x_backend", "point")}
-    )
-    graph = build_model_graph(build_system(cfg), build_x_backend(cfg))
+    z = _parse_factor(model, "z_backend", "odometer", SYSTEM_BUILDERS, "sequence.model")
+    x = _parse_factor(model, "x_backend", "point", X_BACKEND_BUILDERS, "sequence.model")
+    graph = build_model_graph(_build(z, SYSTEM_BUILDERS), _build(x, X_BACKEND_BUILDERS))
 
     def path_line(where: str, line: str):
         return _parsed(where, lambda text: path_from_line(text, graph), line)

@@ -3,11 +3,11 @@
 Elements are triples (x, k, y) with a witness (n, m), n - m = k, such
 that the n-th shift of x equals the m-th shift of y exactly.  Witnesses
 are always reduced to the minimal pair, so equality of elements is
-structural.  Principality is certified two ways on the model graph:
-isotropy of seeded sample paths up to a bound, in closed form from each
-path's eventual periodicity, and an exact reduction of the infinite-path
-case to freeness of the base dynamics, which the system's declared
-``period`` decides outright.
+structural.  Principality on the model graph is decided by each path's
+``shift_period()``: isotropy of the shift is eventual periodicity, and a
+model path is eventually periodic only through the declared ``period``
+of its base point, which the free systems do not have.  The sampled
+search lists the isotropy pairs up to a bound from the same answer.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
     InfiniteDiscretePath,
-    InfiniteModelPath,
     param_f,
     shift_power,
 )
@@ -32,7 +31,7 @@ from .graphs import (
     OneVertexLoopGraph,
     param_f_k,
 )
-from .spaces import FinitePoint, PairPoint, dense_indices_hitting, freeness_check
+from .spaces import FinitePoint, PairPoint, dense_indices_hitting
 
 
 class GroupoidError(ValueError):
@@ -473,47 +472,16 @@ def isotropy_search(mu: BoundaryPath, bound: int) -> IsotropyPairs:
     return IsotropyPairs(0, 1, 0) if period is None else IsotropyPairs(*period, bound)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    """The exact argument that nontrivial isotropy cannot occur.
+def isotropy_reduction(mu: BoundaryPath) -> bool:
+    """Exact: no shift^n(mu) = shift^m(mu) with n > m, at any exponent.
 
-    Finite paths: shifts of different exponents have different lengths.
-    Infinite model paths: equality of shifted paths forces equality of
-    inverse orbit points of the base, hence a period of the dynamics;
-    the system's exact ``period`` rules that out at every exponent, not
-    only up to the bound.  ``periods`` lists the periods up to the bound.
-    """
-
-    case: str
-    periods: tuple[int, ...]
-    ok: bool
-    note: str
-
-
-def isotropy_reduction(mu: BoundaryPath, bound: int) -> ReductionReport:
-    if isinstance(mu, FiniteBoundaryPath):
-        return ReductionReport(
-            "finite",
-            (),
-            True,
-            "shifts of a finite path have pairwise different lengths",
-        )
-    if isinstance(mu, InfiniteModelPath):
-        system = mu.graph.z_system
-        return ReductionReport(
-            "infinite",
-            tuple(freeness_check(system, mu.z, bound)),
-            system.period(mu.z) is None,
-            "equal shifted paths force an exact period of the base dynamics",
-        )
-    # infinite word in a discrete graph: no dynamics to reduce to, and an
-    # eventually periodic word always has isotropy
-    return ReductionReport(
-        "infinite-word",
-        (len(mu.labels.cycle),),
-        False,
-        "eventually periodic words are fixed by the cycle-length shift",
-    )
+    Isotropy of the shift is eventual periodicity, which
+    ``mu.shift_period()`` decides per path kind: a finite path has no
+    period, since its shifts have pairwise different lengths; an infinite
+    model path has one only through the declared ``period`` of its base
+    point, since equal shifts share the anchor and force a period of the
+    dynamics; a loop word is eventually periodic, so it always has one."""
+    return mu.shift_period() is None
 
 
 @dataclass(frozen=True)
@@ -547,7 +515,7 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
         if pairs:
             hits.append((mu, pairs))
         if isinstance(graph, ModelGraph):
-            if not isotropy_reduction(mu, bound).ok:
+            if not isotropy_reduction(mu):
                 reductions_ok = False
     return PrincipalityReport(samples, bound, seed, tuple(hits), reductions_ok)
 

@@ -56,27 +56,6 @@ class CirclePoint:
         return CirclePoint(self.value + QPhi(Fraction(1, 1 << (n + 1))))
 
 
-def _canon_ev_periodic(head, cycle):
-    """Canonical (head, cycle) for an eventually periodic sequence.
-
-    The cycle is made primitive (not a power of a shorter word) and the
-    head minimal (no trailing head item that merely repeats the cycle).
-    """
-    head = tuple(head)
-    cycle = tuple(cycle)
-    if not cycle:
-        raise ValueError("cycle must be non-empty")
-    n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d == 0 and cycle[:d] * (n // d) == cycle:
-            cycle = cycle[:d]
-            break
-    while head and head[-1] == cycle[-1]:
-        head = head[:-1]
-        cycle = (cycle[-1],) + cycle[:-1]
-    return head, cycle
-
-
 class PadicPoint:
     """A rational 2-adic integer, seen as an eventually periodic bit stream.
 
@@ -867,6 +846,11 @@ class FiniteBackend(SpaceBackend):
 
     def random_box_around(self, x: FinitePoint, rng) -> FiniteBox:
         return self.full_box()
+
+    def density_resolution(self, depth: int) -> tuple[Fraction, int]:
+        # the dense sequence takes its first ``size`` terms to visit every
+        # point, so a shorter depth would miss some whatever the dynamics
+        return Fraction(1, depth), max(depth, self.size)
 
     def buckets(self, eps: Fraction):
         if eps >= 1:

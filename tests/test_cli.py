@@ -14,6 +14,7 @@ from groupoidlab import graphs
 from groupoidlab.cli import (
     MAX_FINITE_SIZE,
     ConfigError,
+    build_system,
     build_x_backend,
     check_singular,
     discrete_graph_from_obj,
@@ -21,7 +22,14 @@ from groupoidlab.cli import (
     parse_config,
     run_battery,
 )
-from groupoidlab.spaces import FiniteBackend, FiniteBox, FinitePoint, box_contains, odometer
+from groupoidlab.spaces import (
+    FiniteBackend,
+    FiniteBox,
+    FinitePoint,
+    box_contains,
+    odometer,
+    point_from_token,
+)
 
 
 @pytest.fixture
@@ -95,6 +103,27 @@ def test_finite_sizes_are_bounded(tmp_path, capsys, key, param):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: config.{key}.{param}: expected at most {MAX_FINITE_SIZE}\n"
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        ({"z_backend": "bogus"}, "sequence.model.z_backend: expected"),
+        ({"x_backend": {"kind": "finite", "size": 0}},
+         "sequence.model.x_backend.size: expected a positive integer"),
+        ({"x_backend": {"kind": "finite", "size": MAX_FINITE_SIZE + 1}},
+         f"sequence.model.x_backend.size: expected at most {MAX_FINITE_SIZE}"),
+    ],
+    ids=["z_backend", "x_backend.size", "x_backend.size-cap"],
+)
+def test_sequence_model_errors_name_the_sequence_field(tmp_path, capsys, model, field):
+    """A bad factor in a sequence document is named by its place in that
+    document, not in a config."""
+    doc = {"model": model, "tail": {"kind": "head-only"}, "limit": "FIN @(P:.0;F:0/1)"}
+    assert main(["converge", write_json(tmp_path, "seq.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}")
 
 
 def test_json_parse_diagnostics(tmp_path):
@@ -185,6 +214,38 @@ def test_minimality_takes_the_factor_split(monkeypatch, z, x):
     (record,) = run_battery(cfg, only="minimality").records
     assert record.verdict is True
     assert record.params["base_points"] == 30
+
+
+@pytest.mark.parametrize("z", ["odometer", "golden-rotation"])
+@pytest.mark.parametrize("size", [65, 128])
+def test_minimality_reaches_every_point_of_a_large_finite_x(z, size):
+    """The dense sequence of a finite X visits its points in its first
+    ``size`` terms, so the density depth is at least the size; at most
+    64 points the default depth stays."""
+    cfg = parse_config({"z_backend": z, "x_backend": {"kind": "finite", "size": size}})
+    (record,) = run_battery(cfg, only="minimality").records
+    assert record.verdict is True and record.evidence == {}
+    assert record.params["depth"] == size
+    small = parse_config({"z_backend": z, "x_backend": {"kind": "finite", "size": 64}})
+    assert run_battery(small, only="minimality").records[0].params["depth"] == 64
+
+
+def test_minimality_names_the_base_points_it_missed():
+    """A failing minimality record lists up to 4 base points as tokens,
+    and each one replays as a failing density check."""
+    cfg = parse_config(
+        {"z_backend": "golden-rotation", "x_backend": "circle", "bounds": {"density_depth": 1}}
+    )
+    (record,) = run_battery(cfg, only="minimality").records
+    assert record.verdict is False
+    missed = record.evidence["not_dense_from"]
+    assert 1 <= len(missed) <= 4
+    graph = graphs.build_model_graph(build_system(cfg), build_x_backend(cfg))
+    eps, depth = graph.x_backend.density_resolution(1)
+    for token in missed:
+        vertex = point_from_token(token)
+        assert graph.vertex_backend.has_point(vertex)
+        assert graphs.orbit_dense(graph, vertex, depth, eps) is False
 
 
 def test_battery_negative_control():

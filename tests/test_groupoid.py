@@ -288,15 +288,14 @@ def test_axiom_sample_deterministic(odo_point):
 def test_isotropy_golden_constant_tail(golden_point):
     mu = param_f(golden_point, ZERO_CIRCLE, EvPeriodic((), (1,)))
     assert isotropy_search(mu, 20) == []
-    red = isotropy_reduction(mu, 20)
-    assert red.ok and red.case == "infinite"
+    assert isotropy_reduction(mu)
 
 
 def test_isotropy_periodic_word(loop_graph):
     mu = InfiniteDiscretePath(loop_graph, EvPeriodic((), (1,)))
     pairs = isotropy_search(mu, 5)
     assert (1, 0) in pairs
-    assert not isotropy_reduction(mu, 5).ok
+    assert not isotropy_reduction(mu)
 
 
 def test_isotropy_finite_paths_trivial(odo_point):
@@ -304,7 +303,7 @@ def test_isotropy_finite_paths_trivial(odo_point):
     for _ in range(50):
         mu = random_boundary_path(odo_point, rng, force="finite")
         assert isotropy_search(mu, 30) == []
-        assert isotropy_reduction(mu, 30).case == "finite"
+        assert isotropy_reduction(mu)
 
 
 def test_isotropy_monotone_in_bound(loop_graph):
@@ -319,10 +318,10 @@ def test_isotropy_nonfree_base():
     mu = param_f(graph, FinitePoint(0, 3), EvPeriodic((), (1,)))
     pairs = isotropy_search(mu, 10)
     assert (3, 0) in pairs
-    assert isotropy_reduction(mu, 10).periods == (3, 6, 9)
-    # the period is exact: below the bound the reduction still fails
-    short = isotropy_reduction(mu, 2)
-    assert short.periods == () and not short.ok
+    # the period is exact: a search to bound 2 finds no pair, and the
+    # reduction still fails
+    assert isotropy_search(mu, 2) == []
+    assert not isotropy_reduction(mu)
 
 
 def _hashed_isotropy(mu, bound):
@@ -925,3 +924,39 @@ def test_make_element_rejects_tails_that_differ_in_one_respect(make_graph):
             else:
                 with pytest.raises(GroupoidError, match="^shifted paths differ"):
                     make_element(word, 0, 0, y)
+
+
+# ---------------------------------------------------------------------------
+# the exact isotropy reduction against the per-kind rule it replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_z, make_x",
+    FREE_CONFIGS
+    + [
+        pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic"),
+        pytest.param(None, None, id="loop"),
+    ],
+)
+def test_isotropy_reduction_matches_the_per_kind_rule(make_z, make_x):
+    """``isotropy_reduction`` reads ``shift_period()`` alone, and gives the
+    old rule on 200 sampled paths: no isotropy on a finite path, on a
+    model path exactly when its base point has no period, and always
+    isotropy on a loop word."""
+    graph = OneVertexLoopGraph() if make_z is None else build_model_graph(make_z(), make_x())
+    rng = random.Random(f"reduction-{graph!r}")
+    verdicts = set()
+    for i in range(200):
+        mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
+        if isinstance(mu, FiniteBoundaryPath):
+            old = True
+        elif isinstance(mu, InfiniteModelPath):
+            old = mu.graph.z_system.period(mu.z) is None
+        else:
+            old = False
+        assert isotropy_reduction(mu) == old, path_to_line(mu)
+        verdicts.add(old)
+    # finite paths always pass; only the cyclic control and the loop fail
+    control = make_z is None or "cyclic" in graph.z_system.name
+    assert verdicts == ({True, False} if control else {True})

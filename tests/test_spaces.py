@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import groupoidlab
 from groupoidlab import spaces
+from groupoidlab.boundary import BoundaryPath, _canon_ev_periodic
 from groupoidlab.qphi import GOLDEN_ANGLE, QPhi
 from groupoidlab.spaces import (
     CANTOR_FULL,
@@ -34,7 +35,6 @@ from groupoidlab.spaces import (
     ProductBackend,
     ProductBox,
     SpaceBackend,
-    _canon_ev_periodic,
     box_contains,
     box_intersect,
     box_rep_point,
@@ -787,6 +787,22 @@ def test_box_and_backend_kinds_own_their_operations():
             if isinstance(node, ast.FunctionDef) and node.name == "eps_dense":
                 switches += sorted(_names(node) & backend_classes)
     assert len(box_classes) == 4 and "ProductBackend" in backend_classes
+    assert not switches, switches
+
+
+def test_path_kinds_own_their_operations():
+    """Each boundary-path kind answers for itself through its methods: no
+    ``isinstance`` outside ``boundary.py`` names a boundary-path class."""
+    path_classes = {c.__name__ for c in get_args(BoundaryPath)}
+    switches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(groupoidlab.__file__).parent.glob("*.py"))
+        if path.name != "boundary.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and _names(node) & path_classes
+    ]
+    assert len(path_classes) == 3
     assert not switches, switches
 
 
