@@ -8,7 +8,6 @@ graph alone is the control showing what isotropy looks like.
 """
 
 from groupoidlab import (
-    CompleteRelation,
     DRGroupoid,
     EvPeriodic,
     InfiniteDiscretePath,
@@ -26,7 +25,6 @@ from groupoidlab import (
     param_f,
     point_backend,
     principality_sample,
-    ProductGroupoid,
     shift,
     unit,
 )
@@ -46,9 +44,6 @@ print()
 print("== axiom sampling ==")
 rep = axiom_sample(DRGroupoid(graph), 1000, seed=7)
 print(f"1000 sampled triples: {len(rep.failures)} failures")
-pair = ProductGroupoid(DRGroupoid(graph), CompleteRelation())
-rep2 = axiom_sample(pair, 300, seed=7)
-print(f"product with the complete relation on N: {len(rep2.failures)} failures")
 
 print()
 print("== principality ==")

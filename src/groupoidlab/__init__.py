@@ -78,13 +78,10 @@ from .boundary import (
 )
 from .groupoid import (
     BasicOpenBisection,
-    CompleteRelation,
     DRGroupoid,
     GroupoidElement,
     IsotropyPairs,
     PathCylinder,
-    ProductGroupoid,
-    ReducedGroupoid,
     axiom_sample,
     compose,
     inverse,

@@ -151,6 +151,9 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict, where: str 
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
+    for key in obj:
+        if key not in ("z_backend", "x_backend", "seeds", "bounds"):
+            raise ConfigError(f"config.{key}: unknown field")
     cfg = {
         "z_backend": _parse_factor(obj, "z_backend", "odometer", SYSTEM_BUILDERS),
         "x_backend": _parse_factor(obj, "x_backend", "point", X_BACKEND_BUILDERS),
@@ -431,6 +434,8 @@ def _parsed(where: str, parse, text: str):
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{where}: nested too deeply") from None
 
 
 def _factor_point(where: str, backend, factor: str, text: str):

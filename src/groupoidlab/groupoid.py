@@ -31,7 +31,7 @@ from .graphs import (
     OneVertexLoopGraph,
     param_f_k,
 )
-from .spaces import FinitePoint, PairPoint, dense_indices_hitting
+from .spaces import dense_indices_hitting
 
 
 class GroupoidError(ValueError):
@@ -98,8 +98,7 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
 
 
 # ---------------------------------------------------------------------------
-# descriptors: the boundary shift groupoid, products, the complete
-# relation on N, and clopen reductions
+# the descriptor that axiom_sample reads: the boundary shift groupoid
 # ---------------------------------------------------------------------------
 
 
@@ -117,9 +116,6 @@ class DRGroupoid:
 
     def unit_of(self, u):
         return unit(u)
-
-    def unit_point(self, u: BoundaryPath) -> PairPoint:
-        return u.range()
 
     def range(self, a):
         return a.x
@@ -139,138 +135,6 @@ class DRGroupoid:
 
     def __repr__(self):
         return f"<DRGroupoid over {self.graph!r}>"
-
-
-class CompleteRelation:
-    """The full equivalence relation on N: elements are pairs (i, j)."""
-
-    def compose(self, a, b):
-        if a[1] != b[0]:
-            raise GroupoidError("pairs do not compose")
-        return (a[0], b[1])
-
-    def inverse(self, a):
-        return (a[1], a[0])
-
-    def unit_of(self, u):
-        return (u, u)
-
-    def unit_point(self, u) -> FinitePoint:
-        return FinitePoint(u)
-
-    def range(self, a):
-        return a[0]
-
-    def source(self, a):
-        return a[1]
-
-    def k(self, a):
-        return 0
-
-    def sample_element(self, rng):
-        return (rng.randrange(16), rng.randrange(16))
-
-    def extend_from(self, u, rng):
-        return (u, rng.randrange(16))
-
-    def __repr__(self):
-        return "<CompleteRelation on N>"
-
-
-class ProductGroupoid:
-    """Componentwise product of two groupoids; a unit stands for the
-    pair of its factors' unit points."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def compose(self, a, b):
-        return (self.left.compose(a[0], b[0]), self.right.compose(a[1], b[1]))
-
-    def inverse(self, a):
-        return (self.left.inverse(a[0]), self.right.inverse(a[1]))
-
-    def unit_of(self, u):
-        return (self.left.unit_of(u[0]), self.right.unit_of(u[1]))
-
-    def unit_point(self, u) -> PairPoint:
-        return PairPoint(self.left.unit_point(u[0]), self.right.unit_point(u[1]))
-
-    def range(self, a):
-        return (self.left.range(a[0]), self.right.range(a[1]))
-
-    def source(self, a):
-        return (self.left.source(a[0]), self.right.source(a[1]))
-
-    def k(self, a):
-        return self.left.k(a[0]) + self.right.k(a[1])
-
-    def sample_element(self, rng):
-        return (self.left.sample_element(rng), self.right.sample_element(rng))
-
-    def extend_from(self, u, rng):
-        return (self.left.extend_from(u[0], rng), self.right.extend_from(u[1], rng))
-
-    def __repr__(self):
-        return f"<ProductGroupoid of {self.left!r} and {self.right!r}>"
-
-
-class ReducedGroupoid:
-    """Reduction of a groupoid to a clopen set of units.
-
-    The units kept are those whose ``base.unit_point`` lies in ``box``, a
-    box of the ``spaces`` box algebra whose ``clopen`` flag certifies it
-    (cylinders, finite sets, and products of those).
-    """
-
-    def __init__(self, base, box):
-        self.base = base
-        self.box = box
-        if not box.clopen:
-            raise GroupoidError("reduction requires a clopen unit box")
-
-    def contains_unit(self, u) -> bool:
-        return self.box.contains(self.base.unit_point(u))
-
-    def validate(self, a):
-        if not (self.contains_unit(self.base.range(a)) and self.contains_unit(self.base.source(a))):
-            raise GroupoidError("element leaves the reduction window")
-        return a
-
-    def compose(self, a, b):
-        return self.validate(self.base.compose(a, b))
-
-    def inverse(self, a):
-        return self.validate(self.base.inverse(a))
-
-    def unit_of(self, u):
-        if not self.contains_unit(u):
-            raise GroupoidError("unit outside the reduction window")
-        return self.base.unit_of(u)
-
-    def range(self, a):
-        return self.base.range(a)
-
-    def source(self, a):
-        return self.base.source(a)
-
-    def k(self, a):
-        return self.base.k(a)
-
-    def sample_element(self, rng):
-        for _ in range(256):
-            a = self.base.sample_element(rng)
-            if self.contains_unit(self.base.range(a)) and self.contains_unit(self.base.source(a)):
-                return a
-        raise GroupoidError("could not sample inside the reduction window")
-
-    def extend_from(self, u, rng):
-        for _ in range(256):
-            a = self.base.extend_from(u, rng)
-            if self.contains_unit(self.base.source(a)):
-                return a
-        raise GroupoidError("could not extend inside the reduction window")
 
 
 # ---------------------------------------------------------------------------

@@ -299,12 +299,6 @@ class CircleBox:
     def is_empty(self) -> bool:
         return not self.full and not self.arcs
 
-    @property
-    def clopen(self) -> bool:
-        # every box kind certifies whether it is clopen; the circle is
-        # connected, so only the full and the empty box are
-        return self.full or not self.arcs
-
     def contains(self, pt: CirclePoint) -> bool:
         return self.full or any(a.contains(pt.value) for a in self.arcs)
 
@@ -376,8 +370,6 @@ class CantorBox:
 
     words: tuple[tuple[int, ...], ...]
 
-    clopen = True
-
     def __post_init__(self):
         words = set(self.words)
         changed = True
@@ -419,7 +411,7 @@ class CantorBox:
         return CantorBox(tuple(f(PadicPoint(w, (0,))).bits(len(w)) for w in self.words))
 
     def covered_by(self, boxes, closure: bool = True) -> bool:
-        # cylinders are clopen: a box and its closure coincide
+        # cylinders are closed: a box and its closure coincide
         return cantor_covered_by_words([w for b in boxes for w in b.words], self)
 
     def point_outside_closure(self) -> PadicPoint | None:
@@ -443,8 +435,6 @@ class FiniteBox:
 
     indices: frozenset[int]
     size: int | None
-
-    clopen = True
 
     def is_empty(self) -> bool:
         return not self.indices
@@ -482,10 +472,6 @@ class ProductBox:
 
     def is_empty(self) -> bool:
         return self.left.is_empty() or self.right.is_empty()
-
-    @property
-    def clopen(self) -> bool:
-        return self.left.clopen and self.right.clopen
 
     def contains(self, pt: PairPoint) -> bool:
         return self.left.contains(pt.left) and self.right.contains(pt.right)

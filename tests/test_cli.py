@@ -658,6 +658,10 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
     assert f"sequence.tail.{field}: {problem}" in capsys.readouterr().err
 
 
+def _nested(inner: str, depth: int = 5000) -> str:
+    return "(P:.0;" * depth + inner + ")" * depth
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -742,6 +746,16 @@ def test_main_converge_missing_tail_field(tmp_path, capsys, tail, field):
                       "tail": {"kind": "escaping", "prefix": "FIN @(P:.0;C:0:0)",
                                "x_last": "C:0:0", "x_box": 10**14}},
          "sequence.tail.x_box: x_box_index must select a basic open"),
+        # point tokens parse recursively: a pair nested past the recursion
+        # limit is a bad field, not a crash
+        ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
+                               "z_rule": {"kind": "constant", "point": _nested("P:.0")}}},
+         "sequence.tail.z_rule.point: nested too deeply"),
+        ("converge", {"tail": {"kind": "constant", "path": "FIN @" + _nested("F:0/1")}},
+         "sequence.tail.path: nested too deeply"),
+        # a misspelled top-level key is refused like an unknown bound
+        ("check", {"z_backend": "odometer", "bound": {"samples": 3}, "seed": [1]},
+         "config.bound: unknown field"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

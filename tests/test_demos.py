@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("03_boundary_and_shift.py",
          "bb69d6c74b98979a18d466c72a8d6af38594e1cad777605090f1215258811987"),
         ("04_groupoid_principality.py",
-         "b4f2cac9356c5f9e02a6db4ce009fba8d3745dc6e93787aeb4daa81505f34e68"),
+         "d03761a87b49009925036e562d0966382ec1549496ffd68038d764e3d139c459"),
         ("05_ktheory.py",
          "6d8d137595932fc58ccc6d26d5425ef763e02f01e65dd75d8bc48ca163c7ee34"),
     ],

@@ -30,13 +30,10 @@ from groupoidlab.graphs import (
 )
 from groupoidlab.groupoid import (
     BasicOpenBisection,
-    CompleteRelation,
     DRGroupoid,
     GroupoidElement,
     GroupoidError,
     PathCylinder,
-    ProductGroupoid,
-    ReducedGroupoid,
     axiom_sample,
     compose,
     inverse,
@@ -51,21 +48,14 @@ from groupoidlab.groupoid import (
     unit,
 )
 from groupoidlab.spaces import (
-    CANTOR_FULL,
-    CIRCLE_FULL,
-    Arc,
     CantorBackend,
-    CantorBox,
     CircleBackend,
-    CircleBox,
     CirclePoint,
     FiniteBackend,
-    FiniteBox,
     FinitePoint,
     MinimalSystem,
     PadicPoint,
     PairPoint,
-    ProductBox,
     finite_cyclic,
     golden_rotation,
     odometer,
@@ -74,10 +64,6 @@ from groupoidlab.spaces import (
 
 ZERO_2ADIC = PadicPoint((), (0,))
 ZERO_CIRCLE = CirclePoint(QPhi(0))
-ONE_POINT = FiniteBox(frozenset({0}), 1)
-FIRST_EIGHT = FiniteBox(frozenset(range(8)), None)
-CYLINDER_0 = CantorBox(((0,),))
-HALF_ARC = CircleBox((Arc(QPhi(0), QPhi(Fraction(1, 2))),))
 
 
 @pytest.fixture
@@ -219,12 +205,6 @@ def test_inverse_laws_random(odo_point):
 def test_axiom_sample_clean(make_system):
     graph = build_model_graph(make_system(), point_backend())
     rep = axiom_sample(DRGroupoid(graph), 1000, seed=7)
-    assert rep.ok, rep.failures[:4]
-
-
-def test_axiom_sample_product():
-    graph = build_model_graph(odometer(), point_backend())
-    rep = axiom_sample(ProductGroupoid(DRGroupoid(graph), CompleteRelation()), 300, seed=9)
     assert rep.ok, rep.failures[:4]
 
 
@@ -586,122 +566,9 @@ def test_random_path_from_pinned():
     assert digest == "f86b2c99399ae935634606ebd99085b5b4fec7cdb82252f01ecccdf5c2dcae77"
 
 
-# ---------------------------------------------------------------------------
-# products, the complete relation, reductions
-# ---------------------------------------------------------------------------
-
-
-def test_complete_relation_laws():
-    R = CompleteRelation()
-    assert R.compose((1, 2), (2, 3)) == (1, 3)
-    assert R.inverse((1, 2)) == (2, 1)
-    assert R.unit_of(4) == (4, 4)
-    with pytest.raises(GroupoidError):
-        R.compose((1, 2), (3, 4))
-
-
-def test_product_unit_box(odo_point):
-    mu = param_f(odo_point, ZERO_2ADIC, EvPeriodic((), (1,)))
-    G = ProductGroupoid(DRGroupoid(odo_point), CompleteRelation())
-    box = ProductBox(ProductBox(CANTOR_FULL, ONE_POINT), FiniteBox(frozenset({3}), None))
-    assert box.clopen
-    assert box.contains(G.unit_point((mu, 3)))
-    assert not box.contains(G.unit_point((mu, 4)))
-
-
-def test_product_isotropy_componentwise(loop_graph, golden_point):
-    """Isotropy of DR x R at (mu, i) is the isotropy of DR at mu times the
-    trivial isotropy of R at i."""
-    mu = InfiniteDiscretePath(loop_graph, EvPeriodic((2,), (1, 1, 3)))
-    G = ProductGroupoid(DRGroupoid(loop_graph), CompleteRelation())
-    pairs = isotropy_search(mu, 12)
-    assert pairs
-    for i, (n, m) in enumerate(pairs):
-        g = (make_element(mu, n, m, mu), (i, i))
-        assert G.range(g) == G.source(g) == (mu, i)
-        assert G.k(g) == n - m
-        assert G.compose(g, G.inverse(g)) == G.unit_of((mu, i))
-        # an R part off the diagonal moves the unit
-        h = (g[0], (i, i + 1))
-        assert G.range(h) != G.source(h)
-    # over golden x point both factors are principal: an element that
-    # fixes its unit is that unit
-    G = ProductGroupoid(DRGroupoid(golden_point), CompleteRelation())
-    rng = random.Random(5)
-    fixed = 0
-    for _ in range(800):
-        u = (random_boundary_path(golden_point, rng), rng.randrange(8))
-        a = G.extend_from(u, rng)
-        if G.source(a) == u:
-            fixed += 1
-            assert a == G.unit_of(u)
-    assert fixed
-
-
-def test_reduction_validates_membership(odo_point):
-    rng = random.Random(1)
-    box = ProductBox(CANTOR_FULL, ONE_POINT)
-    red = ReducedGroupoid(DRGroupoid(odo_point), box)
-    g = red.sample_element(rng)
-    assert red.contains_unit(red.range(g)) and red.contains_unit(red.source(g))
-
-
-def test_axiom_sample_reduction(odo_point):
-    """The axioms on a proper clopen reduction of the product with R: the
-    window keeps units over the cylinder [0] and the first eight points
-    of N, and some base elements leave it."""
-    base = ProductGroupoid(DRGroupoid(odo_point), CompleteRelation())
-    box = ProductBox(ProductBox(CYLINDER_0, ONE_POINT), FIRST_EIGHT)
-    red = ReducedGroupoid(base, box)
-    rng = random.Random(4)
-    outside = [a for a in (base.sample_element(rng) for _ in range(50))
-               if not red.contains_unit(base.range(a))]
-    assert outside
-    rep = axiom_sample(red, 300, seed=9)
-    assert rep.ok, rep.failures[:4]
-
-
-def _dr(make_system):
-    return DRGroupoid(build_model_graph(make_system(), point_backend()))
-
-
-_REDUCTION_BOXES = {
-    "finite": (CompleteRelation, FIRST_EIGHT, True),
-    "cantor": (lambda: _dr(odometer), ProductBox(CYLINDER_0, ONE_POINT), True),
-    "product": (
-        lambda: ProductGroupoid(_dr(odometer), CompleteRelation()),
-        ProductBox(ProductBox(CYLINDER_0, ONE_POINT), FIRST_EIGHT),
-        True,
-    ),
-    "circle": (lambda: _dr(golden_rotation), ProductBox(HALF_ARC, ONE_POINT), False),
-    "circle-full": (lambda: _dr(golden_rotation), ProductBox(CIRCLE_FULL, ONE_POINT), True),
-    "circle-product": (
-        lambda: ProductGroupoid(_dr(golden_rotation), CompleteRelation()),
-        ProductBox(ProductBox(HALF_ARC, ONE_POINT), FIRST_EIGHT),
-        False,
-    ),
-}
-
-
-@pytest.mark.parametrize("shape", sorted(_REDUCTION_BOXES))
-def test_reduction_rejects_non_clopen(shape):
-    """Cantor, finite and product boxes of those reduce, and so does the
-    full circle; a box with a proper arc factor has no clopen
-    certificate and is refused."""
-    make_base, box, clopen = _REDUCTION_BOXES[shape]
-    if not clopen:
-        with pytest.raises(GroupoidError):
-            ReducedGroupoid(make_base(), box)
-        return
-    red = ReducedGroupoid(make_base(), box)
-    g = red.sample_element(random.Random(1))
-    assert red.contains_unit(red.range(g)) and red.contains_unit(red.source(g))
-
-
 def test_groupoid_layer_reuses_boxes_and_paths():
-    """groupoid.py builds model paths through param_f and param_f_k and
-    reduces by spaces boxes: it calls no ModelEdge(...) and defines no
-    class with a ``clopen`` member."""
+    """groupoid.py builds model paths through param_f and param_f_k: it
+    calls no ModelEdge(...)."""
     tree = ast.parse(Path(groupoid.__file__).read_text())
     edges = [
         node.lineno
@@ -709,15 +576,7 @@ def test_groupoid_layer_reuses_boxes_and_paths():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ModelEdge"
     ]
-    clopen_classes = [
-        cls.name
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        for node in ast.walk(cls)
-        if "clopen" in (getattr(node, "name", None), getattr(node, "id", None))
-    ]
     assert not edges, f"groupoid.py builds ModelEdge at lines {edges}"
-    assert not clopen_classes, clopen_classes
 
 
 # ---------------------------------------------------------------------------

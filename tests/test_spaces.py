@@ -821,20 +821,31 @@ def test_trusted_construction_stays_with_the_path_classes(module):
     assert not calls, f"{module}.py calls _unchecked at lines {calls}"
 
 
+_PACKAGE = Path(groupoidlab.__file__).parent
+_REPO = _PACKAGE.parents[1]
+
+
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in Path(groupoidlab.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(_REPO.glob("tests/*.py"))
+    + sorted(_REPO.glob("demos/*.py")),
     ids=lambda p: p.stem,
 )
 def test_every_import_is_used(path):
-    """Every name a module imports is used in that module, so a deletion
-    leaves no stale import behind (``__init__.py`` imports to re-export)."""
-    tree = ast.parse(path.read_text())
+    """Every name a module, test file or demo imports is used in that
+    file, so a deletion leaves no stale import behind (``__init__.py``
+    imports to re-export, and an import marked ``# noqa: F401`` is kept
+    for its side effect)."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
     imported = {
         (alias.asname or alias.name).split(".")[0]
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
