@@ -12,12 +12,12 @@ from groupoidlab import (
     PadicPoint,
     QPhi,
     circle_rotate,
+    eps_dense,
     freeness_check,
     finite_cyclic,
     golden_rotation,
     odometer,
     odometer_succ,
-    orbit_density_check,
     qphi_sign,
 )
 from groupoidlab.spaces import FinitePoint
@@ -35,11 +35,11 @@ t = CirclePoint(QPhi(0))
 for k in range(4):
     print(f"rotate^{k}(0) =", circle_rotate(t, k).value)
 
-# density of the orbit: exact arc-gap comparisons against rational eps
-dense, used = orbit_density_check(golden_rotation(), t, Fraction(1, 4), 64)
-print(f"orbit of 0 is 1/4-dense after {used} points: {dense}")
-dense, used = orbit_density_check(golden_rotation(), t, Fraction(1, 64), 128)
-print(f"orbit of 0 is 1/64-dense after {used} points: {dense}")
+# density of orbit prefixes: exact arc-gap comparisons against rational eps
+orbit = [circle_rotate(t, k) for k in range(55)]
+for n, eps in ((2, Fraction(1, 4)), (3, Fraction(1, 4)), (54, Fraction(1, 64)), (55, Fraction(1, 64))):
+    dense = eps_dense(golden_rotation().backend, orbit[:n], eps)
+    print(f"first {n} orbit points of 0 are {eps}-dense: {dense}")
 
 print()
 print("== the 2-adic odometer ==")
@@ -49,8 +49,10 @@ print("0 + 1    ->", odometer_succ(z, 1))
 print("3 + 1    ->", odometer_succ(PadicPoint((1, 1), (0,)), 1))
 print("-1 + 1   ->", odometer_succ(PadicPoint((), (1,)), 1), "(infinite carry)")
 
-dense, used = orbit_density_check(odometer(), z, Fraction(1, 8), 16)
-print(f"orbit of 0 hits all depth-3 cylinders after {used} points: {dense}")
+orbit = [odometer_succ(z, k) for k in range(8)]
+for n in (7, 8):
+    dense = eps_dense(odometer().backend, orbit[:n], Fraction(1, 8))
+    print(f"first {n} orbit points of 0 hit all depth-3 cylinders: {dense}")
 
 print()
 print("== freeness ==")

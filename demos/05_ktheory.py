@@ -9,7 +9,6 @@ point by hypothesis.
 """
 
 from groupoidlab import (
-    DimBudget,
     OneVertexLoopGraph,
     dim_bound,
     graph_ktheory,
@@ -65,5 +64,5 @@ print(stabilize_ktheory(model_ktheory(point_backend(), zmeta)))
 print()
 print("== dimension bounds ==")
 for dz in (2, 3):
-    res = dim_bound(DimBudget(dz, 0, x_is_point=True, dps_declared=True))
-    print(f"dim Z = {dz}: boundary dimension <= {res.bound}, exact value {res.refined}")
+    bound, refined = dim_bound(dz, 0, x_is_point=True)
+    print(f"dim Z = {dz}: boundary dimension <= {bound}, exact value {refined}")

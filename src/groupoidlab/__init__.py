@@ -16,7 +16,6 @@ from .spaces import (
     CircleBackend,
     CircleBox,
     CirclePoint,
-    CountableBackend,
     FiniteBackend,
     FiniteBox,
     FinitePoint,
@@ -24,7 +23,6 @@ from .spaces import (
     PadicPoint,
     PairPoint,
     ProductBackend,
-    ProductBox,
     circle_rotate,
     dense_sequence,
     eps_dense,
@@ -33,7 +31,6 @@ from .spaces import (
     golden_rotation,
     odometer,
     odometer_succ,
-    orbit_density_check,
     point_backend,
 )
 from .graphs import (
@@ -92,7 +89,6 @@ from .groupoid import (
     unit,
 )
 from .ktheory import (
-    DimBudget,
     FGAbelianGroup,
     SymbolicGroup,
     Z_POINTED,

@@ -45,7 +45,6 @@ from .graphs import (
 )
 from .groupoid import DRGroupoid, axiom_sample, principality_sample
 from .ktheory import (
-    DimBudget,
     KTheoryError,
     dim_bound,
     graph_ktheory,
@@ -120,6 +119,14 @@ def _field(obj: dict, key: str, where: str, kind: type, default=_REQUIRED):
     return value
 
 
+def _known_fields(obj: dict, where: str, keys) -> None:
+    """Refuse a key of ``obj`` outside ``keys``, so a misspelled field is
+    an error naming it rather than a default silently used."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
+
 def _positive_int(value, where: str) -> int:
     if not _is_int(value) or value < 1:
         raise ConfigError(f"{where}: expected a positive integer")
@@ -151,9 +158,7 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict, where: str 
 def parse_config(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
-    for key in obj:
-        if key not in ("z_backend", "x_backend", "seeds", "bounds"):
-            raise ConfigError(f"config.{key}: unknown field")
+    _known_fields(obj, "config", ("z_backend", "x_backend", "seeds", "bounds"))
     cfg = {
         "z_backend": _parse_factor(obj, "z_backend", "odometer", SYSTEM_BUILDERS),
         "x_backend": _parse_factor(obj, "x_backend", "point", X_BACKEND_BUILDERS),
@@ -374,11 +379,8 @@ def check_dimension(cfg, graph) -> CheckRecord:
     x_is_point = graph.x_is_point()
     rows = {}
     for dz in (2, 3):
-        res = dim_bound(DimBudget(dz, x_dim, x_is_point=x_is_point, dps_declared=True))
-        rows[f"dim_z_{dz}"] = {
-            "bound": res.bound,
-            "refined": res.refined,
-        }
+        bound, refined = dim_bound(dz, x_dim, x_is_point)
+        rows[f"dim_z_{dz}"] = {"bound": bound, "refined": refined}
     return CheckRecord(
         "dimension",
         "the boundary-space dimension bound 2*dimZ + dimX + 1 (exact value dimZ "
@@ -458,15 +460,27 @@ def _point_rule_from_obj(obj: dict, graph) -> ConstantPointRule | ApproachPointR
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in rules:
         raise ConfigError(f"sequence.tail.z_rule.kind: unknown kind {kind!r}")
+    _known_fields(obj, "sequence.tail.z_rule", ("kind", "point"))
     token = _field(obj, "point", "sequence.tail.z_rule", str)
     where = "sequence.tail.z_rule.point"
     return rules[kind](_factor_point(where, graph.z_system.backend, "the Z factor", token))
 
 
+#: the fields each tail kind reads, besides ``kind``
+TAIL_FIELDS = {
+    "constant": ("path",),
+    "escaping": ("prefix", "x_last", "x_box", "rep_start"),
+    "base-point": ("idx", "x_last", "z_rule"),
+    "head-only": (),
+}
+
+
 def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if not isinstance(obj, dict):
         raise ConfigError("sequence: expected a JSON object")
+    _known_fields(obj, "sequence", ("model", "head", "tail", "limit"))
     model = _field(obj, "model", "sequence", dict, {})
+    _known_fields(model, "sequence.model", ("z_backend", "x_backend"))
     z = _parse_factor(model, "z_backend", "odometer", SYSTEM_BUILDERS, "sequence.model")
     x = _parse_factor(model, "x_backend", "point", X_BACKEND_BUILDERS, "sequence.model")
     graph = build_model_graph(_build(z, SYSTEM_BUILDERS), _build(x, X_BACKEND_BUILDERS))
@@ -482,6 +496,9 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise ConfigError("sequence.tail: expected an object with a 'kind'")
     kind = tail_obj["kind"]
+    if not isinstance(kind, str) or kind not in TAIL_FIELDS:
+        raise ConfigError(f"sequence.tail.kind: unknown kind {kind!r}")
+    _known_fields(tail_obj, "sequence.tail", ("kind",) + TAIL_FIELDS[kind])
 
     def field(key: str, typ: type = str, default=_REQUIRED):
         return _field(tail_obj, key, "sequence.tail", typ, default)
@@ -512,10 +529,8 @@ def parse_sequence_doc(obj) -> tuple[SequenceDescription, object]:
         # finite index data ends in an edge with x coordinate x_last
         last = x_last() if isinstance(idx, tuple) or "x_last" in tail_obj else None
         tail = BasePointTail(graph, _point_rule_from_obj(field("z_rule", dict), graph), idx, last)
-    elif kind == "head-only":
-        tail = HeadOnlyTail()
     else:
-        raise ConfigError(f"sequence.tail.kind: unknown kind {kind!r}")
+        tail = HeadOnlyTail()
     limit = path_line("sequence.limit", _field(obj, "limit", "sequence", str))
     return SequenceDescription(head, tail), limit
 
@@ -643,7 +658,9 @@ def discrete_graph_from_obj(obj) -> DiscreteGraph | OneVertexLoopGraph:
     if not isinstance(obj, dict):
         raise ConfigError("graph: expected a JSON object")
     if obj.get("kind") == "one-vertex-loops":
+        _known_fields(obj, "graph", ("kind",))
         return OneVertexLoopGraph()
+    _known_fields(obj, "graph", ("vertices", "edges", "singular"))
     vertices = obj.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ConfigError("graph.vertices: expected a list of strings")

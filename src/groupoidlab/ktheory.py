@@ -8,7 +8,8 @@ regular the canonical map is an isomorphism, so K_0 is free on the
 vertices with the unit class at (1, ..., 1) and K_1 vanishes.  For the
 model graph the vertex-space K-theory is declared backend metadata (the
 Z factor contributes the K-theory of a point, by hypothesis), and
-propagation is the identity with the unit class preserved for compact X.
+propagation is the identity with the unit class preserved, since X is
+compact.
 """
 
 from __future__ import annotations
@@ -334,17 +335,18 @@ def _free_group(rank: int | None, pointed: bool) -> KGroup:
 
 
 def declared_space_ktheory(backend: SpaceBackend) -> tuple[KGroup, KGroup]:
-    """The declared K-theory of C(X) (or C_0(X)) for an X backend.
+    """The declared K-theory of C(X) for an X backend.
 
     The backend declares the ranks of two free groups
     (``SpaceBackend.ktheory_ranks``); the finite values are computed
     facts, the others standard topological facts entered as metadata.
-    K_0 carries the unit class, (1, ..., 1), exactly when X is compact.
+    Only model factors declare them, and those are compact, so K_0
+    carries the unit class, (1, ..., 1).
     """
     if backend.ktheory_ranks is None:
         raise KTheoryError(f"no declared K-theory for {backend!r}")
     k0_rank, k1_rank = backend.ktheory_ranks
-    return _free_group(k0_rank, backend.compact), _free_group(k1_rank, False)
+    return _free_group(k0_rank, True), _free_group(k1_rank, False)
 
 
 def z_factor_ktheory(system) -> tuple[KGroup, KGroup]:
@@ -362,7 +364,7 @@ def model_ktheory(x_backend: SpaceBackend, z_meta: tuple[KGroup, KGroup]):
 
     Requires the Z factor to contribute the K-theory of a point (Z
     pointed at the generator, 0); the result is then the declared
-    K-theory of X, unit class preserved exactly when X is compact.
+    K-theory of X, with its unit class.
     """
     if z_meta != (Z_POINTED, ZERO_GROUP):
         raise KTheoryError(
@@ -384,35 +386,10 @@ def stabilize_ktheory(kpair):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimBudget:
-    """Covering dimensions of the two factors; ``dps_declared`` marks the
-    Z value as coming from the point-like-system construction, which
-    only produces dimensions 2 or 3."""
-
-    dim_z: int
-    dim_x: int
-    x_is_point: bool = False
-    dps_declared: bool = False
-
-    def __post_init__(self):
-        if self.dim_z < 0 or self.dim_x < 0:
-            raise KTheoryError("dimensions must be non-negative")
-        if self.dps_declared and self.dim_z not in (2, 3):
-            raise KTheoryError("the point-like system has covering dimension 2 or 3")
-
-
-@dataclass(frozen=True)
-class DimBoundResult:
-    bound: int
-    refined: int | None
-
-
-def dim_bound(budget: DimBudget) -> DimBoundResult:
-    """Upper bound 2*dim_z + dim_x + 1 for the boundary-space dimension
-    (infinite paths contribute dim_z, finite ones dim_z + dim_x, plus
-    one for the union); over a one-point X the boundary is a product of
-    the Z factor and a Cantor space, so the exact value is dim_z."""
-    bound = 2 * budget.dim_z + budget.dim_x + 1
-    refined = budget.dim_z if budget.x_is_point else None
-    return DimBoundResult(bound, refined)
+def dim_bound(dim_z: int, dim_x: int, x_is_point: bool) -> tuple[int, int | None]:
+    """(bound, refined): the upper bound 2*dim_z + dim_x + 1 for the
+    boundary-space dimension (infinite paths contribute dim_z, finite
+    ones dim_z + dim_x, plus one for the union), and over a one-point X,
+    where the boundary is a product of the Z factor and a Cantor space,
+    the exact value dim_z (else None)."""
+    return 2 * dim_z + dim_x + 1, dim_z if x_is_point else None

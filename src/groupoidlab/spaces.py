@@ -4,9 +4,9 @@ Points carry canonical exact representations (golden-field circle
 values, 2-adic integers held as odd-denominator rationals and read as
 eventually periodic bit streams, finite indices, pairs), so equality is
 decidable and every metric comparison against a rational threshold is
-exact.  Open sets are finite unions of "boxes" (arcs, cylinders, finite
-index sets and products of those), which are closed under intersection
-and under translation by the dynamics.
+exact.  Open sets are finite unions of "boxes" (arcs, cylinders and
+finite index sets), which are closed under intersection and under
+translation by the dynamics.
 """
 
 from __future__ import annotations
@@ -170,25 +170,22 @@ class PadicPoint:
 
 @dataclass(frozen=True)
 class FinitePoint:
-    """An element of a declared finite set {0, .., size-1}, or of the
-    countable discrete space N when ``size`` is None."""
+    """An element of a declared finite set {0, .., size-1}."""
 
     index: int
-    size: int | None = None
+    size: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-        if self.size is not None and not 0 <= self.index < self.size:
+        if not 0 <= self.index < self.size:
             raise ValueError(f"index {self.index} out of range for size {self.size}")
 
     def token(self) -> str:
-        return f"F:{self.index}/{'*' if self.size is None else self.size}"
+        return f"F:{self.index}/{self.size}"
 
     @staticmethod
     def parse(rest: str) -> "FinitePoint":
         idx, _, size = rest.partition("/")
-        return FinitePoint(int(idx), None if size == "*" else int(size))
+        return FinitePoint(int(idx), int(size))
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,7 @@ def split_top_level(text: str) -> list[str]:
 
 def point_from_token(tok: str) -> Point:
     """Parse ``Point.token()``: ``C:<p>:<q>``, ``P:<pre>.<per>``,
-    ``F:<index>/<size or *>`` or ``(<point>;<point>)``."""
+    ``F:<index>/<size>`` or ``(<point>;<point>)``."""
     tok = tok.strip()
     if tok.startswith("(") and tok.endswith(")"):
         parts = split_top_level(tok[1:-1])
@@ -252,13 +249,12 @@ def factor_point(backend: "SpaceBackend", tok: str, factor: str) -> Point:
 # ---------------------------------------------------------------------------
 
 # Every box kind owns its operations: ``contains(pt)``, ``intersect(b)``,
-# ``rep_point()``, ``is_empty()`` and ``covered_by(boxes, closure=True)``
+# ``rep_point()``, ``is_empty()``, ``covered_by(boxes, closure=True)``
 # (does the union of the open ``boxes`` contain the closure of the box, or
-# the box itself when ``closure`` is false).  The arc, cylinder and finite
-# kinds also give ``image(f)``, their image under a map of points that
-# sends each piece to the piece of the same size at the image of its
-# anchor, and ``point_outside_closure()``, or None when the closure is the
-# whole space.
+# the box itself when ``closure`` is false), ``image(f)``, its image under
+# a map of points that sends each piece to the piece of the same size at
+# the image of its anchor, and ``point_outside_closure()``, or None when
+# the closure is the whole space.
 
 
 @dataclass(frozen=True)
@@ -431,10 +427,10 @@ CANTOR_FULL = CantorBox(((),))
 
 @dataclass(frozen=True)
 class FiniteBox:
-    """Subset of a finite set {0..size-1}, or of N when size is None."""
+    """Subset of a finite set {0..size-1}."""
 
     indices: frozenset[int]
-    size: int | None
+    size: int
 
     def is_empty(self) -> bool:
         return not self.indices
@@ -459,38 +455,11 @@ class FiniteBox:
         return self.indices <= frozenset().union(*(b.indices for b in boxes))
 
     def point_outside_closure(self) -> FinitePoint | None:
-        # over N (size None) some index up to len(indices) is missing
-        bound = len(self.indices) + 1 if self.size is None else self.size
-        missing = next((i for i in range(bound) if i not in self.indices), None)
+        missing = next((i for i in range(self.size) if i not in self.indices), None)
         return None if missing is None else FinitePoint(missing, self.size)
 
 
-@dataclass(frozen=True)
-class ProductBox:
-    left: "Box"
-    right: "Box"
-
-    def is_empty(self) -> bool:
-        return self.left.is_empty() or self.right.is_empty()
-
-    def contains(self, pt: PairPoint) -> bool:
-        return self.left.contains(pt.left) and self.right.contains(pt.right)
-
-    def intersect(self, other: "ProductBox") -> "ProductBox":
-        return ProductBox(self.left.intersect(other.left), self.right.intersect(other.right))
-
-    def rep_point(self) -> PairPoint:
-        return PairPoint(self.left.rep_point(), self.right.rep_point())
-
-    def covered_by(self, boxes, closure: bool = True) -> bool:
-        """Exact only piece by piece: the product must lie in one box."""
-        return any(
-            self.left.covered_by([b.left], closure) and self.right.covered_by([b.right], closure)
-            for b in boxes
-        )
-
-
-Box = CircleBox | CantorBox | FiniteBox | ProductBox
+Box = CircleBox | CantorBox | FiniteBox
 
 
 # entry points kept by name: bench/tracing.py patches these module functions
@@ -610,11 +579,11 @@ class SpaceBackend:
     K-theory of its function algebra.
     """
 
-    compact: bool = False
-    dim: int = 0
+    #: covering dimension
+    dim: int
 
-    # number of basic opens (None = countably many)
-    basic_count: int | None = None
+    #: number of basic opens (None = countably many)
+    basic_count: int | None
 
     #: the model graph accepts this space as its Z or X factor: compact,
     #: translated piece by piece (``Box.image``), with both box samplers
@@ -681,7 +650,6 @@ class SpaceBackend:
 
 
 class CircleBackend(SpaceBackend):
-    compact = True
     dim = 1
     basic_count = None
     model_factor = True
@@ -740,7 +708,6 @@ class CircleBackend(SpaceBackend):
 
 
 class CantorBackend(SpaceBackend):
-    compact = True
     dim = 0
     basic_count = None
     model_factor = True
@@ -797,7 +764,6 @@ class CantorBackend(SpaceBackend):
 
 
 class FiniteBackend(SpaceBackend):
-    compact = True
     dim = 0
     model_factor = True
 
@@ -847,57 +813,14 @@ class FiniteBackend(SpaceBackend):
         return f"<FiniteBackend({self.size})>"
 
 
-class CountableBackend(SpaceBackend):
-    """N with the discrete metric; basic opens are singletons."""
-
-    compact = False
-    dim = 0
-    basic_count = None
-    ktheory_ranks = (None, 0)
-
-    def basic_open(self, i: int) -> Box:
-        return FiniteBox(frozenset({i}), None)
-
-    def full_box(self) -> Box:
-        raise ValueError("the countable discrete space has no finite full box")
-
-    def random_point(self, rng) -> FinitePoint:
-        return FinitePoint(rng.randrange(64), None)
-
-    def has_point(self, pt) -> bool:
-        return isinstance(pt, FinitePoint) and pt.size is None
-
-    def dist_le(self, a: FinitePoint, b: FinitePoint, eps: Fraction) -> bool:
-        return a == b or eps >= 1
-
-    def dense(self, points: list[FinitePoint], eps: Fraction) -> bool:
-        return bool(points) and eps >= 1
-
-
 class ProductBackend(SpaceBackend):
+    """The vertex space Z x X of a model graph: its points, the max
+    metric and density.  It has no basis of its own; the graph layer
+    holds its boxes as (Z box, X box) pairs."""
+
     def __init__(self, left: SpaceBackend, right: SpaceBackend):
         self.left = left
         self.right = right
-        self.compact = left.compact and right.compact
-        self.dim = left.dim + right.dim
-        if left.basic_count is None or right.basic_count is None:
-            self.basic_count = None
-        else:
-            self.basic_count = left.basic_count * right.basic_count
-
-    def basic_open(self, i: int) -> Box:
-        lc, rc = self.left.basic_count, self.right.basic_count
-        if lc is not None and rc is not None:
-            return ProductBox(self.left.basic_open(i % lc), self.right.basic_open((i // lc) % rc))
-        if lc is not None:
-            return ProductBox(self.left.basic_open(i % lc), self.right.basic_open(i // lc))
-        if rc is not None:
-            return ProductBox(self.left.basic_open(i // rc), self.right.basic_open(i % rc))
-        a, b = _unpair(i)
-        return ProductBox(self.left.basic_open(a), self.right.basic_open(b))
-
-    def full_box(self) -> Box:
-        return ProductBox(self.left.full_box(), self.right.full_box())
 
     def random_point(self, rng) -> PairPoint:
         return PairPoint(self.left.random_point(rng), self.right.random_point(rng))
@@ -1134,23 +1057,6 @@ X_BACKEND_BUILDERS = {
 # ---------------------------------------------------------------------------
 # dynamical checks
 # ---------------------------------------------------------------------------
-
-
-def orbit_density_check(system: MinimalSystem, z: Point, eps: Fraction, max_iter: int):
-    """Walk the forward orbit until eps-dense; returns (dense, steps_used)
-    where steps_used counts the orbit points consumed.  Exhausting the
-    budget reports (False, max_iter) rather than raising."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pts: list[Point] = []
-    w = z
-    for used in range(1, max_iter + 1):
-        pts.append(w)
-        if eps_dense(system.backend, pts, eps):
-            return True, used
-        w = system.forward(w)
-    return False, max_iter
 
 
 def freeness_check(system: MinimalSystem, z: Point, bound: int) -> list[int]:

@@ -47,7 +47,6 @@ from groupoidlab.ktheory import (
     Z_POINTED,
     ZERO_GROUP,
     declared_space_ktheory,
-    DimBudget,
     dim_bound,
     graph_ktheory,
     model_ktheory,
@@ -347,10 +346,10 @@ def test_criterion_9_dimension_arithmetic():
     ok = True
     for dz in (2, 3):
         for dx in (0, 1, 2):
-            res = dim_bound(DimBudget(dz, dx, x_is_point=(dx == 0), dps_declared=True))
-            ok = ok and res.bound == 2 * dz + dx + 1
+            bound, refined = dim_bound(dz, dx, x_is_point=(dx == 0))
+            ok = ok and bound == 2 * dz + dx + 1
             if dx == 0:
-                ok = ok and res.refined == dz and res.refined in (2, 3)
+                ok = ok and refined == dz and refined in (2, 3)
     verdict(9, ok, "bound 2*dimZ + dimX + 1 and refined one-point-X value dimZ in {2, 3}")
 
 

@@ -756,12 +756,31 @@ def _nested(inner: str, depth: int = 5000) -> str:
         # a misspelled top-level key is refused like an unknown bound
         ("check", {"z_backend": "odometer", "bound": {"samples": 3}, "seed": [1]},
          "config.bound: unknown field"),
+        # so is a key that a sequence or graph document does not read
+        ("converge", {"heads": ["FIN @(Q:.0;F:0/1)"]}, "sequence.heads: unknown field"),
+        ("converge", {"model": {"x_bakend": "circle"}}, "sequence.model.x_bakend: unknown field"),
+        ("converge", {"tail": {"kind": "constant", "path": "FIN @(P:.0;F:0/1)", "pth": 3}},
+         "sequence.tail.pth: unknown field"),
+        ("converge", {"tail": {"kind": "head-only", "path": "FIN @(P:.0;F:0/1)"}},
+         "sequence.tail.path: unknown field"),
+        ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
+                               "z_rule": {"kind": "constant", "point": "P:.0", "pont": 0}}},
+         "sequence.tail.z_rule.pont: unknown field"),
+        ("converge", {"tail": {"kind": [], "path": "FIN @(P:.0;F:0/1)"}},
+         "sequence.tail.kind: unknown kind []"),
+        ("ktheory", {"vertices": ["v"], "edges": [], "singulr": ["v"]},
+         "graph.singulr: unknown field"),
+        ("ktheory", {"kind": "one-vertex-loops", "vertices": 5}, "graph.vertices: unknown field"),
+        # a finite point token names its size
+        ("converge", {"limit": "FIN @(P:.0;F:0/*)"}, "sequence.limit: invalid literal"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
     if command == "converge":
         doc = {"tail": {"kind": "head-only"}, "limit": "FIN @(P:.0;F:0/1)", **doc}
         argv = ["converge", write_json(tmp_path, "doc.json", doc)]
+    elif command == "ktheory":
+        argv = ["ktheory", write_json(tmp_path, "doc.json", doc)]
     else:
         argv = [command, "--config", write_json(tmp_path, "doc.json", doc)]
         argv += ["principality"] if command == "check" else []

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "demo, digest",
     [
         ("01_exact_spaces.py",
-         "ca5e94769c1aa152d0cdc9a98f6efe5b90f3b7a036ccf387eba26cc72968ddfd"),
+         "604ae1d0ea974873bcc78f5ab49cbe190cc181a8a9b336d5216c7011177c384a"),
         ("02_model_graph.py",
          "46a17cc7e16db55de3c83f2fdf653f1203375238aac09651f634f1894ccc3264"),
         ("03_boundary_and_shift.py",

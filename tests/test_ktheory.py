@@ -10,7 +10,6 @@ from groupoidlab import cli, ktheory
 from groupoidlab.cli import main
 from groupoidlab.graphs import DiscreteGraph, OneVertexLoopGraph
 from groupoidlab.ktheory import (
-    DimBudget,
     FGAbelianGroup,
     KTheoryError,
     SymbolicGroup,
@@ -31,7 +30,6 @@ from groupoidlab.ktheory import (
 from groupoidlab.spaces import (
     CantorBackend,
     CircleBackend,
-    CountableBackend,
     FiniteBackend,
     ProductBackend,
     finite_cyclic,
@@ -442,8 +440,6 @@ def test_model_ktheory_is_declared_value():
 
 
 def test_declared_ktheory_follows_compactness():
-    countable = SymbolicGroup("free abelian of countable rank", pointed=False)
-    assert declared_space_ktheory(CountableBackend()) == (countable, ZERO_GROUP)
     assert z_factor_ktheory(finite_cyclic(3)) == (FGAbelianGroup(3, (), (1, 1, 1)), ZERO_GROUP)
     with pytest.raises(KTheoryError):
         declared_space_ktheory(ProductBackend(CircleBackend(), CircleBackend()))
@@ -471,27 +467,17 @@ def test_stabilization():
 
 
 def test_dim_bound_values():
-    r = dim_bound(DimBudget(3, 0, x_is_point=True, dps_declared=True))
-    assert (r.bound, r.refined) == (7, 3)
-    r = dim_bound(DimBudget(2, 0, x_is_point=True, dps_declared=True))
-    assert (r.bound, r.refined) == (5, 2)
-    r = dim_bound(DimBudget(0, 0))
-    assert (r.bound, r.refined) == (1, None)
+    assert dim_bound(3, 0, x_is_point=True) == (7, 3)
+    assert dim_bound(2, 0, x_is_point=True) == (5, 2)
+    assert dim_bound(0, 0, x_is_point=False) == (1, None)
 
 
 def test_dim_bound_monotone():
     for dz in range(4):
         for dx in range(4):
-            here = dim_bound(DimBudget(dz, dx)).bound
-            assert dim_bound(DimBudget(dz + 1, dx)).bound > here
-            assert dim_bound(DimBudget(dz, dx + 1)).bound > here
-
-
-def test_dps_declared_dimension_window():
-    with pytest.raises(KTheoryError):
-        DimBudget(1, 0, dps_declared=True)
-    DimBudget(2, 0, dps_declared=True)
-    DimBudget(3, 5, dps_declared=True)
+            here, _ = dim_bound(dz, dx, x_is_point=False)
+            assert dim_bound(dz + 1, dx, x_is_point=False)[0] > here
+            assert dim_bound(dz, dx + 1, x_is_point=False)[0] > here
 
 
 # ---------------------------------------------------------------------------
