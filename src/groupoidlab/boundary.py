@@ -105,8 +105,9 @@ class EvPeriodic:
     @staticmethod
     def _canonical(head: tuple[int, ...], cycle: tuple[int, ...]) -> "EvPeriodic":
         """A sequence from a pair that is already canonical, such as a
-        suffix of a canonical one: the head keeps its last item, or it is
-        empty and the cycle is a rotation of a primitive word."""
+        suffix or an extension of a canonical one: the head keeps its last
+        item, or it is empty and the cycle is a rotation of a primitive
+        word."""
         seq = object.__new__(EvPeriodic)
         _set(seq, "head", head)
         _set(seq, "cycle", cycle)
@@ -123,7 +124,15 @@ class EvPeriodic:
         return r == 0 if cycle == c else cycle[r:] + cycle[:r] == c
 
     def cons(self, value: int) -> "EvPeriodic":
-        return EvPeriodic((value,) + self.head, self.cycle)
+        """``value`` prepended, in O(1): the head keeps its last item, so
+        the pair stays canonical, unless the head is empty and ``value``
+        repeats the cycle's last item, which rotates the cycle instead."""
+        if value < 1:
+            raise BoundaryError("edge indices must be >= 1")
+        head, cycle = self.head, self.cycle
+        if not head and value == cycle[-1]:
+            return EvPeriodic._canonical((), (value,) + cycle[:-1])
+        return EvPeriodic._canonical((value,) + head, cycle)
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.item(i) for i in range(n))
@@ -176,7 +185,7 @@ class FiniteBoundaryPath:
 
     @property
     def length(self) -> int:
-        return len(self.path)
+        return len(self.path.edges)
 
     def range(self):
         return self.path.r()
@@ -212,20 +221,33 @@ class FiniteBoundaryPath:
         rest = len(p.edges) - n
         if p.graph is not q.graph or rest != len(q.edges) - m:
             return False
-        return p.edges[n:] == q.edges[m:] if rest else p.d() == q.d()
+        if rest:
+            return p.edges[n:] == q.edges[m:]
+        if p.edges and q.edges and isinstance(p.graph, ModelGraph):
+            # d(e) = (e.z, e.x) on the model graph: compare the fields,
+            # building neither domain vertex
+            e, f = p.edges[-1], q.edges[-1]
+            return (e.z, e.x) == (f.z, f.x)
+        return p.d() == q.d()
 
     def shift_period(self) -> None:
         """None: shifts of a finite path have pairwise different lengths."""
         return None
 
     def cons(self, m: int) -> "FiniteBoundaryPath":
-        g = self.path.graph
+        p = self.path
+        g = p.graph
         if not hasattr(g, "edge_from"):
             raise BoundaryError(f"cons needs edges numbered at each vertex, and {g!r} has none")
         if m < 1:
             raise BoundaryError("edge indices must be >= 1")
-        edge = g.edge_from(self.range(), m)
-        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + self.path.edges))
+        if p.edges and isinstance(g, ModelGraph):
+            # the range of the first edge (z, x, k) is (rho(z), x_k)
+            first = p.edges[0]
+            edge = ModelEdge(g.z_system.forward(first.z), g.x_point(first.m), m)
+        else:
+            edge = g.edge_from(self.range(), m)
+        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + p.edges))
 
     def __len__(self):
         return len(self.path)

@@ -135,8 +135,8 @@ def _positive_int(value, where: str) -> int:
 
 def _parse_factor(obj: dict, key: str, default: str, builders: dict, where: str = "config"):
     """A name of ``builders`` taking no parameter, or ``{"kind": kind,
-    <parameter>: n}`` for one that takes one, with any other key dropped;
-    errors name the field ``<where>.<key>``."""
+    <parameter>: n}`` for one that takes one, with no other key; errors
+    name the field ``<where>.<key>``."""
     value = obj.get(key, default)
     kind = value.get("kind") if isinstance(value, dict) else value
     if isinstance(kind, str) and kind in builders:
@@ -144,6 +144,7 @@ def _parse_factor(obj: dict, key: str, default: str, builders: dict, where: str 
         if isinstance(value, str) and param is None:
             return value
         if isinstance(value, dict) and param is not None:
+            _known_fields(value, f"{where}.{key}", ("kind", param))
             n = _positive_int(value.get(param), f"{where}.{key}.{param}")
             if n > MAX_FINITE_SIZE:
                 raise ConfigError(f"{where}.{key}.{param}: expected at most {MAX_FINITE_SIZE}")

@@ -16,6 +16,7 @@ import operator
 import random
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .boundary import (
     BoundaryPath,
@@ -43,9 +44,17 @@ class GroupoidError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
-    """(x, k, y) with minimal witness (n, m): shift^n(x) = shift^m(y)."""
+class GroupoidElement(NamedTuple):
+    """(x, k, y) with minimal witness (n, m): shift^n(x) = shift^m(y).
+
+    An immutable record: fields by position or by name, equality and
+    hash by the five fields, and the repr ``GroupoidElement(x=..., k=...,
+    y=..., n=..., m=...)``.  It is a named tuple because the axiom sampler
+    builds and compares elements by the hundred thousand, and a tuple is
+    built and compared in C; so it also equals the plain tuple of its
+    fields.  The constructor checks nothing: ``make_element`` checks a
+    witness, and ``unit`` and ``inverse`` give elements by construction.
+    """
 
     x: BoundaryPath
     k: int

@@ -189,6 +189,45 @@ def test_same_tail_matches_shifted_sequences_exhaustively():
     assert len(seqs) == 176 and equal == 50160
 
 
+def test_cons_matches_full_canonicalisation_exhaustively():
+    """Every canonical sequence over {1, 2, 3} with a head of length <= 2
+    and a cycle of length <= 3, and every value 1-3: the O(1) cons gives
+    the fields and hash of the public constructor on the prepended pair,
+    including where an empty head meets the cycle's last item and the
+    cycle rotates."""
+    words = [w for k in range(4) for w in itertools.product((1, 2, 3), repeat=k)]
+    seqs = {EvPeriodic(h, c) for h in words if len(h) <= 2 for c in words if c}
+    rotations = 0
+    for s in seqs:
+        for v in (1, 2, 3):
+            fast, slow = s.cons(v), EvPeriodic((v,) + s.head, s.cycle)
+            assert (fast.head, fast.cycle) == (slow.head, slow.cycle), (s, v)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert fast.shifted(1) == s
+            rotations += not s.head and v == s.cycle[-1]
+    # 33 primitive cycles, each after 1 + 2 + 3 * 2 heads that end off its
+    # last item; each cycle rotates under one value
+    assert len(seqs) == 297 and rotations == 33
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EvPeriodic((), (2, 1)),
+        lambda: EvPeriodic((3,), (1,)),
+        lambda: InfiniteModelPath(ODO_POINT, ZERO_2ADIC, EvPeriodic((), (1,))),
+        lambda: InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
+    ],
+    ids=["sequence-empty-head", "sequence", "model-path", "loop-word"],
+)
+def test_cons_below_one_on_index_data_has_one_type_and_message(build):
+    """cons checks the value itself, so a value below 1 is the error the
+    public constructor gives, on a sequence and on both infinite paths."""
+    for value in (0, -1):
+        with pytest.raises(BoundaryError, match="^edge indices must be >= 1$"):
+            build().cons(value)
+
+
 # ---------------------------------------------------------------------------
 # shift
 # ---------------------------------------------------------------------------
@@ -972,6 +1011,74 @@ def test_same_tail_matches_shifted_paths(make_z, make_x):
                 assert p.same_tail(n, q, m) == want, (path_to_line(p), n, path_to_line(q), m)
                 equal += want
     assert equal > len(paths) * 6
+
+
+def _full_shift_paths(graph, rng):
+    """Finite boundary paths of a model graph in groups that share a full
+    shift or just miss it: a path, its domain vertex path, other edges
+    into that vertex, the last edge with another index, and the path
+    moved so that its last edge differs from the original's only in z,
+    or only in x.  Each path also comes rebuilt from its line, with
+    fresh points."""
+    system = graph.z_system
+    paths = []
+    for _ in range(4):
+        z = system.backend.random_point(rng)
+        x_last = graph.x_backend.random_point(rng)
+        idx = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 4)))
+        mu = FiniteBoundaryPath(param_f_k(graph, z, x_last, idx))
+        vertex = shift_power(mu, mu.length)
+        other_x = next((graph.x_point(j) for j in range(1, 9) if graph.x_point(j) != x_last), None)
+        paths += [
+            mu,
+            vertex,
+            vertex.cons(rng.randrange(1, 6)).cons(rng.randrange(1, 6)),
+            FiniteBoundaryPath(param_f_k(graph, z, x_last, idx[:-1] + (idx[-1] % 5 + 1,))),
+            FiniteBoundaryPath(param_f_k(graph, system.forward(z), x_last, idx)),
+        ]
+        if other_x is not None:
+            paths.append(FiniteBoundaryPath(param_f_k(graph, z, other_x, idx)))
+    return paths + [path_from_line(path_to_line(mu), graph) for mu in paths]
+
+
+def _discrete_full_shift_paths():
+    """Paths of a finite graph whose every vertex is declared singular,
+    with domains u, v and w, and the vertex paths."""
+    g = DiscreteGraph(
+        ["u", "v", "w"],
+        [("u", "v", "a"), ("w", "v", "b"), ("v", "u", "c"), ("v", "w", "d"), ("u", "u", "e")],
+        singular_override=["u", "v", "w"],
+    )
+    edge = {e.label: e for e in g.edges}
+    words = ["a", "b", "ca", "cb", "da", "db", "e", "ec", "ae", "cae"]
+    paths = [FiniteBoundaryPath(FinitePath(g, tuple(edge[c] for c in w))) for w in words]
+    return paths + [FiniteBoundaryPath(vertex_path(g, v)) for v in g.vertices]
+
+
+@pytest.mark.parametrize(
+    "make_z, make_x",
+    FREE_CONFIGS + [pytest.param(None, "loop", id="loop"), pytest.param(None, "discrete", id="discrete")],
+)
+def test_full_shift_same_tail_matches_dropped_paths(make_z, make_x):
+    """At full shift same_tail compares domain vertices: from the last
+    edges' z and x on the model graph, and through d() on vertex paths
+    and other graphs.  It gives the verdict of comparing the two dropped
+    paths, which here are vertex paths."""
+    if make_x == "loop":
+        paths = [FiniteBoundaryPath(LOOP.path(w)) for w in ((), (1,), (2, 3), (4, 1, 1))]
+    elif make_x == "discrete":
+        paths = _discrete_full_shift_paths()
+    else:
+        graph = build_model_graph(make_z(), make_x())
+        paths = _full_shift_paths(graph, random.Random(f"full-shift-{graph!r}"))
+    verdicts = []
+    for p, q in itertools.product(paths, repeat=2):
+        n, m = p.length, q.length
+        want = p.drop(n) == q.drop(m)
+        assert p.same_tail(n, q, m) == want, (p, q)
+        verdicts.append(want)
+    assert True in verdicts
+    assert (False in verdicts) == (make_x != "loop")
 
 
 @pytest.mark.parametrize(

@@ -350,15 +350,16 @@ def test_battery_report_digest_pinned(z, x, digest):
 
 
 def test_battery_finite_x_ktheory_record():
-    cfg = parse_config(
-        {
-            "x_backend": {"kind": "finite", "size": 3, "note": "x"},
-            "seeds": [3],
-            "bounds": {"samples": 40, "axiom_trials": 40},
-        }
-    )
+    doc = {
+        "x_backend": {"kind": "finite", "size": 3},
+        "seeds": [3],
+        "bounds": {"samples": 40, "axiom_trials": 40},
+    }
+    # a backend object holds the kind and its parameter only
+    with pytest.raises(ConfigError, match=r"^config\.x_backend\.note: unknown field$"):
+        parse_config({**doc, "x_backend": {"kind": "finite", "size": 3, "note": "x"}})
+    cfg = parse_config(doc)
     report = run_battery(cfg)
-    # the config and its echo keep the kind and its parameter only
     assert cfg["x_backend"] == {"kind": "finite", "size": 3}
     assert json.loads(report.to_json())["config"]["x_backend"] == {"kind": "finite", "size": 3}
     record = next(r for r in report.records if r.name == "ktheory")
@@ -773,6 +774,11 @@ def _nested(inner: str, depth: int = 5000) -> str:
         ("ktheory", {"kind": "one-vertex-loops", "vertices": 5}, "graph.vertices: unknown field"),
         # a finite point token names its size
         ("converge", {"limit": "FIN @(P:.0;F:0/*)"}, "sequence.limit: invalid literal"),
+        # a backend object takes its kind and its parameter only
+        ("check", {"x_backend": {"kind": "finite", "size": 3, "sise": 5}},
+         "config.x_backend.sise: unknown field"),
+        ("converge", {"model": {"x_backend": {"kind": "finite", "size": 2, "szie": 9}}},
+         "sequence.model.x_backend.szie: unknown field"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

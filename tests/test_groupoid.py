@@ -18,6 +18,7 @@ from groupoidlab.boundary import (
     INFINITE,
     InfiniteModelPath,
     param_f,
+    path_from_line,
     path_to_line,
     shift,
     shift_power,
@@ -697,6 +698,67 @@ def test_make_element_takes_no_dynamics_step_on_a_shared_anchor(monkeypatch):
     assert (e.n, e.m, e.k) == (1, 1, 0)
     monkeypatch.undo()
     assert (e.n, e.m) == reference_witness(x, 2, 2, y)
+
+
+@pytest.mark.parametrize("make_z, make_x", FREE_CONFIGS)
+def test_full_shift_make_element_builds_no_vertex(monkeypatch, make_z, make_x):
+    """At full shift a finite model path's tail is its domain vertex, and
+    same_tail reads it off the last edge: make_element(x, len(x), m, y)
+    builds no PairPoint, whether it accepts or rejects."""
+    graph = build_model_graph(make_z(), make_x())
+    rng = random.Random(f"full-shift-{graph!r}")
+    cases = []
+    for _ in range(20):
+        x = random_boundary_path(graph, rng, force="finite")
+        if x.length == 0:
+            continue
+        y = shift_power(x, x.length)
+        for _ in range(rng.randrange(1, 4)):
+            y = y.cons(rng.randrange(1, 6))
+        other = random_boundary_path(graph, rng, force="finite")
+        for a, b in ((x, y), (y, x), (x, other)):
+            if b.length:
+                cases.append((a, b, shift_power(a, a.length) == shift_power(b, b.length)))
+    assert {same for _x, _y, same in cases} == {True, False}
+    built = []
+    original = PairPoint.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(PairPoint, "__init__", counted)
+    for x, y, same in cases:
+        try:
+            g = make_element(x, x.length, y.length, y)
+            assert same and g.k == x.length - y.length
+        except GroupoidError:
+            assert not same
+    assert built == []
+
+
+def test_groupoid_element_record_contract():
+    """Elements are immutable records: built by position or by name,
+    shown as the former dataclass was, equal and hashed by their fields."""
+    assert repr(GroupoidElement("u", -1, "v", 2, 3)) == "GroupoidElement(x='u', k=-1, y='v', n=2, m=3)"
+    graph = build_model_graph(golden_rotation(), CircleBackend())
+    rng = random.Random(9)
+    for force in ("finite", "infinite"):
+        g = random_element_at(graph, random_boundary_path(graph, rng, force=force), rng)
+        assert repr(g) == f"GroupoidElement(x={g.x!r}, k={g.k!r}, y={g.y!r}, n={g.n!r}, m={g.m!r})"
+        by_name = GroupoidElement(x=g.x, k=g.k, y=g.y, n=g.n, m=g.m)
+        assert by_name == g and hash(by_name) == hash(g)
+        # equal fields held by other objects
+        x, y = (path_from_line(path_to_line(mu), graph) for mu in (g.x, g.y))
+        copy = GroupoidElement(x, g.k, y, g.n, g.m)
+        assert copy == g and hash(copy) == hash(g)
+        assert GroupoidElement(g.x, g.k, g.y, g.n + 1, g.m + 1) != g
+        assert GroupoidElement(g.x, g.k + 1, g.y, g.n + 1, g.m) != g
+        for name in ("x", "k", "y", "n", "m"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            g.extra = 0
 
 
 def test_make_element_and_compose_build_no_shifted_path(monkeypatch):
