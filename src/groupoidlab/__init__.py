@@ -27,7 +27,6 @@ from .spaces import (
     dense_sequence,
     eps_dense,
     finite_cyclic,
-    freeness_check,
     golden_rotation,
     odometer,
     odometer_succ,

@@ -261,9 +261,9 @@ class InfiniteModelPath:
     exponent e with z = rho^e(a), and the index sequence.  ``drop`` and
     ``cons`` move the exponent only, so every path cut from or extended
     from one path shares its anchor, and two such paths (or their edges)
-    compare by integers: rho^e(a) = rho^f(a) exactly when the period of
-    a, if any, divides e - f.  ``z`` is built on first read and kept; no
-    other attribute changes after construction.
+    compare by integers: rho^e(a) = rho^f(a) exactly when the system's
+    period, if any, divides e - f.  ``z`` is built on first read and
+    kept; no other attribute changes after construction.
     """
 
     __slots__ = ("graph", "anchor", "exponent", "idx", "_z")
@@ -335,8 +335,7 @@ class InfiniteModelPath:
         if self.anchor is other.anchor and sys is other.graph.z_system:
             if e == f:
                 return True
-            period = sys.period(self.anchor)
-            return period is not None and (e - f) % period == 0
+            return sys.period is not None and (e - f) % sys.period == 0
         return sys.power(self.anchor, e) == other.graph.z_system.power(other.anchor, f)
 
     def prefix(self, k: int) -> FinitePath:
@@ -348,9 +347,9 @@ class InfiniteModelPath:
         return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx)
 
     def shift_period(self) -> tuple[int, int] | None:
-        """Shifts share the anchor, so the period of the anchor must also
+        """Shifts share the anchor, so the period of the system must also
         divide their exponent gap."""
-        period = self.graph.z_system.period(self.anchor)
+        period = self.graph.z_system.period
         return None if period is None else (len(self.idx.head), math.lcm(len(self.idx.cycle), period))
 
     def cons(self, m: int) -> "InfiniteModelPath":

@@ -28,10 +28,13 @@ from .boundary import (
     HeadOnlyTail,
     INFINITE,
     BoundaryError,
+    EvPeriodic,
     SequenceDescription,
     _ev_periodic_from_token,
     converges,
+    param_f,
     path_from_line,
+    path_to_line,
 )
 from .graphs import (
     DiscreteGraph,
@@ -43,7 +46,7 @@ from .graphs import (
     orbit_dense,
     verify_contracting_witness,
 )
-from .groupoid import DRGroupoid, axiom_sample, principality_sample
+from .groupoid import DRGroupoid, axiom_sample, isotropy_reduction
 from .ktheory import (
     KTheoryError,
     dim_bound,
@@ -58,9 +61,9 @@ from .spaces import (
     SYSTEM_BUILDERS,
     X_BACKEND_BUILDERS,
     box_contains,
+    box_rep_point,
     dense_indices_hitting,
     factor_point,
-    freeness_check,
 )
 
 
@@ -71,13 +74,12 @@ class ConfigError(ValueError):
 #: the battery enumerates every point and basic open of a finite factor
 MAX_FINITE_SIZE = 4096
 
-DEFAULT_BOUNDS = {
-    "isotropy_bound": 20,
-    "samples": 500,
-    "density_depth": 64,
-    "witness_cap": 200,
-    "axiom_trials": 1000,
-}
+DEFAULT_BOUNDS = {"axiom_trials": 1000}
+
+#: the density depth of the minimality check, raised to the size of a finite X
+DENSITY_DEPTH = 64
+#: the most translates the contracting witness search tries
+WITNESS_CAP = 200
 
 
 def load_json(path: str):
@@ -220,8 +222,7 @@ def check_backends(cfg, graph) -> CheckRecord:
 
 
 def check_minimality(cfg, graph) -> CheckRecord:
-    depth = cfg["bounds"]["density_depth"]
-    eps, depth = graph.x_backend.density_resolution(depth)
+    eps, depth = graph.x_backend.density_resolution(DENSITY_DEPTH)
     missed = []
     tried = 0
     for seed in cfg["seeds"]:
@@ -242,21 +243,15 @@ def check_minimality(cfg, graph) -> CheckRecord:
 
 
 def check_freeness(cfg, graph) -> CheckRecord:
-    system = graph.z_system
-    bound = cfg["bounds"]["isotropy_bound"]
-    periods = []
-    for seed in cfg["seeds"]:
-        rng = random.Random(seed)
-        for _ in range(20):
-            z = system.backend.random_point(rng)
-            periods.extend(freeness_check(system, z, bound))
+    """Exact: a minimal system with a periodic point is that point's
+    finite orbit, so the system's one declared period decides freeness."""
+    period = graph.z_system.period
     return CheckRecord(
         "freeness",
-        "the Z factor acts freely: no sampled point has a period",
-        {"bound": bound, "points": 20 * len(cfg["seeds"])},
-        not periods,
-        {"periods_found": sorted(set(periods))[:8]},
-        cfg["seeds"][0],
+        "the Z factor acts freely: the system has no period",
+        {},
+        period is None,
+        {"period": period},
     )
 
 
@@ -301,7 +296,6 @@ def check_axioms(cfg, graph) -> CheckRecord:
 
 
 def check_contracting(cfg, graph) -> CheckRecord:
-    cap = cfg["bounds"]["witness_cap"]
     ok = True
     ns = []
     details = []
@@ -311,7 +305,7 @@ def check_contracting(cfg, graph) -> CheckRecord:
             u = graph.z_system.backend.random_box(rng)
             vx = graph.x_backend.random_box_around(graph.x_point(1), rng)
             try:
-                witness = find_contracting_witness(graph, u, vx, cap)
+                witness = find_contracting_witness(graph, u, vx, WITNESS_CAP)
             except WitnessSearchError as exc:
                 ok = False
                 details.append(str(exc))
@@ -324,7 +318,7 @@ def check_contracting(cfg, graph) -> CheckRecord:
     return CheckRecord(
         "contracting",
         "random vertex boxes admit verified contracting witnesses",
-        {"pairs_per_seed": 3, "cap": cap},
+        {"pairs_per_seed": 3, "cap": WITNESS_CAP},
         ok,
         {"translate_counts": ns[:12], "details": details[:6]},
         cfg["seeds"][0],
@@ -332,27 +326,18 @@ def check_contracting(cfg, graph) -> CheckRecord:
 
 
 def check_principality(cfg, graph) -> CheckRecord:
-    samples = cfg["bounds"]["samples"]
-    bound = cfg["bounds"]["isotropy_bound"]
-    ok = True
-    found = []
-    for seed in cfg["seeds"]:
-        rep = principality_sample(graph, samples, bound, seed)
-        if not rep.ok:
-            ok = False
-            found.extend(
-                f"seed {seed}: isotropy pairs {pairs}" for _mu, pairs in rep.isotropy[:2]
-            )
-            if not rep.reductions_ok:
-                found.append(f"seed {seed}: the freeness reduction fails")
+    """Exact: a finite path never has isotropy, and an infinite model path
+    has it exactly when the system has a period, so one infinite path
+    decides every path; the evidence replays through ``path_from_line``."""
+    z = box_rep_point(graph.z_system.backend.full_box())
+    mu = param_f(graph, z, EvPeriodic((), (1,)))
     return CheckRecord(
         "principality",
-        "no sampled boundary path has nontrivial isotropy, and the exact "
-        "reduction to freeness of the base dynamics passes",
-        {"samples": samples, "bound": bound, "seeds": cfg["seeds"]},
-        ok,
-        {"violations": found[:8]},
-        cfg["seeds"][0],
+        "no boundary path has nontrivial isotropy: finite paths never do, and "
+        "infinite ones do exactly when the witness path has a shift period",
+        {},
+        isotropy_reduction(mu),
+        {"path": path_to_line(mu), "shift_period": mu.shift_period()},
     )
 
 
@@ -557,15 +542,11 @@ def _load_config(args) -> dict:
     cfg = parse_config(obj)
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    if args.samples is not None:
-        cfg["bounds"]["samples"] = _positive_int(args.samples, "--samples")
-    if args.bound is not None:
-        cfg["bounds"]["isotropy_bound"] = _positive_int(args.bound, "--bound")
     return cfg
 
 
 #: the flags only run, report, check and a bare ``groupoidlab`` take, with their defaults
-BATTERY_FLAGS = {"config": None, "seed": None, "samples": None, "bound": None, "format": "json"}
+BATTERY_FLAGS = {"config": None, "seed": None, "format": "json"}
 
 
 def main(argv=None) -> int:
@@ -576,8 +557,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False, parents=[out], argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a JSON config")
     common.add_argument("--seed", type=int, help="replace the config seed list")
-    common.add_argument("--samples", type=int, help="override the sample count")
-    common.add_argument("--bound", type=int, help="override the isotropy bound")
     common.add_argument("--format", choices=["json", "text"], help="default: json")
     parser = argparse.ArgumentParser(
         prog="groupoidlab",

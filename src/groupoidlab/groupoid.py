@@ -6,7 +6,7 @@ are always reduced to the minimal pair, so equality of elements is
 structural.  Principality on the model graph is decided by each path's
 ``shift_period()``: isotropy of the shift is eventual periodicity, and a
 model path is eventually periodic only through the declared ``period``
-of its base point, which the free systems do not have.  The sampled
+of its system, which the free systems do not have.  The sampled
 search lists the isotropy pairs up to a bound from the same answer.
 """
 
@@ -351,8 +351,8 @@ def isotropy_reduction(mu: BoundaryPath) -> bool:
     Isotropy of the shift is eventual periodicity, which
     ``mu.shift_period()`` decides per path kind: a finite path has no
     period, since its shifts have pairwise different lengths; an infinite
-    model path has one only through the declared ``period`` of its base
-    point, since equal shifts share the anchor and force a period of the
+    model path has one only through the declared ``period`` of its
+    system, since equal shifts share the anchor and force a period of the
     dynamics; a loop word is eventually periodic, so it always has one."""
     return mu.shift_period() is None
 

@@ -12,6 +12,7 @@ translation by the dynamics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -222,13 +223,47 @@ def split_top_level(text: str) -> list[str]:
 
 def point_from_token(tok: str) -> Point:
     """Parse ``Point.token()``: ``C:<p>:<q>``, ``P:<pre>.<per>``,
-    ``F:<index>/<size>`` or ``(<point>;<point>)``."""
-    tok = tok.strip()
-    if tok.startswith("(") and tok.endswith(")"):
-        parts = split_top_level(tok[1:-1])
-        if len(parts) != 2:
-            raise ValueError(f"malformed pair token {tok!r}")
-        return PairPoint(point_from_token(parts[0]), point_from_token(parts[1]))
+    ``F:<index>/<size>`` or ``(<point>;<point>)``.  One scan finds the
+    split points of every pair level, so the parse is linear in the
+    token however deeply its pairs nest."""
+    depths, semicolons = _scan_depths(tok)
+    return _point_in(tok, 0, len(tok), depths, semicolons)
+
+
+def _scan_depths(text: str) -> tuple[list[int], dict[int, list[int]]]:
+    """The parenthesis depth before each character of ``text``, and the
+    positions of the ';' at each depth, in increasing order."""
+    depths = []
+    semicolons = {}
+    depth = 0
+    for i, ch in enumerate(text):
+        depths.append(depth)
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == ";":
+            semicolons.setdefault(depth, []).append(i)
+    return depths, semicolons
+
+
+def _point_in(text: str, lo: int, hi: int, depths, semicolons) -> Point:
+    """The point token ``text[lo:hi]``, stripped.  A pair splits where
+    ``split_top_level`` would split its inner text: at the one ';' inside
+    it at the depth where the inner text starts."""
+    while lo < hi and text[lo].isspace():
+        lo += 1
+    while hi > lo and text[hi - 1].isspace():
+        hi -= 1
+    if hi - lo >= 2 and text[lo] == "(" and text[hi - 1] == ")":
+        at = semicolons.get(depths[lo + 1], [])
+        first = bisect_left(at, lo + 1)
+        if bisect_left(at, hi - 1, first) - first != 1:
+            raise ValueError(f"malformed pair token {text[lo:hi]!r}")
+        mid = at[first]
+        left = _point_in(text, lo + 1, mid, depths, semicolons)
+        return PairPoint(left, _point_in(text, mid + 1, hi - 1, depths, semicolons))
+    tok = text[lo:hi]
     kind, _, rest = tok.partition(":")
     if kind not in _POINT_PARSERS:
         raise ValueError(f"unknown point token {tok!r}")
@@ -961,11 +996,12 @@ class MinimalSystem:
     the image of its anchor): box translation is derived from the map on
     anchor points alone, which is exact only under that precondition.
 
-    ``period(p)`` is the least ``k >= 1`` with ``map^k(p) = p``, or
-    ``None`` when no such ``k`` exists; the system is free exactly when
-    it is ``None`` at every point.  It is declared with the map, from an
-    exact argument about that map, so freeness is certified outright
-    rather than by walking the orbit up to a bound.
+    ``period`` is the least ``k >= 1`` with ``map^k(p) = p``, one value
+    for the whole system, or ``None`` when no point has one: a minimal
+    system with a periodic point is that point's finite orbit, so every
+    point shares its period.  It is declared with the map, from an exact
+    argument about that map, so freeness is certified outright rather
+    than by walking the orbit up to a bound.
 
     ``point_like_ktheory`` marks systems standing in for an infinite
     compact space whose function algebra has the K-theory of a point;
@@ -977,14 +1013,11 @@ class MinimalSystem:
         self.name = name
         self.backend = backend
         self._power = power
-        self._period = period
+        self.period = period
         self.point_like_ktheory = point_like_ktheory
 
     def power(self, p: Point, k: int) -> Point:
         return self._power(p, k)
-
-    def period(self, p: Point) -> int | None:
-        return self._period(p)
 
     def forward(self, p: Point) -> Point:
         return self._power(p, 1)
@@ -1009,7 +1042,7 @@ def golden_rotation() -> MinimalSystem:
         "golden-rotation",
         CircleBackend(),
         lambda p, k: circle_rotate(p, k),
-        period=lambda p: None,
+        period=None,
         point_like_ktheory=True,
     )
 
@@ -1021,7 +1054,7 @@ def odometer() -> MinimalSystem:
         "odometer",
         CantorBackend(),
         lambda p, k: odometer_succ(p, k),
-        period=lambda p: None,
+        period=None,
         point_like_ktheory=True,
     )
 
@@ -1034,7 +1067,7 @@ def finite_cyclic(n: int) -> MinimalSystem:
         f"finite-cyclic-{n}",
         backend,
         lambda p, k: FinitePoint((p.index + k) % n, n),
-        period=lambda p: n,
+        period=n,
         point_like_ktheory=False,
     )
 
@@ -1052,19 +1085,3 @@ X_BACKEND_BUILDERS = {
     "circle": (CircleBackend, None),
     "finite": (FiniteBackend, "size"),
 }
-
-
-# ---------------------------------------------------------------------------
-# dynamical checks
-# ---------------------------------------------------------------------------
-
-
-def freeness_check(system: MinimalSystem, z: Point, bound: int) -> list[int]:
-    """All periods 1 <= k <= bound with map^k(z) = z: the multiples of the
-    system's exact least period at z.  An empty list means no period up
-    to the bound; ``system.period(z) is None`` certifies that z has none
-    at all."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    period = system.period(z)
-    return [] if period is None else list(range(period, bound + 1, period))

@@ -358,7 +358,7 @@ def test_criterion_9_dimension_arithmetic():
 
 def test_criterion_10_determinism():
     cfg = parse_config(
-        {"seeds": [7, 11], "bounds": {"samples": 80, "axiom_trials": 80}}
+        {"seeds": [7, 11], "bounds": {"axiom_trials": 80}}
     )
     first = run_battery(cfg).to_json()
     second = run_battery(cfg).to_json()

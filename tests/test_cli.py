@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import copy
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -10,12 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import graphs
+from groupoidlab import cli, graphs
 from groupoidlab.cli import (
+    BATTERY_FLAGS,
+    CHECKS,
+    DEFAULT_BOUNDS,
+    DENSITY_DEPTH,
     MAX_FINITE_SIZE,
     ConfigError,
-    build_system,
     build_x_backend,
+    check_contracting,
+    check_freeness,
+    check_minimality,
+    check_principality,
     check_singular,
     discrete_graph_from_obj,
     main,
@@ -23,11 +32,15 @@ from groupoidlab.cli import (
     run_battery,
 )
 from groupoidlab.spaces import (
+    CantorBackend,
     FiniteBackend,
     FiniteBox,
     FinitePoint,
+    MinimalSystem,
     box_contains,
     odometer,
+    odometer_succ,
+    point_backend,
     point_from_token,
 )
 
@@ -37,7 +50,7 @@ def fast_cfg():
     return parse_config(
         {
             "seeds": [7],
-            "bounds": {"samples": 60, "axiom_trials": 60, "density_depth": 32},
+            "bounds": {"axiom_trials": 60},
         }
     )
 
@@ -58,7 +71,7 @@ def test_config_defaults():
     assert cfg["z_backend"] == "odometer"
     assert cfg["x_backend"] == "point"
     assert cfg["seeds"] == [7]
-    assert cfg["bounds"]["isotropy_bound"] == 20
+    assert cfg["bounds"] == {"axiom_trials": 1000}
 
 
 def test_config_field_diagnostics():
@@ -74,8 +87,8 @@ def test_config_field_diagnostics():
         parse_config({"x_backend": {"kind": "finite", "size": True}})
     with pytest.raises(ConfigError, match="seeds"):
         parse_config({"seeds": []})
-    with pytest.raises(ConfigError, match="bounds.samples"):
-        parse_config({"bounds": {"samples": -1}})
+    with pytest.raises(ConfigError, match="bounds.axiom_trials"):
+        parse_config({"bounds": {"axiom_trials": -1}})
     with pytest.raises(ConfigError, match="bounds.frobnicate"):
         parse_config({"bounds": {"frobnicate": 3}})
     # JSON true is not the integer 1
@@ -83,8 +96,8 @@ def test_config_field_diagnostics():
         parse_config({"seeds": [True]})
     with pytest.raises(ConfigError, match=r"config\.seeds\[1\]: expected an integer"):
         parse_config({"seeds": [3, False]})
-    with pytest.raises(ConfigError, match=r"config\.bounds\.samples: expected a positive integer"):
-        parse_config({"bounds": {"samples": True}})
+    with pytest.raises(ConfigError, match=r"config\.bounds\.axiom_trials: expected a positive integer"):
+        parse_config({"bounds": {"axiom_trials": True}})
 
 
 @pytest.mark.parametrize("key, param", [("x_backend", "size"), ("z_backend", "order")])
@@ -230,22 +243,41 @@ def test_minimality_reaches_every_point_of_a_large_finite_x(z, size):
     assert run_battery(small, only="minimality").records[0].params["depth"] == 64
 
 
-def test_minimality_names_the_base_points_it_missed():
-    """A failing minimality record lists up to 4 base points as tokens,
-    and each one replays as a failing density check."""
-    cfg = parse_config(
-        {"z_backend": "golden-rotation", "x_backend": "circle", "bounds": {"density_depth": 1}}
+def _odometer_by_two() -> MinimalSystem:
+    """+2 on the 2-adics: free, since z + 2k = z only for k = 0, but not
+    minimal, since the orbit of z stays in z + 2Z_2."""
+    return MinimalSystem(
+        "odometer-by-2",
+        CantorBackend(),
+        lambda p, k: odometer_succ(p, 2 * k),
+        period=None,
+        point_like_ktheory=True,
     )
-    (record,) = run_battery(cfg, only="minimality").records
+
+
+def test_minimality_names_the_base_points_it_missed():
+    """A free system that is not minimal fails minimality at the default
+    depth, and the record lists up to 4 base points as tokens, each of
+    which replays as a failing density check.  No translate of a box of
+    Z reaches the other parity, so contracting fails too, while freeness
+    and principality pass."""
+    cfg = parse_config({"seeds": [7]})
+    graph = graphs.build_model_graph(_odometer_by_two(), point_backend())
+    record = check_minimality(cfg, graph)
     assert record.verdict is False
     missed = record.evidence["not_dense_from"]
     assert 1 <= len(missed) <= 4
-    graph = graphs.build_model_graph(build_system(cfg), build_x_backend(cfg))
-    eps, depth = graph.x_backend.density_resolution(1)
+    eps, depth = graph.x_backend.density_resolution(DENSITY_DEPTH)
+    assert (record.params["eps"], record.params["depth"]) == (str(eps), depth)
     for token in missed:
         vertex = point_from_token(token)
         assert graph.vertex_backend.has_point(vertex)
         assert graphs.orbit_dense(graph, vertex, depth, eps) is False
+    contracting = check_contracting(cfg, graph)
+    assert contracting.verdict is False
+    assert contracting.evidence["details"] == ["no cover of Z within 200 translates"] * 3
+    assert check_freeness(cfg, graph).verdict is True
+    assert check_principality(cfg, graph).verdict is True
 
 
 def test_battery_negative_control():
@@ -253,16 +285,17 @@ def test_battery_negative_control():
         {
             "z_backend": {"kind": "finite-cyclic", "order": 3},
             "seeds": [7],
-            "bounds": {"samples": 60, "axiom_trials": 40},
+            "bounds": {"axiom_trials": 40},
         }
     )
     report = run_battery(cfg)
     verdicts = {r.name: r.verdict for r in report.records}
     assert not report.overall
     assert verdicts["freeness"] is False
-    freeness = next(r for r in report.records if r.name == "freeness")
-    assert freeness.evidence["periods_found"] == [3, 6, 9, 12, 15, 18]
+    records = {r.name: r for r in report.records}
+    assert records["freeness"].evidence == {"period": 3}
     assert verdicts["principality"] is False
+    assert records["principality"].evidence == {"path": "INF z=F:0/3 idx=|1", "shift_period": (0, 3)}
     assert verdicts["ktheory"] is False
     assert verdicts["minimality"] is True  # the control is minimal, just not free
 
@@ -314,29 +347,29 @@ def test_singular_fails_on_a_dense_term_outside_its_box(fast_cfg):
     assert record.evidence["index_witnesses"]["box_1"] == [2, 5, 8]
 
 
-# sha256 of the JSON report for seed 1 with samples and axiom_trials at 60,
+# sha256 of the JSON report for seed 1 with axiom_trials at 60,
 # pinned so that refactors of the exact cores cannot change a report byte
 @pytest.mark.parametrize(
     "z, x, digest",
     [
         ("odometer", "point",
-         "8408c639ae777c57e42f5d6f23a5fd6a5138a244a89941b1e3f97f6adbe92cd7"),
+         "552fd79022d71e0b83857f7975077061c3928d6d05cfff259d606820d39e32b8"),
         ("odometer", "cantor",
-         "b2f9b99371e33adbabb9f30daff194885b49a039c64a02fc3c4968b4046d518c"),
+         "3e4ad9f3d53184cdc37caff413bfea84cc0e1f46ca15833724e3eba693887416"),
         ("odometer", "circle",
-         "f07af9283772912a95c93fda8e9fec8f7e9e930e059fe75fb48df55497de99c8"),
+         "ae9fc41d69d8fd52090768e3bd1fd6b36fd516124941e2b51591bc4d29af70e1"),
         ("odometer", {"kind": "finite", "size": 3},
-         "e4aa615563b373de32c01a1af0330429983efdc28557bcf81cdb1bafe0264b1a"),
+         "bc0d6d8f65cc440398abe37b3890d205c5dca035627a10832fc2a98ea4d62a62"),
         ("golden-rotation", "point",
-         "e8e9ad32ff552c4e8f36b9e708628a54fdd2d475eb908c5e29528db9657cba44"),
+         "c1817eeebbf05fb36f99aa6e66826625e0c59374b252fd01375a377e17d383f4"),
         ("golden-rotation", "cantor",
-         "e458271ce4e7f45f6d17e432876b1dff42e1cf2bce6f360bc9de500a21adade3"),
+         "ca57978066d20bd503f17d077acad1d3176de45b4f3e00fa41574a77552667b2"),
         ("golden-rotation", "circle",
-         "3bcc33e1123dc10c7466bc556e33b28e504ecb0d712957f9f4ce458a1cdd418e"),
+         "28b8bbe8b962730f2bbd793ebca4ff03e925b5c98a875788f46cceaeb1641394"),
         ("golden-rotation", {"kind": "finite", "size": 3},
-         "0390164c889b6dea15ba3f860763bad8fb4d86776c201986761d7f3447b42ca3"),
+         "a0da406013e550fbb3dc3da65c771f8fbce9fbb678c62fb3e4e6f9794091c75d"),
         ({"kind": "finite-cyclic", "order": 3}, "point",
-         "8c71155a7120cb5e3528b2214edad75fbbf01a54d452a8a2bca7c8791544dd7c"),
+         "53ab08b46ef40439e7205f4de48976a734709e14ca7c04833dbbaabc15488aa6"),
     ],
     ids=[f"{z}-{x}" for z in ("odometer", "golden-rotation")
          for x in ("point", "cantor", "circle", "finite3")] + ["finite-cyclic-point"],
@@ -344,7 +377,7 @@ def test_singular_fails_on_a_dense_term_outside_its_box(fast_cfg):
 def test_battery_report_digest_pinned(z, x, digest):
     cfg = parse_config(
         {"z_backend": z, "x_backend": x, "seeds": [1],
-         "bounds": {"samples": 60, "axiom_trials": 60}}
+         "bounds": {"axiom_trials": 60}}
     )
     assert hashlib.sha256(run_battery(cfg).to_json().encode()).hexdigest() == digest
 
@@ -353,7 +386,7 @@ def test_battery_finite_x_ktheory_record():
     doc = {
         "x_backend": {"kind": "finite", "size": 3},
         "seeds": [3],
-        "bounds": {"samples": 40, "axiom_trials": 40},
+        "bounds": {"axiom_trials": 40},
     }
     # a backend object holds the kind and its parameter only
     with pytest.raises(ConfigError, match=r"^config\.x_backend\.note: unknown field$"):
@@ -388,7 +421,7 @@ def test_main_run_exit_codes(tmp_path):
     ok_cfg = write_json(
         tmp_path,
         "ok.json",
-        {"seeds": [7], "bounds": {"samples": 40, "axiom_trials": 40}},
+        {"seeds": [7], "bounds": {"axiom_trials": 40}},
     )
     out = tmp_path / "report.json"
     assert main(["--config", ok_cfg, "--out", str(out)]) == 0
@@ -400,7 +433,7 @@ def test_main_run_exit_codes(tmp_path):
         {
             "z_backend": {"kind": "finite-cyclic", "order": 3},
             "seeds": [7],
-            "bounds": {"samples": 40, "axiom_trials": 40},
+            "bounds": {"axiom_trials": 40},
         },
     )
     assert main(["--config", bad_cfg, "--out", str(tmp_path / "r2.json")]) == 1
@@ -414,41 +447,35 @@ def test_main_check_unknown_lists_available(capsys):
 
 
 def test_main_check_with_flag_overrides(capsys):
-    rc = main(["check", "principality", "--samples", "120", "--bound", "20", "--seed", "7"])
+    rc = main(["check", "principality", "--seed", "7"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
+    assert out["config"] == {"z_backend": "odometer", "x_backend": "point", "seeds": [7],
+                             "bounds": {"axiom_trials": 1000}}
     (record,) = out["records"]
     assert record["name"] == "principality" and record["verdict"] == "pass"
-    assert record["params"]["samples"] == 120
-    assert record["params"]["bound"] == 20
-    assert record["params"]["seeds"] == [7]
-    assert record["evidence"]["violations"] == []
-
-
-@pytest.mark.parametrize("flag", ["--samples", "--bound"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_main_flag_overrides_must_be_positive(flag, value, capsys):
-    """A flag is held to the check a config file's bound gets: no vacuous
-    pass on zero samples, and the message names the flag."""
-    assert main(["check", "principality", flag, value, "--seed", "7"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag}: expected a positive integer\n"
+    assert record["params"] == {} and record["seed"] is None
+    assert record["evidence"] == {"path": "INF z=P:.0 idx=|1", "shift_period": None}
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--bound"])
 def test_main_flag_override_rejected_like_the_config_bound(tmp_path, flag, capsys):
+    """The principality sample size and isotropy bound are gone: the flag
+    that set each one is a usage error, and its config bound is refused as
+    unknown before its value is read."""
     key = {"--samples": "samples", "--bound": "isotropy_bound"}[flag]
     cfg = write_json(tmp_path, "zero.json", {"bounds": {key: 0}})
     assert main(["check", "principality", "--config", cfg]) == 2
-    assert capsys.readouterr().err == f"error: config.bounds.{key}: expected a positive integer\n"
-    assert main(["run", flag, "0"]) == 2
-    assert capsys.readouterr().err == f"error: {flag}: expected a positive integer\n"
+    assert capsys.readouterr().err == f"error: config.bounds.{key}: unknown bound\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", flag, "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_main_report_alias(tmp_path):
     cfg = write_json(
-        tmp_path, "cfg.json", {"seeds": [5], "bounds": {"samples": 40, "axiom_trials": 40}}
+        tmp_path, "cfg.json", {"seeds": [5], "bounds": {"axiom_trials": 40}}
     )
     out = tmp_path / "alias.json"
     assert main(["report", "--config", cfg, "--out", str(out)]) == 0
@@ -461,7 +488,7 @@ def test_battery_cantor_x_multi_seed():
             "z_backend": "golden-rotation",
             "x_backend": "cantor",
             "seeds": [3, 9],
-            "bounds": {"samples": 50, "axiom_trials": 50},
+            "bounds": {"axiom_trials": 50},
         }
     )
     report = run_battery(cfg)
@@ -530,8 +557,8 @@ def test_document_commands_reject_battery_flags_before_them(tmp_path, capsys, co
 def test_battery_flags_before_or_after_the_command(tmp_path, command):
     """The battery flags read the same on either side of the subcommand,
     and a flag given on both sides takes the later value."""
-    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20, "density_depth": 16}})
-    flags = ["--config", cfg, "--seed", "5", "--samples", "3", "--bound", "5", "--format", "text"]
+    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20}})
+    flags = ["--config", cfg, "--seed", "5", "--format", "text"]
     after, before, both = (tmp_path / name for name in ("after", "before", "both"))
     assert main(command + flags + ["--out", str(after)]) == 0
     assert main(["--out", str(before)] + flags + command) == 0
@@ -540,15 +567,14 @@ def test_battery_flags_before_or_after_the_command(tmp_path, command):
     assert main(flags + command + ["--seed", "7", "--format", "json", "--out", str(both)]) == 0
     config = json.loads(both.read_text())["config"]
     assert config["seeds"] == [7]
-    assert (config["bounds"]["samples"], config["bounds"]["isotropy_bound"]) == (3, 5)
+    assert config["bounds"] == {"axiom_trials": 20}
 
 
 @pytest.mark.parametrize("command", [["run"], ["report"], ["check", "backends"]])
 def test_battery_commands_keep_every_flag(tmp_path, command):
-    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20, "density_depth": 16}})
+    cfg = write_json(tmp_path, "c.json", {"bounds": {"axiom_trials": 20}})
     out = tmp_path / "r.txt"
-    flags = ["--config", cfg, "--seed", "3", "--samples", "5", "--bound", "5",
-             "--format", "text", "--out", str(out)]
+    flags = ["--config", cfg, "--seed", "3", "--format", "text", "--out", str(out)]
     assert main(command + flags) == 0
     assert out.read_text().endswith("overall: PASS\n")
 
@@ -705,8 +731,8 @@ def _nested(inner: str, depth: int = 5000) -> str:
         ("converge", {"tail": {"kind": "escaping", "prefix": "FIN @(P:.0;F:0/1)",
                                "x_last": "F:0/1", "rep_start": -2}},
          "sequence.tail.rep_start: expected a non-negative integer"),
-        ("check", {"seeds": [True], "bounds": {"samples": 4}}, "config.seeds[0]: expected an integer"),
-        ("check", {"bounds": {"samples": True}}, "config.bounds.samples: expected a positive integer"),
+        ("check", {"seeds": [True], "bounds": {"axiom_trials": 4}}, "config.seeds[0]: expected an integer"),
+        ("check", {"bounds": {"axiom_trials": True}}, "config.bounds.axiom_trials: expected a positive integer"),
         # a kind that is not a string
         ("converge", {"tail": {"kind": "base-point", "idx": "5|2",
                                "z_rule": {"kind": ["constant"], "point": "P:.0"}}},
@@ -779,9 +805,31 @@ def _nested(inner: str, depth: int = 5000) -> str:
          "config.x_backend.sise: unknown field"),
         ("converge", {"model": {"x_backend": {"kind": "finite", "size": 2, "szie": 9}}},
          "sequence.model.x_backend.szie: unknown field"),
+    ]
+    # the bounds that sized the sampled freeness and principality checks,
+    # and the two that became constants, are refused
+    + [
+        ("check", {"bounds": {key: 5}}, f"config.bounds.{key}: unknown bound")
+        for key in ("samples", "isotropy_bound", "density_depth", "witness_cap")
+    ]
+    # so are the flags that set the first two, on either side of the command
+    + [
+        (argv, None, message)
+        for flag in ("--samples", "--bound")
+        for command in (["run"], ["report"], ["check", "principality"])
+        for argv, message in (
+            (command + [flag, "5"], f"unrecognized arguments: {flag} 5"),
+            ([flag, "5"] + command, "invalid choice: '5'"),
+        )
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
+    if isinstance(command, list):  # a command line with a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        return
     if command == "converge":
         doc = {"tail": {"kind": "head-only"}, "limit": "FIN @(P:.0;F:0/1)", **doc}
         argv = ["converge", write_json(tmp_path, "doc.json", doc)]
@@ -792,6 +840,33 @@ def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):
         argv += ["principality"] if command == "check" else []
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _subscripts_of(node, name):
+    """The constant keys ``k`` read as ``name[k]`` in the syntax tree ``node``."""
+    return {
+        sub.slice.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant)
+        and ast.unparse(sub.value) == name
+    }
+
+
+def test_every_bound_and_battery_flag_is_read():
+    """A knob that nothing reads fails here: every key of DEFAULT_BOUNDS
+    is read as ``cfg["bounds"][key]`` by some check, and every battery
+    flag as ``args.<key>`` by ``_load_config`` or ``main``."""
+    checks = [ast.parse(inspect.getsource(fn)) for fn in CHECKS.values()]
+    bounds_read = set().union(*(_subscripts_of(tree, "cfg['bounds']") for tree in checks))
+    assert sorted(DEFAULT_BOUNDS) == sorted(bounds_read & DEFAULT_BOUNDS.keys())
+    readers = [ast.parse(inspect.getsource(fn)) for fn in (cli._load_config, main)]
+    args_read = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args"
+    }
+    assert sorted(BATTERY_FLAGS) == sorted(args_read & BATTERY_FLAGS.keys())
 
 
 def test_graph_ingestion_diagnostics():
@@ -845,7 +920,7 @@ FUZZ_DOCS = [
     ("snf", [[1, 2, 3], [4, 5, 6]]),
     ("check", {"z_backend": {"kind": "finite-cyclic", "order": 3},
                "x_backend": {"kind": "finite", "size": 2},
-               "seeds": [3, 5], "bounds": {"samples": 4, "isotropy_bound": 6}}),
+               "seeds": [3, 5], "bounds": {"axiom_trials": 4}}),
 ]
 
 #: replacement values: every JSON type, plus strings that parse as points

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from groupoidlab import groupoid
+from groupoidlab.cli import check_freeness, check_principality, parse_config
 from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
     EvPeriodic,
@@ -835,7 +836,7 @@ def test_make_element_rejects_tails_that_differ_in_one_respect(make_graph):
     if loop:
         return
     # the exponent: the same index sequence on the base point moved by rho^-d
-    period = graph.z_system.period(z)
+    period = graph.z_system.period
     assert (period == 3) == ("cyclic" in graph.z_system.name)
     word = param_f(graph, z, EvPeriodic((), (1,)))
     for d in range(1, 7):
@@ -873,7 +874,7 @@ def test_isotropy_reduction_matches_the_per_kind_rule(make_z, make_x):
         if isinstance(mu, FiniteBoundaryPath):
             old = True
         elif isinstance(mu, InfiniteModelPath):
-            old = mu.graph.z_system.period(mu.z) is None
+            old = mu.graph.z_system.period is None
         else:
             old = False
         assert isotropy_reduction(mu) == old, path_to_line(mu)
@@ -881,3 +882,29 @@ def test_isotropy_reduction_matches_the_per_kind_rule(make_z, make_x):
     # finite paths always pass; only the cyclic control and the loop fail
     control = make_z is None or "cyclic" in graph.z_system.name
     assert verdicts == ({True, False} if control else {True})
+
+
+@pytest.mark.parametrize("seed", [3, 101])
+@pytest.mark.parametrize(
+    "make_z, make_x",
+    FREE_CONFIGS + [pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic")],
+)
+def test_exact_certificates_match_the_sampled_oracle(make_z, make_x, seed):
+    """The battery's exact freeness and principality verdicts equal the
+    sampled oracle's on 200 paths at isotropy bound 20.  The principality
+    witness replays: its line parses back to a path with the recorded
+    shift period, and on the control that period is the witness of a
+    nontrivial isotropy element."""
+    graph = build_model_graph(make_z(), make_x())
+    cfg = parse_config({"seeds": [seed]})
+    freeness, principality = check_freeness(cfg, graph), check_principality(cfg, graph)
+    sampled = principality_sample(graph, 200, 20, seed).ok
+    assert freeness.verdict == principality.verdict == sampled
+    assert sampled is ("cyclic" not in graph.z_system.name)
+    assert freeness.evidence == {"period": graph.z_system.period}
+    mu = path_from_line(principality.evidence["path"], graph)
+    assert mu.shift_period() == principality.evidence["shift_period"]
+    if not sampled:
+        _start, p = principality.evidence["shift_period"]
+        g = make_element(mu, p, 0, mu)
+        assert g.k == p != 0

@@ -42,7 +42,6 @@ from groupoidlab.spaces import (
     dense_sequence,
     eps_dense,
     finite_cyclic,
-    freeness_check,
     golden_rotation,
     odometer,
     odometer_succ,
@@ -477,9 +476,9 @@ def test_torus_density_sweep():
 
 
 def test_freeness_examples():
-    assert freeness_check(golden_rotation(), CirclePoint(QPhi(0)), 100) == []
-    assert freeness_check(odometer(), PadicPoint((), (0,)), 100) == []
-    assert freeness_check(finite_cyclic(3), FinitePoint(0, 3), 7) == [3, 6]
+    assert golden_rotation().period is None
+    assert odometer().period is None
+    assert finite_cyclic(3).period == 3
 
 
 def _periods_by_walk(system, z, bound):
@@ -488,17 +487,19 @@ def _periods_by_walk(system, z, bound):
 
 
 def test_freeness_random_points():
+    """The one declared period of a system is the least period that the
+    orbit walk finds at every sampled point, and a free system's walk
+    finds none."""
     rng = random.Random(23)
     systems = [(golden_rotation(), None), (odometer(), None), (golden_double(), None)]
     systems += [(finite_cyclic(n), n) for n in range(1, 7)]
     for sys, period in systems:
+        assert sys.period == period
         for _ in range(100):
             z = sys.backend.random_point(rng)
-            assert sys.period(z) == period
             for bound in (rng.randrange(1, 50), 50):
                 walk = _periods_by_walk(sys, z, bound)
-                assert freeness_check(sys, z, bound) == walk
-                assert walk[:1] == ([] if period is None or period > bound else [period])
+                assert walk == ([] if period is None else list(range(period, bound + 1, period)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +616,7 @@ def golden_double() -> MinimalSystem:
         "golden-double",
         CircleBackend(),
         lambda p, k: circle_rotate(p, 2 * k),
-        period=lambda p: None,
+        period=None,
         point_like_ktheory=True,
     )
 
@@ -699,6 +700,79 @@ def test_point_token_roundtrip(point, token):
 def test_point_token_rejects(token):
     with pytest.raises(ValueError):
         point_from_token(token)
+
+
+def _point_by_resplitting(tok: str):
+    """The reference parse: strip, then split the inner text of a pair
+    with ``split_top_level`` again at every level."""
+    tok = tok.strip()
+    if tok.startswith("(") and tok.endswith(")"):
+        parts = spaces.split_top_level(tok[1:-1])
+        if len(parts) != 2:
+            raise ValueError(f"malformed pair token {tok!r}")
+        return PairPoint(_point_by_resplitting(parts[0]), _point_by_resplitting(parts[1]))
+    kind, _, rest = tok.partition(":")
+    if kind not in spaces._POINT_PARSERS:
+        raise ValueError(f"unknown point token {tok!r}")
+    return spaces._POINT_PARSERS[kind](rest)
+
+
+_LEAF_TOKENS = ["P:.0", "P:1.01", "F:0/1", "F:2/3", "C:1/2:0", "C:0:-1/3"]
+_pair_tokens = st.recursive(
+    st.sampled_from(_LEAF_TOKENS),
+    lambda inner: st.tuples(st.sampled_from(["", " ", "\t"]), inner, inner).map(
+        lambda t: f"({t[0]}{t[1]};{t[2]}{t[0]})"
+    ),
+    max_leaves=8,
+)
+_token_pieces = st.lists(
+    st.sampled_from(["(", ")", ";", " ", "P:.0", "F:0/1", "C:0:0", "Q:1", "F:2/1", "()"]),
+    max_size=14,
+).map("".join)
+
+
+@given(st.one_of(_pair_tokens, _token_pieces))
+@settings(max_examples=600, deadline=None)
+def test_point_token_parse_matches_resplitting(tok):
+    """The one-scan parse accepts exactly the tokens the per-level
+    re-split accepted, with the same point or the same error."""
+    try:
+        want = _point_by_resplitting(tok)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            point_from_token(tok)
+        assert str(got.value) == str(exc)
+    else:
+        assert point_from_token(tok) == want
+
+
+@pytest.mark.parametrize("depth", [1, 250, 500, 5000])
+def test_point_token_parse_scans_once(monkeypatch, depth):
+    """A pair token is scanned for its split points once, whatever its
+    depth: the characters scanned equal its length, where re-splitting
+    every level scanned about depth x length / 2.  Past the recursion
+    limit the token is still refused as RecursionError, after that one
+    scan."""
+    scanned = []
+    for name in ("_scan_depths", "split_top_level"):
+        original = getattr(spaces, name)
+
+        def counted(text, original=original):
+            scanned.append(len(text))
+            return original(text)
+
+        monkeypatch.setattr(spaces, name, counted)
+    token = "(P:.0;" * depth + "F:0/1" + ")" * depth
+    if depth > 1000:
+        with pytest.raises(RecursionError):
+            point_from_token(token)
+    else:
+        point = point_from_token(token)
+        for _ in range(depth):
+            assert point.left == PadicPoint((), (0,))
+            point = point.right
+        assert point == FinitePoint(0, 1)
+    assert scanned == [len(token)]
 
 
 # the kind classes of spaces.py, and every module that must reach the
@@ -821,7 +895,8 @@ _KEPT_UNREFERENCED = {
     "stabilize_ktheory": "the stable claim's K-theory, ROADMAP item 1",
     "homeo_h": "the boundary homeomorphism, acceptance criteria 7 and 8",
     "homeo_h_inv": "its inverse, acceptance criteria 7 and 8",
-    "path_to_line": "writes the documented boundary path line format",
+    "principality_sample": "the sampled principality oracle: bench/workloads.py and "
+    "acceptance criterion 2 call it",
 }
 
 
