@@ -576,6 +576,18 @@ def main(argv=None) -> int:
         "converge", help="run the convergence oracle on a sequence document", parents=[out]
     )
     p_conv.add_argument("sequence")
+    # argparse would read the value of an unknown option before the
+    # subcommand as the subcommand; name the option instead, as it is
+    # named after the subcommand
+    lead = argparse.ArgumentParser(add_help=False, parents=[common], exit_on_error=False)
+    lead.add_argument("-h", "--help", action="store_true")
+    try:
+        rest = lead.parse_known_args(argv)[1]
+    except argparse.ArgumentError:
+        rest = []  # the full parse below reports it
+    before = rest[: next((i for i, t in enumerate(rest) if t in sub.choices), len(rest))]
+    if before and before[0].startswith("-"):
+        parser.error("unrecognized arguments: " + " ".join(before))
     args = parser.parse_args(argv)
     given = sorted(BATTERY_FLAGS.keys() & vars(args).keys())
     if given and args.command in ("ktheory", "snf", "converge"):

@@ -228,11 +228,12 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Two kinds of path are
+    Public construction checks every junction.  Three kinds of path are
     built by ``_unchecked`` instead, because a check of their junctions
     could not fail: slices of a valid path (the shifts and prefixes of a
-    finite boundary path) and a boundary path's ``cons``, which builds
-    its new edge from ``range()`` and so needs no check.
+    finite boundary path); a boundary path's ``cons``, which builds its
+    new edge from ``range()``; and ``param_f_k``, whose edges come from
+    one formula whose consecutive edges compose.
     """
 
     graph: TopGraph
@@ -319,13 +320,17 @@ def orbit_dense(graph: ModelGraph, vertex: PairPoint, depth: int, eps) -> bool:
 
 def param_f_k(graph: ModelGraph, z: Point, x: Point, idx: tuple[int, ...]) -> FinitePath:
     """The length-k path with edges (rho^-i(z), x_{n_{i+1}}, n_i) and final
-    edge (rho^-k(z), x, n_k); k = 0 gives the vertex (z, x)."""
+    edge (rho^-k(z), x, n_k); k = 0 gives the vertex (z, x).
+
+    Built unchecked: d(e_i) = (rho^-i(z), x_{n_{i+1}}) = r(e_{i+1}), since
+    e_{i+1} has base point rho^-(i+1)(z) and index n_{i+1}, so every
+    junction composes whatever z, x and idx are."""
     k = len(idx)
     if k == 0:
-        return vertex_path(graph, PairPoint(z, x))
+        return FinitePath._unchecked(graph, (), PairPoint(z, x))
     sys = graph.z_system
     xs = [graph.x_point(m) for m in idx[1:]] + [x]
-    return FinitePath(
+    return FinitePath._unchecked(
         graph, tuple(ModelEdge(sys.power(z, -i), xs[i - 1], idx[i - 1]) for i in range(1, k + 1))
     )
 
@@ -453,11 +458,14 @@ class OpenPathBox:
 def pitchfork(u: OpenPathBox, v: OpenPathBox) -> OpenPathBox | None:
     """Truncate both boxes to the minimum length and intersect them
     coordinatewise; None exactly when the intersection holds no path."""
-    k = min(len(u), len(v))
-    coords = tuple(a.intersect(b) for a, b in zip(u.coords[:k], v.coords[:k]))
-    if any(cb.is_empty() for cb in coords):
-        return None
-    box = OpenPathBox(u.graph, coords)
+    coords = []
+    # zip stops at the shorter box; the first empty coordinate settles it
+    for a, b in zip(u.coords, v.coords):
+        cb = a.intersect(b)
+        if cb.is_empty():
+            return None
+        coords.append(cb)
+    box = OpenPathBox(u.graph, tuple(coords))
     return None if box.is_empty() else box
 
 

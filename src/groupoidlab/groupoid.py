@@ -339,9 +339,14 @@ def isotropy_search(mu: BoundaryPath, bound: int) -> IsotropyPairs:
     exactly; empty certifies trivial isotropy at mu within the window.
     The pairs are read off ``mu.shift_period()`` (isotropy of the shift is
     eventual periodicity); no path is shifted and none is listed here."""
+    return _isotropy_pairs(mu.shift_period(), bound)
+
+
+def _isotropy_pairs(period: tuple[int, int] | None, bound: int) -> IsotropyPairs:
+    """The isotropy pairs within ``bound`` of a path whose
+    ``shift_period()`` is ``period``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    period = mu.shift_period()
     return IsotropyPairs(0, 1, 0) if period is None else IsotropyPairs(*period, bound)
 
 
@@ -376,20 +381,23 @@ class PrincipalityReport:
 def principality_sample(graph, samples: int, bound: int, seed: int) -> PrincipalityReport:
     """Search sampled boundary paths (alternating finite/infinite) for
     nontrivial isotropy; on the model graph also run the exact reduction
-    on every sample."""
+    on every sample.  Each sample's ``shift_period()`` is read once and
+    answers both, as it does in ``isotropy_search`` and
+    ``isotropy_reduction``."""
     rng = random.Random(seed)
     hits = []
     reductions_ok = True
+    model = isinstance(graph, ModelGraph)
     for i in range(samples):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
+        period = mu.shift_period()
         # the report keeps the first 8 hits, which bounds its size; each
         # hit's pairs stay in closed form however many the bound allows
-        pairs = isotropy_search(mu, bound) if len(hits) < 8 else ()
+        pairs = _isotropy_pairs(period, bound) if len(hits) < 8 else ()
         if pairs:
             hits.append((mu, pairs))
-        if isinstance(graph, ModelGraph):
-            if not isotropy_reduction(mu):
-                reductions_ok = False
+        if model and period is not None:
+            reductions_ok = False
     return PrincipalityReport(samples, bound, seed, tuple(hits), reductions_ok)
 
 

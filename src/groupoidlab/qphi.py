@@ -71,6 +71,12 @@ def _reduced(a: int, b: int, d: int) -> "QPhi":
     return _triple(a, b, d)
 
 
+def qphi_mod1(a: int, b: int, d: int) -> "QPhi":
+    """``(a + b*phi)/d`` reduced mod 1 into [0, 1), for any ``d > 0``,
+    from the integer triple alone: no ``Fraction`` is built."""
+    return _reduced(a, b, d).mod1()
+
+
 class QPhi:
     """An element ``p + q*phi`` of Q(phi), held as ``(a + b*phi)/d``."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .qphi import QPhi
+from .qphi import QPhi, qphi_mod1
 
 # frozen dataclasses and PadicPoint, which blocks attribute assignment,
 # set their own fields through this
@@ -57,6 +57,17 @@ class CirclePoint:
         return CirclePoint(self.value + QPhi(Fraction(1, 1 << (n + 1))))
 
 
+def _stream_value(pre: int, m: int, per: int, length: int) -> tuple[int, int]:
+    """``(num, den)`` in lowest terms, ``den`` odd and positive, for the bit
+    stream ``pre + per*per*...``, each word given by its value (least
+    significant bit first) and its length: the stream's value is
+    ``pre + 2^m * per/(1 - 2^length)``."""
+    den = (1 << length) - 1
+    num = pre * den - (per << m)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 class PadicPoint:
     """A rational 2-adic integer, seen as an eventually periodic bit stream.
 
@@ -77,15 +88,12 @@ class PadicPoint:
             raise ValueError("bits must be 0 or 1")
         if not per:
             raise ValueError("cycle must be non-empty")
-        # the value is pre + 2^m * w/(1 - 2^L), where w is the value of
-        # the period, m = len(pre) and L = len(per)
-        p_val = sum(b << i for i, b in enumerate(pre))
-        w = sum(b << i for i, b in enumerate(per))
-        den = (1 << len(per)) - 1
-        num = p_val * den - (w << len(pre))
-        g = math.gcd(num, den)
-        _set(self, "num", num // g)
-        _set(self, "den", den // g)
+        num, den = _stream_value(
+            sum(b << i for i, b in enumerate(pre)), len(pre),
+            sum(b << i for i, b in enumerate(per)), len(per),
+        )
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def _from_rational(num: int, den: int) -> "PadicPoint":
@@ -713,9 +721,10 @@ class CircleBackend(SpaceBackend):
         return super().is_basic_rep(i, pt)
 
     def random_point(self, rng) -> CirclePoint:
-        p = Fraction(rng.randrange(-64, 64), rng.randrange(1, 16))
-        q = Fraction(rng.randrange(-8, 8), rng.randrange(1, 8))
-        return CirclePoint(QPhi(p, q))
+        # a/b + (c/e)*phi = (a*e + c*b*phi)/(b*e), made canonical in one step
+        a, b = rng.randrange(-64, 64), rng.randrange(1, 16)
+        c, e = rng.randrange(-8, 8), rng.randrange(1, 8)
+        return CirclePoint._unchecked(qphi_mod1(a * e, c * b, b * e))
 
     def has_point(self, pt) -> bool:
         return isinstance(pt, CirclePoint)
@@ -763,9 +772,13 @@ class CantorBackend(SpaceBackend):
         return CANTOR_FULL
 
     def random_point(self, rng) -> PadicPoint:
-        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 4)))
-        per = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
-        return PadicPoint(pre, per)
+        # the drawn bits are 0 or 1 and the period is non-empty, so the
+        # words go straight to their value, as in PadicPoint(pre, per)
+        m = rng.randrange(0, 4)
+        pre = sum(rng.randrange(2) << i for i in range(m))
+        n = rng.randrange(1, 4)
+        per = sum(rng.randrange(2) << i for i in range(n))
+        return PadicPoint._from_rational(*_stream_value(pre, m, per, n))
 
     def has_point(self, pt) -> bool:
         return isinstance(pt, PadicPoint)

@@ -399,17 +399,24 @@ def test_param_f_k_example(golden_two):
 
 
 @pytest.mark.parametrize("k", range(7))
-def test_param_f_k_endpoints(golden_two, k):
-    rng = random.Random(k)
-    for _ in range(50):
-        z = golden_two.z_system.backend.random_point(rng)
-        x = golden_two.x_backend.random_point(rng)
-        idx = tuple(rng.randrange(1, 6) for _ in range(k))
-        p = param_f_k(golden_two, z, x, idx)  # junctions checked on build
-        assert len(p) == k
-        assert p.d() == PairPoint(golden_two.z_system.power(z, -k), x)
-        if k:
-            assert p.r() == PairPoint(z, golden_two.x_point(idx[0]))
+def test_param_f_k_endpoints(k):
+    """param_f_k builds its path unchecked; the public constructor, which
+    checks every junction, rebuilds the same path, on the 8 free configs
+    and the finite-cyclic control."""
+    configs = [param.values for param in FREE_CONFIGS] + [(lambda: finite_cyclic(3), point_backend)]
+    for make_z, make_x in configs:
+        graph = build_model_graph(make_z(), make_x())
+        rng = random.Random(f"{k}-{graph!r}")
+        for _ in range(20):
+            z = graph.z_system.backend.random_point(rng)
+            x = graph.x_backend.random_point(rng)
+            idx = tuple(rng.randrange(1, 6) for _ in range(k))
+            p = param_f_k(graph, z, x, idx)
+            assert FinitePath(graph, p.edges, p.base) == p
+            assert len(p) == k
+            assert p.d() == PairPoint(graph.z_system.power(z, -k), x)
+            if k:
+                assert p.r() == PairPoint(z, graph.x_point(idx[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -812,14 +812,25 @@ def _nested(inner: str, depth: int = 5000) -> str:
         ("check", {"bounds": {key: 5}}, f"config.bounds.{key}: unknown bound")
         for key in ("samples", "isotropy_bound", "density_depth", "witness_cap")
     ]
-    # so are the flags that set the first two, on either side of the command
+    # so are the flags that set the first two, named on either side of the
+    # command
     + [
-        (argv, None, message)
+        (argv, None, f"unrecognized arguments: {flag} 5")
         for flag in ("--samples", "--bound")
         for command in (["run"], ["report"], ["check", "principality"])
+        for argv in (command + [flag, "5"], [flag, "5"] + command)
+    ]
+    # an option no command knows is named on either side too, and so is a
+    # battery option before a document command
+    + [
+        (argv, None, message)
         for argv, message in (
-            (command + [flag, "5"], f"unrecognized arguments: {flag} 5"),
-            ([flag, "5"] + command, "invalid choice: '5'"),
+            (["--verbose", "run"], "unrecognized arguments: --verbose"),
+            (["run", "--verbose"], "unrecognized arguments: --verbose"),
+            (["--samples", "5"], "unrecognized arguments: --samples 5"),
+            (["--samples=5", "check", "principality"], "unrecognized arguments: --samples=5"),
+            (["--bound", "5", "ktheory", "g.json"], "unrecognized arguments: --bound 5"),
+            (["ktheory", "g.json", "--bound", "5"], "unrecognized arguments: --bound 5"),
         )
     ],
 )

@@ -25,6 +25,7 @@ from groupoidlab.boundary import (
     shift_power,
 )
 from groupoidlab.graphs import (
+    FinitePath,
     OneVertexLoopGraph,
     build_model_graph,
     param_f_k,
@@ -379,6 +380,33 @@ def test_principality_sample_keeps_the_first_eight_hits(make_graph, periodic):
     assert bool(hits) == periodic
     with pytest.raises(ValueError):
         principality_sample(graph, 1, 0, 1)
+
+
+@pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS)
+def test_principality_sample_asks_each_period_once(monkeypatch, make_graph, periodic):
+    """One ``shift_period()`` per sample answers both the hit list and the
+    reduction, and the report is the one the public deciders
+    ``isotropy_search`` and ``isotropy_reduction`` give on the same
+    samples (the reduction is run on the model graph only)."""
+    graph = make_graph()
+    asked = []
+    for cls in (FiniteBoundaryPath, InfiniteModelPath, InfiniteDiscretePath):
+
+        def counted(self, _original=cls.shift_period):
+            asked.append(self)
+            return _original(self)
+
+        monkeypatch.setattr(cls, "shift_period", counted)
+    rep = principality_sample(graph, 60, 12, 5)
+    assert len(asked) == 60
+    monkeypatch.undo()
+    rng = random.Random(5)
+    samples = [random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite") for i in range(60)]
+    hits = [(mu, pairs) for mu in samples if (pairs := isotropy_search(mu, 12))][:8]
+    model = not isinstance(graph, OneVertexLoopGraph)
+    assert rep.isotropy == tuple(hits) and bool(hits) == periodic
+    assert rep.reductions_ok == (not model or all(map(isotropy_reduction, samples)))
+    assert rep.reductions_ok == (not (model and periodic))
 
 
 @pytest.mark.parametrize(
@@ -736,6 +764,36 @@ def test_full_shift_make_element_builds_no_vertex(monkeypatch, make_z, make_x):
         except GroupoidError:
             assert not same
     assert built == []
+
+
+@pytest.mark.parametrize("make_z, make_x", FREE_CONFIGS)
+def test_sampled_paths_build_no_validated_point_or_path(monkeypatch, make_z, make_x):
+    """The sampler builds each random point and finite path in canonical
+    form: over 1,000 sampled boundary paths no QPhi, PadicPoint or
+    FinitePath goes through its validating constructor.  The dense
+    sequence's first terms, which every graph builds once and keeps, are
+    built before counting."""
+    graph = build_model_graph(make_z(), make_x())
+    for m in range(1, 6):
+        graph.x_point(m)
+    calls = []
+    for cls, name in ((QPhi, "__init__"), (PadicPoint, "__init__"), (FinitePath, "__post_init__")):
+
+        def counted(self, *args, _where=f"{cls.__name__}.{name}", _original=getattr(cls, name)):
+            calls.append(_where)
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    rng = random.Random(f"canonical-{graph!r}")
+    paths = [random_boundary_path(graph, rng) for _ in range(1000)]
+    assert calls == []
+    assert {mu.length == INFINITE for mu in paths} == {True, False}
+    # the counters see a validated construction
+    finite = next(mu for mu in paths if mu.length != INFINITE and mu.length > 0)
+    FinitePath(graph, finite.path.edges)
+    QPhi(Fraction(1, 2))
+    PadicPoint((), (1,))
+    assert calls == ["FinitePath.__post_init__", "QPhi.__init__", "PadicPoint.__init__"]
 
 
 def test_groupoid_element_record_contract():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab.qphi import GOLDEN_ANGLE, PHI, QPhi, qphi_sign
+from groupoidlab.qphi import GOLDEN_ANGLE, PHI, QPhi, qphi_mod1, qphi_sign
 
 
 def fibonacci_bounds(n=60):
@@ -84,6 +84,20 @@ def test_floor_and_mod1(p, q):
     lo = p + q * (PHI_LO if q >= 0 else PHI_HI)
     hi = p + q * (PHI_HI if q >= 0 else PHI_LO)
     assert floor(lo) <= n <= floor(hi)
+
+
+@given(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+)
+@settings(max_examples=300, deadline=None)
+def test_qphi_mod1_of_a_triple_matches_the_constructor(a, b, d):
+    # one reduction of (a + b*phi)/d gives the canonical triple in [0, 1)
+    x = qphi_mod1(a, b, d)
+    ref = QPhi(Fraction(a, d), Fraction(b, d)).mod1()
+    assert x == ref and hash(x) == hash(ref)
+    assert QPhi(0) <= x < QPhi(1)
 
 
 def test_ring_structure():

@@ -177,6 +177,35 @@ def test_pair_point_canonicalization():
     assert p.left == CirclePoint(QPhi(Fraction(1, 2)))
 
 
+def _validated_circle_point(rng):
+    p = Fraction(rng.randrange(-64, 64), rng.randrange(1, 16))
+    q = Fraction(rng.randrange(-8, 8), rng.randrange(1, 8))
+    return CirclePoint(QPhi(p, q))
+
+
+def _validated_padic_point(rng):
+    pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 4)))
+    per = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+    return PadicPoint(pre, per)
+
+
+@pytest.mark.parametrize(
+    "backend, validated",
+    [(CircleBackend(), _validated_circle_point), (CantorBackend(), _validated_padic_point)],
+    ids=["circle", "cantor"],
+)
+def test_random_point_matches_the_validated_construction(backend, validated):
+    """random_point builds its point in canonical form from the draws the
+    general constructors read: draw for draw the same point, with the same
+    stored integers, and the generator left in the same state."""
+    for seed in range(300):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            pt, ref = backend.random_point(rng), validated(ref_rng)
+            assert pt == ref and hash(pt) == hash(ref) and pt.token() == ref.token()
+            assert rng.getstate() == ref_rng.getstate()
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 # ---------------------------------------------------------------------------
@@ -897,6 +926,8 @@ _KEPT_UNREFERENCED = {
     "homeo_h_inv": "its inverse, acceptance criteria 7 and 8",
     "principality_sample": "the sampled principality oracle: bench/workloads.py and "
     "acceptance criterion 2 call it",
+    "isotropy_search": "the public isotropy decider within a window (principality_sample "
+    "reads the same shift_period once); timed by the benchmark tracer",
 }
 
 
