@@ -193,7 +193,8 @@ class DiscreteGraph:
         return not self.is_regular(vertex)
 
     def regular_vertices(self) -> list:
-        return [v for v in self.vertices if self.is_regular(v)]
+        receiving, override = self._receiving, self.singular_override
+        return [v for v in self.vertices if v in receiving and v not in override]
 
     def adjacency(self) -> dict:
         """counts[(v, w)] = number of edges from v to w (d = v, r = w)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mod, mul
 
 from .graphs import DiscreteGraph, OneVertexLoopGraph
 from .spaces import SpaceBackend
@@ -122,62 +123,72 @@ def snf(matrix):
     the transforms small in practice but has no proven size bound;
     Kannan and Bachem (SIAM J. Comput. 8, 1979) give a polynomial
     algorithm.
+
+    The transforms ride along the elimination: row i of the working
+    matrix is row i of M followed by row i of P, so a row operation is
+    one pass over it, and a column operation updates the first ``cols``
+    entries of every row and the rows of Q in one loop.  D and P are
+    read off the rows at the end.  On inputs up to 8x8 the result checks
+    itself: P*M*Q = D is recomputed and both determinants must be units.
     """
-    a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    p = _ident(rows)
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    a = [row + [0] * rows for row in matrix]  # [M | P], P the identity
+    for i, row in enumerate(a, cols):
+        row[i] = 1
     q = _ident(cols)
     t = 0
     while t < min(rows, cols):
-        nonzero = ((abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x)
-        best = next(nonzero, None)
-        if best is None:
+        size = 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (not size or abs(x) < size):
+                    size, pi, pj = abs(x), i, j
+                    if size == 1:
+                        break
+            if size == 1:  # row-major: a first 1 is least
+                break
+        if not size:
             break
-        while best[0] > 1 and (entry := next(nonzero, None)):  # row-major: a first 1 is least
-            best = min(best, entry)
-        _size, i, j = best
-        a[t], a[i] = a[i], a[t]
-        p[t], p[i] = p[i], p[t]
-        aq = a + q  # the rows a column operation acts on
-        if j != t:
-            for row in aq:
-                row[t], row[j] = row[j], row[t]
-        pivot = a[t][t]
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a + q:
+                row[t], row[pj] = row[pj], row[t]
+        top = a[t]
+        pivot = top[t]
         for i in range(t + 1, rows):
             f = a[i][t] // pivot
             if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                p[i] = [x - f * y for x, y in zip(p[i], p[t])]
-                aq = None  # stale: a row of a was replaced
+                a[i] = [x - f * y for x, y in zip(a[i], top)]
         for j in range(t + 1, cols):
-            f = a[t][j] // pivot
+            f = top[j] // pivot
             if f:
-                aq = aq or a + q
-                for row in aq:
+                for row in a + q:
                     row[j] -= f * row[t]
-        if abs(pivot) > 1 and (any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :])):
+        if size > 1 and (any(a[i][t] for i in range(t + 1, rows)) or any(top[t + 1 : cols])):
             continue  # re-pivot on a remainder, smaller than |pivot|
         if pivot < 0:
-            a[t] = [-x for x in a[t]]
-            p[t] = [-x for x in p[t]]
+            a[t] = top = [-x for x in top]
             pivot = -pivot
         missed = pivot > 1 and next(
-            (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])), None
+            (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 : cols])), None
         )
         if not missed:
             t += 1
         else:
-            a[t] = [x + y for x, y in zip(a[t], a[missed])]
-            p[t] = [x + y for x, y in zip(p[t], p[missed])]
+            a[t] = [x + y for x, y in zip(top, a[missed])]
+    d = [row[:cols] for row in a]
+    p = [row[cols:] for row in a]
     if rows <= 8 and cols <= 8:
         # per-call self-check on small inputs: the factorization really
         # holds and the transforms really are unimodular
-        if mat_mul(mat_mul(p, matrix), q) != a:
+        if mat_mul(mat_mul(p, matrix), q) != d:
             raise KTheoryError("internal error: P*M*Q != D")
         if abs(mat_det(p)) != 1 or abs(mat_det(q)) != 1:
             raise KTheoryError("internal error: non-unimodular transform")
-    return a, p, q
+    return d, p, q
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +223,10 @@ class FGAbelianGroup:
                 raise KTheoryError(
                     f"unit class has length {len(self.unit_class)}, expected {expected}"
                 )
-            reduced = tuple(
-                v % d for v, d in zip(self.unit_class, self.torsion)
-            ) + tuple(self.unit_class[len(self.torsion) :])
+            reduced = (
+                *map(mod, self.unit_class, self.torsion),
+                *self.unit_class[len(self.torsion) :],
+            )
             object.__setattr__(self, "unit_class", reduced)
 
     def without_unit(self) -> "FGAbelianGroup":
@@ -275,21 +287,20 @@ def cokernel_with_unit(matrix, unit_vector=None):
 
     With P*M*Q = D, left-multiplication by P identifies the quotient
     with Z^rows / im(D); coordinates with d_i = 1 vanish, d_i >= 2 give
-    torsion, and rows beyond the rank stay free.
+    torsion, and rows beyond the rank stay free.  The divisibility chain
+    puts every d_i = 1 first, so the rows of P from the first torsion
+    coordinate on give the unit class, which ``FGAbelianGroup`` reduces.
     """
+    rows = len(matrix)
+    if unit_vector is not None and len(unit_vector) != rows:
+        raise KTheoryError(f"unit vector has length {len(unit_vector)}, expected {rows}")
     d, p, _q = snf(matrix)
-    diag = [abs(d[i][i]) for i in range(min(len(d), len(d[0]) if d else 0))]
-    while diag and diag[-1] == 0:
-        diag.pop()
-    torsion = [(row, di) for row, di in zip(p, diag) if di >= 2]
-    free = p[len(diag) :]
+    diag = [abs(row[i]) for i, row in enumerate(d[: len(d[0]) if d else 0]) if row[i]]
+    torsion = tuple(di for di in diag if di >= 2)
     unit = None
     if unit_vector is not None:
-        def image(row):  # the coordinate of P * unit_vector that ``row`` of P gives
-            return sum(x * u for x, u in zip(row, unit_vector))
-
-        unit = tuple(image(row) % di for row, di in torsion) + tuple(map(image, free))
-    return FGAbelianGroup(len(free), tuple(di for _row, di in torsion), unit)
+        unit = tuple(sum(map(mul, row, unit_vector)) for row in p[len(diag) - len(torsion) :])
+    return FGAbelianGroup(rows - len(diag), torsion, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +312,7 @@ def connecting_matrix(graph: DiscreteGraph):
     """I - A^t with columns restricted to the regular vertices, where
     A[v][w] counts edges from v to w (d = v, r = w)."""
     regular = graph.regular_vertices()
-    counts = graph.adjacency()
+    counts = graph._counts  # read only, so not the copy adjacency() makes
     return [[(v == w) - counts.get((w, v), 0) for w in regular] for v in graph.vertices], regular
 
 

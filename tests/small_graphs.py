@@ -47,15 +47,20 @@ def small_graph_sweep():
     (43,105 of them), as ``(mat_rows, k0, k1, m, regular, inv)``: its
     ``graph_ktheory``, its connecting matrix and regular vertices, and
     the oracle's invariant factors of the matrix (None when no vertex is
-    regular).  Returned with the seconds the sweep took."""
+    regular).  Returned with the seconds each half took: building the
+    graphs with their ``graph_ktheory`` and ``connecting_matrix``, then
+    the minor-gcd oracle."""
     start = time.monotonic()
-    cases = []
+    computed = []
     for n in (1, 2, 3):
         rows = [c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4]
         for mat_rows in itertools.product(rows, repeat=n):
             g = graph_from_adjacency(mat_rows)
-            k0, k1 = graph_ktheory(g)
-            m, regular = connecting_matrix(g)
-            inv = minors_divisor_oracle(m) if regular else None
-            cases.append((mat_rows, k0, k1, m, regular, inv))
-    return tuple(cases), time.monotonic() - start
+            computed.append((mat_rows, *graph_ktheory(g), *connecting_matrix(g)))
+    ktheory_s = time.monotonic() - start
+    start = time.monotonic()
+    cases = tuple(
+        (mat_rows, k0, k1, m, regular, minors_divisor_oracle(m) if regular else None)
+        for mat_rows, k0, k1, m, regular in computed
+    )
+    return cases, ktheory_s, time.monotonic() - start

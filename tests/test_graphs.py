@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from groupoidlab import graphs
-from groupoidlab.ktheory import graph_ktheory
+from groupoidlab.ktheory import connecting_matrix, graph_ktheory
 from groupoidlab.qphi import QPhi
 from groupoidlab.graphs import (
     CompositionError,
@@ -660,13 +660,21 @@ def test_discrete_graph_edges_in_input_order():
 
 
 def test_discrete_graph_adjacency_is_a_copy():
+    """adjacency() hands out a fresh dict each call; editing one changes
+    neither the graph's counts, which connecting_matrix reads in place,
+    nor its K-theory, and connecting_matrix leaves the counts as they
+    were."""
     g = DiscreteGraph(["u", "v"], [("u", "v", "a"), ("v", "v", "b"), ("v", "v", "c")])
     before = graph_ktheory(g)
+    matrix = connecting_matrix(g)
+    assert g.adjacency() is not g.adjacency()
     counts = g.adjacency()
     counts[("v", "v")] = 7
     counts[("u", "u")] = 1
     assert g.adjacency() == {("u", "v"): 1, ("v", "v"): 2}
     assert graph_ktheory(g) == before
+    assert connecting_matrix(g) == matrix == ([[0], [-1]], ["v"])
+    assert g.adjacency() == {("u", "v"): 1, ("v", "v"): 2}
 
 
 def test_discrete_graph_unknown_vertex_is_not_singular():

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidlab import cli, ktheory
 from groupoidlab.cli import main
@@ -16,6 +19,7 @@ from groupoidlab.ktheory import (
     Z_POINTED,
     ZERO_GROUP,
     cokernel_with_unit,
+    connecting_matrix,
     declared_space_ktheory,
     dim_bound,
     graph_ktheory,
@@ -38,7 +42,7 @@ from groupoidlab.spaces import (
     point_backend,
 )
 
-from small_graphs import minors_divisor_oracle, small_graph_sweep
+from small_graphs import graph_from_adjacency, minors_divisor_oracle, small_graph_sweep
 
 
 def loops(n, regular=True):
@@ -266,6 +270,123 @@ def test_element_order_oracle():
             assert lcm == biggest
 
 
+def _snf_reference(matrix):
+    """``snf`` as it was before P and Q rode along the elimination rows:
+    separate P and Q matrices, a generator-and-min pivot search, and a
+    cached ``a + q`` row list for the column operations.  Kept as the
+    specification the faster body must reproduce entry for entry."""
+    a = [row[:] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    p = ktheory._ident(rows)
+    q = ktheory._ident(cols)
+    t = 0
+    while t < min(rows, cols):
+        nonzero = ((abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x)
+        best = next(nonzero, None)
+        if best is None:
+            break
+        while best[0] > 1 and (entry := next(nonzero, None)):  # row-major: a first 1 is least
+            best = min(best, entry)
+        _size, i, j = best
+        a[t], a[i] = a[i], a[t]
+        p[t], p[i] = p[i], p[t]
+        aq = a + q  # the rows a column operation acts on
+        if j != t:
+            for row in aq:
+                row[t], row[j] = row[j], row[t]
+        pivot = a[t][t]
+        for i in range(t + 1, rows):
+            f = a[i][t] // pivot
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                p[i] = [x - f * y for x, y in zip(p[i], p[t])]
+                aq = None  # stale: a row of a was replaced
+        for j in range(t + 1, cols):
+            f = a[t][j] // pivot
+            if f:
+                aq = aq or a + q
+                for row in aq:
+                    row[j] -= f * row[t]
+        if abs(pivot) > 1 and (any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :])):
+            continue  # re-pivot on a remainder, smaller than |pivot|
+        if pivot < 0:
+            a[t] = [-x for x in a[t]]
+            p[t] = [-x for x in p[t]]
+            pivot = -pivot
+        missed = pivot > 1 and next(
+            (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])), None
+        )
+        if not missed:
+            t += 1
+        else:
+            a[t] = [x + y for x, y in zip(a[t], a[missed])]
+            p[t] = [x + y for x, y in zip(p[t], p[missed])]
+    if rows <= 8 and cols <= 8:
+        if mat_mul(mat_mul(p, matrix), q) != a:
+            raise KTheoryError("internal error: P*M*Q != D")
+        if abs(mat_det(p)) != 1 or abs(mat_det(q)) != 1:
+            raise KTheoryError("internal error: non-unimodular transform")
+    return a, p, q
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from([1, 2, 9, 100, 10**12]))
+    entry = st.integers(-bound, bound)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@given(small_matrices())
+@settings(max_examples=400, deadline=None)
+def test_snf_matches_reference(m):
+    assert snf(m) == _snf_reference(m)
+
+
+def test_snf_matches_reference_on_connecting_matrices():
+    """Every distinct connecting matrix of the small-graph sweep."""
+    cases, _ktheory_s, _oracle_s = small_graph_sweep()
+    distinct = {repr(m): m for _mat_rows, _k0, _k1, m, _regular, _inv in cases}
+    assert len(distinct) > 30_000
+    for m in distinct.values():
+        assert snf(m) == _snf_reference(m), m
+
+
+@pytest.mark.parametrize(
+    "label, n",
+    [(f"snf16-{i}", 16) for i in range(8)] + [(f"snf32-{i}", 32) for i in (8, 10, 11, 12)],
+)
+def test_snf_matches_reference_on_fixed_inputs(label, n):
+    """The benchmark's fixed 16x16 inputs and its 32x32 ones."""
+    m = labelled_matrix(label, n)
+    assert snf(m) == _snf_reference(m)
+
+
+def test_snf_self_check_runs_on_every_small_shape(monkeypatch):
+    """Each snf call on an input of at most 8 rows and 8 columns makes
+    exactly two mat_mul and two mat_det calls, the self-check; a larger
+    input makes none."""
+    calls = {"mat_mul": 0, "mat_det": 0}
+    for name in calls:
+        original = getattr(ktheory, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ktheory, name, counted)
+    rng = random.Random(29)
+    shapes = [(r, c) for r in range(1, 9) for c in range(9)] + [(9, 9), (8, 9), (9, 8)]
+    for rows, cols in shapes:
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        calls.update(mat_mul=0, mat_det=0)
+        snf(m)
+        expected = 2 if rows <= 8 and cols <= 8 else 0
+        assert calls == {"mat_mul": expected, "mat_det": expected}, (rows, cols)
+
+
 def test_snf_self_check_fires(monkeypatch):
     """The self-check on inputs up to 8x8 is live: a wrong product, or a
     transform whose determinant is not a unit, is an internal error."""
@@ -340,7 +461,7 @@ def test_exhaustive_small_graphs_against_oracle():
     class, which does not depend on the coordinates SNF picks: the
     order of v in coker M is prod(inv(M)) / prod(inv([M | v])) when both
     have the same rank, and infinite otherwise."""
-    cases, _seconds = small_graph_sweep()
+    cases, _ktheory_s, _oracle_s = small_graph_sweep()
     assert len(cases) == 43_105
     for mat_rows, k0, k1, m, regular, inv in cases:
         n = len(mat_rows)
@@ -356,6 +477,38 @@ def test_exhaustive_small_graphs_against_oracle():
         if len(inv_unit) == len(inv):
             order = prod(inv) // prod(inv_unit)
         assert k0.unit_order() == order, mat_rows
+
+
+def _regular_by_definition(graph):
+    return [v for v in graph.vertices if graph.is_regular(v)]
+
+
+def _connecting_by_definition(graph):
+    counts = graph.adjacency()
+    regular = _regular_by_definition(graph)
+    return [[(v == w) - counts.get((w, v), 0) for w in regular] for v in graph.vertices], regular
+
+
+def test_regular_vertices_and_connecting_matrix_match_their_definitions():
+    """regular_vertices and connecting_matrix agree with the per-vertex
+    is_regular and the adjacency() counts on every sweep graph, and with
+    every singular override on the 1- and 2-vertex graphs and on every
+    50th 3-vertex one."""
+    cases, _ktheory_s, _oracle_s = small_graph_sweep()
+    overridden = 0
+    for k, (mat_rows, _k0, _k1, m, regular, _inv) in enumerate(cases):
+        g = graph_from_adjacency(mat_rows)
+        assert g.regular_vertices() == regular == _regular_by_definition(g), mat_rows
+        assert connecting_matrix(g) == (m, regular) == _connecting_by_definition(g), mat_rows
+        if len(mat_rows) == 3 and k % 50:
+            continue
+        for size in range(len(g.vertices) + 1):
+            for override in itertools.combinations(g.vertices, size):
+                h = DiscreteGraph(g.vertices, [(e.src, e.dst, e.label) for e in g.edges], override)
+                assert h.regular_vertices() == _regular_by_definition(h), (mat_rows, override)
+                assert connecting_matrix(h) == _connecting_by_definition(h), (mat_rows, override)
+                overridden += 1
+    assert overridden > 7_000
 
 
 def test_unit_order():
@@ -396,6 +549,15 @@ def test_ktheory_cli_unit_order_without_unit(tmp_path, capsys, monkeypatch):
     assert main(["ktheory", str(path)]) == 0
     k0 = json.loads(capsys.readouterr().out)["K0"]
     assert k0["unit"] is None and k0["unit_order"] is None
+
+
+@pytest.mark.parametrize("unit, length", [([1], 1), ([1, 1, 1, 5], 4)])
+def test_cokernel_refuses_a_unit_vector_of_the_wrong_length(unit, length):
+    """The unit vector must have one entry per row: a short one was
+    silently read as if padded, a long one had its tail ignored."""
+    with pytest.raises(KTheoryError, match=rf"^unit vector has length {length}, expected 3$"):
+        cokernel_with_unit([[2, 0], [0, 3], [0, 0]], unit)
+    assert cokernel_with_unit([[2, 0], [0, 3], [0, 0]], [1, 1, 1]) == FGAbelianGroup(1, (6,), (5, 1))
 
 
 def test_cokernel_unit_class_reduction():
