@@ -58,6 +58,7 @@ from .boundary import (
     EscapingTail,
     EvPeriodic,
     FiniteBoundaryPath,
+    FiniteModelPath,
     HeadOnlyTail,
     InfiniteDiscretePath,
     InfiniteModelPath,

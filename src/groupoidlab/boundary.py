@@ -1,10 +1,12 @@
 """Boundary path spaces, the shift, and the convergence oracle.
 
 For the model graph every vertex is singular, so the boundary consists
-of all finite paths together with the infinite ones.  Infinite paths
-are stored as a base point, held as an anchor and an orbit exponent,
-plus an eventually periodic index sequence: the exact shift-invariant
-dense subfamily on which equality and the shift are decidable.  The
+of all finite paths together with the infinite ones.  A model path is
+stored as a base point, held as an anchor and an orbit exponent, plus
+its index data: a tuple and the last x coordinate for a finite path,
+and for an infinite one an eventually periodic index sequence, the
+exact shift-invariant dense subfamily on which equality and the shift
+are decidable.  The
 topology is never materialised; it is probed through a three-condition
 convergence test on finitely described sequences, with an explicit
 "undecidable for this description" outcome for anything outside the
@@ -145,7 +147,6 @@ class EvPeriodic:
 INFINITE = float("inf")
 
 
-@dataclass(frozen=True)
 class FiniteBoundaryPath:
     """A finite path whose domain vertex is singular.
 
@@ -162,21 +163,32 @@ class FiniteBoundaryPath:
     ``drop`` and ``cons`` keep the domain, so neither validates the path
     again, and ``cons`` builds its edge at ``range()``, so its one new
     junction composes.
+
+    ``FiniteBoundaryPath(path)`` checks that the domain of a path outside
+    the model graph is singular.  On a model graph, where every vertex is
+    singular, it gives a ``FiniteModelPath``, held in orbit coordinates,
+    and checks nothing beyond ``FinitePath``'s junctions.  ``drop``,
+    ``cons`` and ``param_f`` build paths without a check, since a check
+    could not fail: a shift or an extension at the range end keeps a
+    singular domain, and ``param_f``'s edges compose by their formula.
     """
 
-    path: FinitePath
+    __slots__ = ("path",)
 
-    def __post_init__(self):
-        g = self.path.graph
-        if not g.is_singular(self.path.d()):
-            raise BoundaryError(f"domain vertex {self.path.d()!r} is regular")
+    def __new__(cls, path: FinitePath):
+        return object.__new__(FiniteModelPath if isinstance(path.graph, ModelGraph) else cls)
+
+    def __init__(self, path: FinitePath):
+        if not path.graph.is_singular(path.d()):
+            raise BoundaryError(f"domain vertex {path.d()!r} is regular")
+        self.path = path
 
     @staticmethod
     def _unchecked(path: FinitePath) -> "FiniteBoundaryPath":
         """A path whose domain is known to be singular: the domain of a
         boundary path it was cut from or extended at the range end."""
         mu = object.__new__(FiniteBoundaryPath)
-        _set(mu, "path", path)
+        mu.path = path
         return mu
 
     @property
@@ -221,14 +233,7 @@ class FiniteBoundaryPath:
         rest = len(p.edges) - n
         if p.graph is not q.graph or rest != len(q.edges) - m:
             return False
-        if rest:
-            return p.edges[n:] == q.edges[m:]
-        if p.edges and q.edges and isinstance(p.graph, ModelGraph):
-            # d(e) = (e.z, e.x) on the model graph: compare the fields,
-            # building neither domain vertex
-            e, f = p.edges[-1], q.edges[-1]
-            return (e.z, e.x) == (f.z, f.x)
-        return p.d() == q.d()
+        return p.edges[n:] == q.edges[m:] if rest else p.d() == q.d()
 
     def shift_period(self) -> None:
         """None: shifts of a finite path have pairwise different lengths."""
@@ -241,29 +246,166 @@ class FiniteBoundaryPath:
             raise BoundaryError(f"cons needs edges numbered at each vertex, and {g!r} has none")
         if m < 1:
             raise BoundaryError("edge indices must be >= 1")
-        if p.edges and isinstance(g, ModelGraph):
-            # the range of the first edge (z, x, k) is (rho(z), x_k)
-            first = p.edges[0]
-            edge = ModelEdge(g.z_system.forward(first.z), g.x_point(first.m), m)
-        else:
-            edge = g.edge_from(self.range(), m)
+        edge = g.edge_from(self.range(), m)
         return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + p.edges))
 
     def __len__(self):
-        return len(self.path)
+        return self.length
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteBoundaryPath):
+            return NotImplemented
+        return self.path == other.path
+
+    def __hash__(self):
+        return hash(self.path)
+
+    def __repr__(self):
+        return f"FiniteBoundaryPath(path={self.path!r})"
+
+    def __reduce__(self):
+        # copy through the public constructor, which takes the path
+        return FiniteBoundaryPath, (self.path,)
 
 
-class InfiniteModelPath:
+class _OrbitCoordinates:
+    """The base point of a model path held as an anchor point a and an
+    integer exponent e, with z = rho^e(a): ``drop`` and ``cons`` move the
+    exponent only, so every path cut from or extended from one path
+    shares its anchor, and two such paths (or their edges) compare by
+    integers: rho^e(a) = rho^f(a) exactly when the system's period, if
+    any, divides e - f.  ``z`` is built on first read and kept."""
+
+    __slots__ = ()
+
+    @property
+    def z(self) -> Point:
+        """The base point rho^exponent(anchor)."""
+        z = self._z
+        if z is None:
+            z = self._z = self.graph.z_system.power(self.anchor, self.exponent)
+        return z
+
+    def _same_point(self, e: int, other: "_OrbitCoordinates", f: int) -> bool:
+        """Whether rho^e(self.anchor) = rho^f(other.anchor); a shared
+        anchor decides it by the exponents, with no dynamics step."""
+        sys = self.graph.z_system
+        if self.anchor is other.anchor and sys is other.graph.z_system:
+            if e == f:
+                return True
+            return sys.period is not None and (e - f) % sys.period == 0
+        return sys.power(self.anchor, e) == other.graph.z_system.power(other.anchor, f)
+
+
+class FiniteModelPath(_OrbitCoordinates, FiniteBoundaryPath):
+    """The finite model-graph path ``param_f_k(graph, z, x, idx)``, edges
+    (rho^-i(z), x_{n_{i+1}}, n_i) for i < k and (rho^-k(z), x, n_k), held in
+    orbit coordinates: the base point z = rho^exponent(anchor), the index
+    tuple and x, the last edge's x (the vertex's, for k = 0).  ``drop(n)``
+    is exponent - n with idx[n:], and ``cons(m)`` is exponent + 1 with
+    (m,) + idx, so neither takes a dynamics step nor builds an edge.
+
+    ``path`` is built on first read and kept; built from a validated path
+    (``FiniteBoundaryPath(FinitePath(...))``), the anchor is its last
+    edge's z at exponent k, and the path is kept as given.
+    """
+
+    __slots__ = ("graph", "anchor", "exponent", "idx", "x", "length", "_z")
+
+    def __init__(self, path: FinitePath):
+        self.graph = path.graph
+        self.path = path
+        if path.edges:
+            last = path.edges[-1]
+            self.anchor, self.x = last.z, last.x
+            self.idx = tuple(e.m for e in path.edges)
+        else:
+            self.anchor, self.x = path.base.left, path.base.right
+            self.idx = ()
+        self.exponent = self.length = len(self.idx)
+        self._z = None if self.idx else self.anchor
+
+    @staticmethod
+    def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, idx: tuple[int, ...], x: Point):
+        """The path with base point rho^exponent(anchor), such as a shift,
+        an extension or a sample."""
+        mu = object.__new__(FiniteModelPath)
+        mu.graph = graph
+        mu.anchor = anchor
+        mu.exponent = exponent
+        mu.idx = idx
+        mu.x = x
+        mu.length = len(idx)
+        mu._z = anchor if exponent == 0 else None
+        return mu
+
+    def __getattr__(self, name):
+        # the ``path`` slot stays empty until its first read
+        if name != "path":
+            raise AttributeError(name)
+        self.path = path = param_f_k(self.graph, self.z, self.x, self.idx)
+        return path
+
+    def _x_at(self, i: int) -> Point:
+        """The x coordinate of the domain of edge i (of the range, i = 0)."""
+        idx = self.idx
+        return self.graph.x_point(idx[i]) if i < len(idx) else self.x
+
+    def range(self) -> PairPoint:
+        return PairPoint(self.z, self._x_at(0))
+
+    def drop(self, n: int) -> "FiniteModelPath":
+        if n > self.length:
+            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
+        idx = self.idx[n:]
+        return FiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx, self.x)
+
+    def same_edge(self, i: int, other: "FiniteModelPath", j: int) -> bool:
+        """By index, x point and z, without building either edge."""
+        return (
+            self.idx[i - 1] == other.idx[j - 1]
+            and self._x_at(i) == other._x_at(j)
+            and self._same_point(self.exponent - i, other, other.exponent - j)
+        )
+
+    def same_tail(self, n: int, other, m: int) -> bool:
+        """By index tails, x points and exponents: on a shared anchor no
+        dynamics step."""
+        return (
+            isinstance(other, FiniteModelPath)
+            and self.graph is other.graph
+            and (self.idx[n:], self.x) == (other.idx[m:], other.x)
+            and self._same_point(self.exponent - n, other, other.exponent - m)
+        )
+
+    def cons(self, m: int) -> "FiniteModelPath":
+        if m < 1:
+            raise BoundaryError("edge indices must be >= 1")
+        idx = (m,) + self.idx
+        return FiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx, self.x)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FiniteModelPath):
+            return NotImplemented
+        if self.graph is not other.graph or (self.idx, self.x) != (other.idx, other.x):
+            return False
+        if self.anchor is other.anchor:
+            return self._same_point(self.exponent, other, other.exponent)
+        return self.z == other.z
+
+    def __hash__(self):
+        return hash((id(self.graph), self.z, self.x, self.idx))
+
+
+class InfiniteModelPath(_OrbitCoordinates):
     """The infinite model-graph path with edges
     (rho^-i(z), x_{n_{i+1}}, n_i) for i = 1, 2, ...; canonical in (z, idx).
 
-    The path is held in orbit coordinates: an anchor point a, an integer
-    exponent e with z = rho^e(a), and the index sequence.  ``drop`` and
-    ``cons`` move the exponent only, so every path cut from or extended
-    from one path shares its anchor, and two such paths (or their edges)
-    compare by integers: rho^e(a) = rho^f(a) exactly when the system's
-    period, if any, divides e - f.  ``z`` is built on first read and
-    kept; no other attribute changes after construction.
+    The path is held in orbit coordinates (see ``_OrbitCoordinates``): an
+    anchor point a, an integer exponent e with z = rho^e(a), and the index
+    sequence.  No attribute but ``z`` changes after construction.
     """
 
     __slots__ = ("graph", "anchor", "exponent", "idx", "_z")
@@ -287,14 +429,6 @@ class InfiniteModelPath:
         mu.idx = idx
         mu._z = anchor if exponent == 0 else None
         return mu
-
-    @property
-    def z(self) -> Point:
-        """The base point rho^exponent(anchor)."""
-        z = self._z
-        if z is None:
-            z = self._z = self.graph.z_system.power(self.anchor, self.exponent)
-        return z
 
     def range(self) -> PairPoint:
         # r(first edge) = (z, x_{n_1})
@@ -327,16 +461,6 @@ class InfiniteModelPath:
             and self.idx.same_tail(n, other.idx, m)
             and self._same_point(self.exponent - n, other, other.exponent - m)
         )
-
-    def _same_point(self, e: int, other: "InfiniteModelPath", f: int) -> bool:
-        """Whether rho^e(self.anchor) = rho^f(other.anchor); a shared
-        anchor decides it by the exponents, with no dynamics step."""
-        sys = self.graph.z_system
-        if self.anchor is other.anchor and sys is other.graph.z_system:
-            if e == f:
-                return True
-            return sys.period is not None and (e - f) % sys.period == 0
-        return sys.power(self.anchor, e) == other.graph.z_system.power(other.anchor, f)
 
     def prefix(self, k: int) -> FinitePath:
         g = self.graph
@@ -462,9 +586,16 @@ def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
 # ---------------------------------------------------------------------------
 
 
-def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic) -> InfiniteModelPath:
-    """Infinite paths from (base point, index sequence)."""
-    return InfiniteModelPath(graph, z, idx)
+def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic | tuple[int, ...], x: Point | None = None):
+    """The boundary path with base point z and index data idx: infinite
+    for an ``EvPeriodic``, and for a finite index tuple the path
+    ``param_f_k(graph, z, x, idx)``, held in orbit coordinates and built
+    only when read."""
+    if isinstance(idx, EvPeriodic):
+        return InfiniteModelPath(graph, z, idx)
+    if min(idx, default=1) < 1:
+        raise BoundaryError("edge indices must be >= 1")
+    return FiniteModelPath._unchecked(graph, z, 0, tuple(idx), x)
 
 
 def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
@@ -472,10 +603,8 @@ def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
     (m_1, ..., m_k) maps to the path with edges (rho^-i(z), *, m_i)."""
     if not graph.x_is_point():
         raise BoundaryError("h is only defined over a one-point X backend")
-    star = graph.x_point(1)
     if isinstance(nu, FiniteBoundaryPath):
-        labels = tuple(e.label for e in nu.path.edges)
-        return FiniteBoundaryPath(param_f_k(graph, z, star, labels))
+        return param_f(graph, z, tuple(e.label for e in nu.path.edges), graph.x_point(1))
     if isinstance(nu, InfiniteDiscretePath):
         return InfiniteModelPath(graph, z, nu.labels)
     raise BoundaryError(f"not a boundary path of the loop graph: {nu!r}")
@@ -485,13 +614,9 @@ def homeo_h_inv(graph_f: OneVertexLoopGraph, mu: BoundaryPath) -> tuple[Point, B
     if isinstance(mu, InfiniteModelPath):
         return mu.z, InfiniteDiscretePath(graph_f, mu.idx)
     if isinstance(mu, FiniteBoundaryPath):
-        g = mu.path.graph
-        if not isinstance(g, ModelGraph) or not g.x_is_point():
+        if not isinstance(mu, FiniteModelPath) or not mu.graph.x_is_point():
             raise BoundaryError("h_inv expects a path of the one-point-X model graph")
-        # the base point z is the Z coordinate of the range: rho of the
-        # first edge's z, or the vertex itself
-        loop_path = graph_f.path(tuple(e.m for e in mu.path.edges))
-        return mu.range().left, FiniteBoundaryPath(loop_path)
+        return mu.z, FiniteBoundaryPath(graph_f.path(mu.idx))
     raise BoundaryError(f"unsupported path {mu!r}")
 
 
@@ -630,9 +755,7 @@ class BasePointTail:
         return self._path_at(self.z_rule.limit())
 
     def _path_at(self, z: Point) -> BoundaryPath:
-        if self.is_infinite():
-            return InfiniteModelPath(self.graph, z, self.idx)
-        return FiniteBoundaryPath(param_f_k(self.graph, z, self.x_last, self.idx))
+        return param_f(self.graph, z, self.idx, self.x_last)
 
 
 @dataclass(frozen=True)

@@ -662,6 +662,8 @@ def discrete_graph_from_obj(obj) -> DiscreteGraph | OneVertexLoopGraph:
             raise ConfigError(f"graph.edges[{i}]: expected [source, target, label]")
         if not (isinstance(e[0], str) and isinstance(e[1], str)):
             raise ConfigError(f"graph.edges[{i}]: source and target must be vertex names")
+        if not isinstance(e[2], (str, int)) or isinstance(e[2], bool):
+            raise ConfigError(f"graph.edges[{i}]: label must be a string or an integer")
         edges.append(tuple(e))
     singular = _field(obj, "singular", "graph", list, [])
     if not all(isinstance(v, str) for v in singular):

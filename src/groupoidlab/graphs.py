@@ -231,10 +231,13 @@ class FinitePath:
 
     Public construction checks every junction.  Three kinds of path are
     built by ``_unchecked`` instead, because a check of their junctions
-    could not fail: slices of a valid path (the shifts and prefixes of a
-    finite boundary path); a boundary path's ``cons``, which builds its
-    new edge from ``range()``; and ``param_f_k``, whose edges come from
-    one formula whose consecutive edges compose.
+    could not fail: slices of a valid path (the prefixes of a finite
+    boundary path, and the shifts of one outside the model graph); a
+    loop-graph boundary path's ``cons``, which builds its new edge from
+    ``range()``; and ``param_f_k``, whose edges come from one formula
+    whose consecutive edges compose.  A finite model boundary path holds
+    no edges until its ``path`` is read, and then builds them through
+    ``param_f_k``, however the boundary path was reached.
     """
 
     graph: TopGraph

@@ -26,12 +26,7 @@ from .boundary import (
     param_f,
     shift_power,
 )
-from .graphs import (
-    FinitePath,
-    ModelGraph,
-    OneVertexLoopGraph,
-    param_f_k,
-)
+from .graphs import FinitePath, ModelGraph, OneVertexLoopGraph
 from .spaces import dense_indices_hitting
 
 
@@ -173,7 +168,7 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     k = rng.randrange(0, 5)
     x = graph.x_backend.random_point(rng)
     idx = tuple(rng.randrange(1, 6) for _ in range(k))
-    return FiniteBoundaryPath(param_f_k(graph, z, x, idx))
+    return param_f(graph, z, idx, x)
 
 
 def box_index_of_dense_value(backend, x) -> int:
@@ -197,7 +192,7 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
     """A random boundary path of the model graph whose range vertex is v.
     The x coordinate of v must be a dense-sequence value, since only such
     vertices receive edges.  A finite path of length k is
-    ``param_f_k(graph, v.left, x, idx)``: each index after the first hits
+    ``param_f(graph, v.left, idx, x)``: each index after the first hits
     a random dense value x_r (1 <= r < 8), and x is a random point."""
     if isinstance(graph, OneVertexLoopGraph):  # every label is a loop at v
         return random_boundary_path(graph, rng, force)
@@ -212,7 +207,7 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
         idx.append(_dense_index_at(graph, x, rng))
         last = step == k - 1
         x = graph.x_backend.random_point(rng) if last else graph.x_point(rng.randrange(1, 8))
-    return FiniteBoundaryPath(param_f_k(graph, v.left, x, tuple(idx)))
+    return param_f(graph, v.left, idx, x)
 
 
 def random_element_at(graph, u: BoundaryPath, rng) -> GroupoidElement:

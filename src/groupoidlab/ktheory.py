@@ -109,6 +109,7 @@ def validate_matrix(entries) -> list[list[int]]:
 def snf(matrix):
     """Smith normal form: returns (D, P, Q) with P * M * Q = D, P and Q
     unimodular, and D diagonal with a divisibility chain d1 | d2 | ...
+    The rows of M may be lists or tuples; M is not changed.
 
     Euclidean elimination.  The pivot is the nonzero entry of least
     absolute value in the remaining block, the first in row-major order
@@ -133,7 +134,9 @@ def snf(matrix):
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    a = [row + [0] * rows for row in matrix]  # [M | P], P the identity
+    zeros = [0] * rows
+    # [M | P], P the identity; each row is copied, so M may have tuple rows
+    a = [[*row, *zeros] for row in matrix]
     for i, row in enumerate(a, cols):
         row[i] = 1
     q = _ident(cols)

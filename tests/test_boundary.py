@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -325,6 +326,23 @@ def _one_path_per_kind():
         "infinite": param_f(g, z, EvPeriodic((2,), (1, 3))),
         "loop-word": InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
     }
+
+
+def test_finite_boundary_paths_copy():
+    """copy.copy and copy.deepcopy rebuild a finite boundary path through
+    its public constructor: the copy equals the path and hashes alike, or
+    (with its own deep-copied graph) prints the same line."""
+    paths = _one_path_per_kind()
+    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    for mu in (
+        paths["finite"], paths["finite"].drop(1).cons(5), paths["vertex"],
+        FiniteBoundaryPath(LOOP.path((2, 1))),
+        FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges))),
+    ):
+        twin = copy.copy(mu)
+        assert type(twin) is type(mu) and twin == mu and hash(twin) == hash(mu)
+        deep = copy.deepcopy(mu)
+        assert type(deep) is type(mu) and repr(deep) == repr(mu)
 
 
 @pytest.mark.parametrize("kind", ["finite", "vertex", "infinite", "loop-word"])
@@ -974,6 +992,94 @@ def test_finite_cyclic_exponents_compare_modulo_the_period():
         want = [(n, m) for n in range(13) for m in range(n) if rebuilt[n] == rebuilt[m]]
         assert want == [(n, m) for n in range(13) for m in range(n) if (n - m) % p == 0]
         assert isotropy_search(mu, 12) == want
+
+
+def _stepped_path(g, z, x, idx):
+    """The finite path with base point z, index tuple idx and last x, its
+    edges (rho^-i(z), x_{n_{i+1}}, n_i) stepped back through the dynamics
+    one edge at a time and validated by the public constructors."""
+    edges = []
+    xs = [g.x_point(m) for m in idx[1:]] + [x]
+    for m, x_next in zip(idx, xs):
+        z = g.z_system.backward(z)
+        edges.append(ModelEdge(z, x_next, m))
+    if not edges:
+        return FiniteBoundaryPath(vertex_path(g, PairPoint(z, x)))
+    return FiniteBoundaryPath(FinitePath(g, tuple(edges)))
+
+
+def _finite_chains(g, rng):
+    """Random chains of drops and conses from three finite paths on one
+    anchor, each path next to a reference path whose base point was
+    stepped through the dynamics on every operation."""
+    sys = g.z_system
+    z, x = sys.backend.random_point(rng), g.x_backend.random_point(rng)
+    pairs = []
+    for _ in range(3):
+        idx = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 5)))
+        mu, ref_z = param_f(g, z, idx, x), z
+        pairs.append((mu, _stepped_path(g, ref_z, x, idx)))
+        for _ in range(6):
+            if mu.length and rng.randrange(2):
+                n = rng.randrange(1, mu.length + 1)
+                mu = mu.drop(n)
+                for _ in range(n):
+                    ref_z = sys.backward(ref_z)
+            else:
+                mu = mu.cons(rng.randrange(1, 4))
+                ref_z = sys.forward(ref_z)
+            pairs.append((mu, _stepped_path(g, ref_z, x, mu.idx)))
+    return pairs
+
+
+def _shifted_data(ref, n):
+    """The n-th shift of a materialised path as plain data: its edges, or
+    its domain vertex once no edge is left."""
+    p = ref.path
+    return p.edges[n:] or p.d()
+
+
+@pytest.mark.parametrize(
+    "make_z, make_x",
+    FREE_CONFIGS + [pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic")],
+)
+def test_finite_orbit_coordinates_match_materialised_paths(make_z, make_x):
+    """A finite model path held in orbit coordinates has the edges, line,
+    range, prefixes, equality, hash, same_edge and same_tail verdicts of
+    the path whose edges were stepped through the dynamics and validated
+    by FiniteBoundaryPath(FinitePath(...)).  The reference paths carry
+    their own anchors, so each comparison with one goes through built
+    points; equal paths on different anchors hash alike.  On the cyclic
+    control, edges on one anchor also agree across exponents that differ
+    by a multiple of the period."""
+    g = build_model_graph(make_z(), make_x())
+    rng = random.Random(f"finite-orbit-{g!r}")
+    modular = own_anchor = 0
+    for _ in range(3):
+        pairs = _finite_chains(g, rng)
+        for mu, ref in pairs:
+            own_anchor += ref.anchor is not mu.anchor
+            assert mu.path.edges == ref.path.edges and path_to_line(mu) == path_to_line(ref)
+            assert mu.length == len(mu) == ref.length and mu.range() == ref.range()
+            assert [mu.prefix(k) for k in range(mu.length + 1)] == [
+                ref.prefix(k) for k in range(ref.length + 1)
+            ]
+            assert [mu.edge_at(i) for i in range(1, mu.length + 1)] == list(ref.path.edges)
+            assert (mu == ref) and (ref == mu) and hash(mu) == hash(ref)
+        for mu_a, ref_a in pairs:
+            for mu_b, ref_b in pairs:
+                assert (mu_a == mu_b) == (ref_a.path == ref_b.path)
+                for i in range(1, mu_a.length + 1):
+                    for j in range(1, mu_b.length + 1):
+                        want = ref_a.edge_at(i) == ref_b.edge_at(j)
+                        assert mu_a.same_edge(i, mu_b, j) == want
+                        modular += want and mu_a.exponent - i != mu_b.exponent - j
+                for n in range(mu_a.length + 1):
+                    for m in range(mu_b.length + 1):
+                        want = _shifted_data(ref_a, n) == _shifted_data(ref_b, m)
+                        assert mu_a.same_tail(n, mu_b, m) == want
+                        assert ref_a.same_tail(n, ref_b, m) == want
+    assert own_anchor > 50 and (modular > 0) == (g.z_system.period is not None)
 
 
 def _rebuilt(mu):

@@ -832,6 +832,12 @@ def _nested(inner: str, depth: int = 5000) -> str:
             (["--bound", "5", "ktheory", "g.json"], "unrecognized arguments: --bound 5"),
             (["ktheory", "g.json", "--bound", "5"], "unrecognized arguments: --bound 5"),
         )
+    ]
+    # an edge label is a string or an integer, and nothing else
+    + [
+        ("ktheory", {"vertices": ["a"], "edges": [["a", "a", "e"], ["a", "a", label]]},
+         "graph.edges[1]: label must be a string or an integer")
+        for label in ([1], None, True, 1.5, {"n": 1})
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

@@ -15,6 +15,7 @@ from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
+    FiniteModelPath,
     InfiniteDiscretePath,
     INFINITE,
     InfiniteModelPath,
@@ -26,6 +27,7 @@ from groupoidlab.boundary import (
 )
 from groupoidlab.graphs import (
     FinitePath,
+    ModelEdge,
     OneVertexLoopGraph,
     build_model_graph,
     param_f_k,
@@ -710,23 +712,43 @@ def test_element_chains_match_rebuilt_paths(make_z, make_x):
                 assert (a.y == b.x) == (ref_a.y == ref_b.x)
 
 
-def test_make_element_takes_no_dynamics_step_on_a_shared_anchor(monkeypatch):
-    graph = build_model_graph(golden_rotation(), CircleBackend())
-    x = param_f(graph, CirclePoint(QPhi(Fraction(1, 3))), EvPeriodic((2, 3), (1, 4)))
-    y = shift_power(x, 2).cons(x.idx.item(1)).cons(6)
-    calls = []
-    for name in ("power", "forward", "backward"):
+def _count_steps_and_edges(monkeypatch, calls):
+    """Append to ``calls`` each dynamics step and each ModelEdge built."""
+    for cls, name in (
+        (MinimalSystem, "power"), (MinimalSystem, "forward"), (MinimalSystem, "backward"),
+        (ModelEdge, "__init__"),
+    ):
 
-        def counted(self, *args, _name=name, _original=getattr(MinimalSystem, name)):
-            calls.append(_name)
+        def counted(self, *args, _where=f"{cls.__name__}.{name}", _original=getattr(cls, name)):
+            calls.append(_where)
             return _original(self, *args)
 
-        monkeypatch.setattr(MinimalSystem, name, counted)
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_make_element_takes_no_dynamics_step_on_a_shared_anchor(monkeypatch):
+    """On infinite and finite model paths that share an anchor, drop,
+    cons, make_element and compose take no dynamics step and build no
+    edge; a finite path's edges are built when its ``path`` is read."""
+    graph = build_model_graph(golden_rotation(), CircleBackend())
+    z = CirclePoint(QPhi(Fraction(1, 3)))
+    calls = []
+    _count_steps_and_edges(monkeypatch, calls)
+    x = param_f(graph, z, EvPeriodic((2, 3), (1, 4)))
+    y = shift_power(x, 2).cons(x.idx.item(1)).cons(6)
     e = make_element(x, 2, 2, y)
+    u = param_f(graph, z, (2, 3, 1, 4), ZERO_CIRCLE)
+    v = shift_power(u, 2).cons(3).cons(6)
+    f = make_element(u, 2, 2, v)
+    units = compose(f, inverse(f)), compose(inverse(f), f)
     assert calls == []
-    assert (e.n, e.m, e.k) == (1, 1, 0)
+    assert (e.n, e.m, e.k) == (f.n, f.m, f.k) == (1, 1, 0)
+    assert units == (unit(u), unit(v))
+    edges = v.path.edges
+    assert calls.count("MinimalSystem.power") == 4 and calls.count("ModelEdge.__init__") == 4
     monkeypatch.undo()
     assert (e.n, e.m) == reference_witness(x, 2, 2, y)
+    assert edges[1:] == u.path.edges[1:] and edges[0] != u.path.edges[0]
 
 
 @pytest.mark.parametrize("make_z, make_x", FREE_CONFIGS)
@@ -770,11 +792,13 @@ def test_full_shift_make_element_builds_no_vertex(monkeypatch, make_z, make_x):
 def test_sampled_paths_build_no_validated_point_or_path(monkeypatch, make_z, make_x):
     """The sampler builds each random point and finite path in canonical
     form: over 1,000 sampled boundary paths no QPhi, PadicPoint or
-    FinitePath goes through its validating constructor.  The dense
+    FinitePath goes through its validating constructor, and no dynamics
+    step is taken and no edge built, nor by a drop, cons, make_element or
+    compose on them, until a finite path's ``path`` is read.  The dense
     sequence's first terms, which every graph builds once and keeps, are
     built before counting."""
     graph = build_model_graph(make_z(), make_x())
-    for m in range(1, 6):
+    for m in range(1, 8):
         graph.x_point(m)
     calls = []
     for cls, name in ((QPhi, "__init__"), (PadicPoint, "__init__"), (FinitePath, "__post_init__")):
@@ -784,16 +808,25 @@ def test_sampled_paths_build_no_validated_point_or_path(monkeypatch, make_z, mak
             _original(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
+    _count_steps_and_edges(monkeypatch, calls)
     rng = random.Random(f"canonical-{graph!r}")
     paths = [random_boundary_path(graph, rng) for _ in range(1000)]
     assert calls == []
     assert {mu.length == INFINITE for mu in paths} == {True, False}
-    # the counters see a validated construction
+    for mu in paths[:100]:
+        g = random_element_at(graph, mu, rng)
+        assert compose(g, inverse(g)) == unit(mu)
+    assert calls == []
+    # the counters see the path built on first read, then a validated construction
     finite = next(mu for mu in paths if mu.length != INFINITE and mu.length > 0)
-    FinitePath(graph, finite.path.edges)
+    edges = finite.path.edges
+    assert calls.count("MinimalSystem.power") == len(edges) == calls.count("ModelEdge.__init__")
+    calls.clear()
+    FinitePath(graph, edges)  # its junction check steps the dynamics
     QPhi(Fraction(1, 2))
     PadicPoint((), (1,))
-    assert calls == ["FinitePath.__post_init__", "QPhi.__init__", "PadicPoint.__init__"]
+    built = [where for where in calls if not where.startswith("MinimalSystem")]
+    assert built == ["FinitePath.__post_init__", "QPhi.__init__", "PadicPoint.__init__"]
 
 
 def test_groupoid_element_record_contract():
@@ -831,7 +864,7 @@ def test_make_element_and_compose_build_no_shifted_path(monkeypatch):
             h = random_element_at(graph, g.y, rng)
             lifted = g.y.length > g.m and shift_power(g.x, g.n) == shift_power(g.y, g.m + 1)
             cases.append((g, h, lifted))
-    kinds = {FiniteBoundaryPath, InfiniteModelPath, InfiniteDiscretePath}
+    kinds = {FiniteBoundaryPath, FiniteModelPath, InfiniteModelPath, InfiniteDiscretePath}
     assert {type(g.x) for g, _h, _lifted in cases} == kinds
     assert not all(lifted for _g, _h, lifted in cases)
     calls = []

@@ -77,6 +77,24 @@ def test_snf_zero_matrix():
     assert p == [[1, 0], [0, 1]] and q == [[1, 0], [0, 1]]
 
 
+def test_snf_accepts_tuple_rows():
+    """A matrix of tuple rows, or a tuple of them, gives the (D, P, Q) of
+    the same rows as lists, and is left as it was: ``snf(((1,),))`` raised
+    TypeError when each row was extended in place of copied."""
+    rng = random.Random(17)
+    shapes = [(1, 1), (2, 3), (3, 2), (8, 8), (9, 9), (12, 5)]
+    matrices = [((1,),), ((0, 0), (0, 0))] + [
+        tuple(tuple(rng.randrange(-9, 10) for _ in range(cols)) for _ in range(rows))
+        for rows, cols in shapes
+    ]
+    for m in matrices:
+        rows = [list(row) for row in m]
+        want = snf(rows)
+        assert snf(m) == snf(list(m)) == want
+        assert [list(row) for row in m] == rows
+    assert snf(((1,),)) == ([[1]], [[1]], [[1]])
+
+
 def assert_snf_contract(m, d, p, q):
     """P*M*Q = D, unimodular transforms, D diagonal and non-negative with
     a divisibility chain."""
