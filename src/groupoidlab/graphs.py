@@ -107,6 +107,11 @@ class ModelGraph:
     def x_is_point(self) -> bool:
         return self.x_backend.basic_count == 1
 
+    def __deepcopy__(self, memo):
+        # paths compare graphs by identity, so a deep copy of a path or an
+        # element keeps its graph and still equals the original
+        return self
+
     def __repr__(self):
         return f"<ModelGraph Z={self.z_system.name} X={self.x_backend!r}>"
 
@@ -141,6 +146,9 @@ class OneVertexLoopGraph:
 
     def is_singular(self, vertex) -> bool:
         return True
+
+    def __deepcopy__(self, memo):
+        return self  # compared by identity, as ModelGraph
 
     def __repr__(self):
         return "<OneVertexLoopGraph>"
@@ -199,6 +207,9 @@ class DiscreteGraph:
     def adjacency(self) -> dict:
         """counts[(v, w)] = number of edges from v to w (d = v, r = w)."""
         return dict(self._counts)
+
+    def __deepcopy__(self, memo):
+        return self  # compared by identity, as ModelGraph
 
     def __repr__(self):
         return f"<DiscreteGraph |V|={len(self.vertices)} |E|={len(self._triples)}>"

@@ -49,6 +49,9 @@ class GroupoidElement(NamedTuple):
     built and compared in C; so it also equals the plain tuple of its
     fields.  The constructor checks nothing: ``make_element`` checks a
     witness, and ``unit`` and ``inverse`` give elements by construction.
+    All three build the tuple with ``tuple.__new__(GroupoidElement,
+    fields)``, which is all the named tuple's generated ``__new__`` does,
+    without its extra Python call.
     """
 
     x: BoundaryPath
@@ -67,29 +70,42 @@ def make_element(x: BoundaryPath, n: int, m: int, y: BoundaryPath) -> GroupoidEl
     edges x_n and y_m to the same path, so they are equal exactly when
     those two edges are: the witness is lowered edge by edge.  Infinite
     model paths that share an anchor compare their edges by indices, x
-    points and exponents, with no dynamics step."""
+    points and exponents, with no dynamics step.
+
+    A reflexive call, ``x is y`` with ``n == m``, gives the unit at x
+    once the guards pass, with no tail check: shift^n(x) = shift^n(x),
+    and every edge equals itself, so the lowering would end at (0, 0).
+    The axiom sampler's inverse laws and its n = m = 0 draws make such
+    calls.  A witness exponent that is not an ``int`` (a bool is one) is
+    a ``GroupoidError`` on every path kind."""
+    if not (isinstance(n, int) and isinstance(m, int)):
+        raise GroupoidError("witness exponents must be integers")
     if n < 0 or m < 0:
         raise GroupoidError("witness exponents must be non-negative")
     if x.length < n:
         raise GroupoidError(f"shift^{n} undefined on a path of length {x.length}")
     if y.length < m:
         raise GroupoidError(f"shift^{m} undefined on a path of length {y.length}")
+    if x is y and n == m:
+        return tuple.__new__(GroupoidElement, (x, 0, x, 0, 0))
     if not x.same_tail(n, y, m):
         raise GroupoidError("shifted paths differ; not a groupoid element")
     while n > 0 and m > 0 and x.same_edge(n, y, m):
         n -= 1
         m -= 1
-    return GroupoidElement(x, n - m, y, n, m)
+    return tuple.__new__(GroupoidElement, (x, n - m, y, n, m))
 
 
 def unit(mu: BoundaryPath) -> GroupoidElement:
-    return GroupoidElement(mu, 0, mu, 0, 0)
+    return tuple.__new__(GroupoidElement, (mu, 0, mu, 0, 0))
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
     """(x, k, y)(y, l, z) = (x, k + l, z), with the witness re-derived by
-    lifting both witnesses over the middle path."""
-    if g.y != h.x:
+    lifting both witnesses over the middle path.  The middle paths are
+    compared by identity first: the axiom sampler builds every second
+    factor at the first factor's own source path."""
+    if g.y is not h.x and g.y != h.x:
         raise GroupoidError("source of the first factor differs from range of the second")
     lift = max(h.n - g.m, 0)
     n = g.n + lift
@@ -98,7 +114,7 @@ def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
 
 
 def inverse(g: GroupoidElement) -> GroupoidElement:
-    return GroupoidElement(g.y, -g.k, g.x, g.m, g.n)
+    return tuple.__new__(GroupoidElement, (g.y, -g.k, g.x, g.m, g.n))
 
 
 # ---------------------------------------------------------------------------

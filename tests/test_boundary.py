@@ -330,8 +330,8 @@ def _one_path_per_kind():
 
 def test_finite_boundary_paths_copy():
     """copy.copy and copy.deepcopy rebuild a finite boundary path through
-    its public constructor: the copy equals the path and hashes alike, or
-    (with its own deep-copied graph) prints the same line."""
+    its public constructor: the copy equals the path and hashes alike, and
+    the deep copy prints the same line."""
     paths = _one_path_per_kind()
     discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
     for mu in (
@@ -343,6 +343,24 @@ def test_finite_boundary_paths_copy():
         assert type(twin) is type(mu) and twin == mu and hash(twin) == hash(mu)
         deep = copy.deepcopy(mu)
         assert type(deep) is type(mu) and repr(deep) == repr(mu)
+
+
+@pytest.mark.parametrize(
+    "kind", ["finite", "finite-shifted", "vertex", "infinite", "loop-word", "loop-finite", "discrete"]
+)
+def test_deep_copied_paths_keep_their_graph(kind):
+    """A deep copy of a boundary path of any kind keeps its graph, which
+    paths compare by identity, so it equals the path and hashes alike."""
+    paths = _one_path_per_kind()
+    paths["finite-shifted"] = paths["finite"].drop(1).cons(5)
+    paths["loop-finite"] = FiniteBoundaryPath(LOOP.path((2, 1)))
+    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    paths["discrete"] = FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges)))
+    mu = paths[kind]
+    deep = copy.deepcopy(mu)
+    assert deep is not mu and deep.graph is mu.graph
+    assert type(deep) is type(mu) and deep == mu and mu == deep and hash(deep) == hash(mu)
+    assert copy.deepcopy([mu, mu]) == [mu, mu]
 
 
 @pytest.mark.parametrize("kind", ["finite", "vertex", "infinite", "loop-word"])

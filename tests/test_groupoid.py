@@ -1,5 +1,6 @@
 import ast
 import bisect
+import copy
 import hashlib
 import itertools
 import random
@@ -26,6 +27,7 @@ from groupoidlab.boundary import (
     shift_power,
 )
 from groupoidlab.graphs import (
+    DiscreteGraph,
     FinitePath,
     ModelEdge,
     OneVertexLoopGraph,
@@ -937,6 +939,114 @@ def test_make_element_rejects_tails_that_differ_in_one_respect(make_graph):
             else:
                 with pytest.raises(GroupoidError, match="^shifted paths differ"):
                     make_element(word, 0, 0, y)
+
+
+# ---------------------------------------------------------------------------
+# reflexive elements and composable pairs decided by identity
+# ---------------------------------------------------------------------------
+
+REFLEXIVE_GRAPHS = FREE_CONFIGS + [
+    pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic"),
+    pytest.param(None, None, id="loop"),
+    pytest.param(None, DiscreteGraph, id="discrete"),
+]
+
+
+def _reflexive_paths(make_z, make_x):
+    """Sampled finite and infinite boundary paths of one graph; for a
+    DiscreteGraph, which has no sampler, three of its finite boundary paths."""
+    if make_x is DiscreteGraph:
+        graph = DiscreteGraph(["u", "v", "w"], [("u", "v", "e"), ("v", "w", "f"), ("v", "v", "g")])
+        e, f, g = graph.edges
+        return [FiniteBoundaryPath(FinitePath(graph, word)) for word in ((f, e), (e,), (f, g, g, e))]
+    graph = OneVertexLoopGraph() if make_z is None else build_model_graph(make_z(), make_x())
+    rng = random.Random(f"reflexive-{graph!r}")
+    return [random_boundary_path(graph, rng, force=kind) for kind in ("finite", "infinite") * 6]
+
+
+def _count_path_calls(monkeypatch, names):
+    """Record each call of the named methods on every boundary path class."""
+    calls = []
+    for cls in (FiniteBoundaryPath, FiniteModelPath, InfiniteModelPath, InfiniteDiscretePath):
+        for name in names:
+
+            def counted(self, *args, _where=f"{cls.__name__}.{name}", _original=getattr(cls, name)):
+                calls.append(_where)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make_z, make_x", REFLEXIVE_GRAPHS)
+def test_reflexive_make_element_is_the_unit(monkeypatch, make_z, make_x):
+    """make_element(x, n, n, x) is unit(x) for every n up to the length,
+    and so is the full tail check and lowering against an equal but
+    distinct copy of x; n past the length still raises.  A reflexive call
+    makes no same_tail or same_edge call, and a compose whose middle
+    paths are one object asks no path __eq__."""
+    paths = _reflexive_paths(make_z, make_x)
+    discrete = make_x is DiscreteGraph
+    assert {mu.length == INFINITE for mu in paths} == ({False} if discrete else {True, False})
+    cases = []
+    for x in paths:
+        twin = copy.copy(x)
+        assert twin is not x and twin == x
+        for n in range(min(x.length, 6) + 1):
+            assert make_element(x, n, n, x) == unit(x) == make_element(x, n, n, twin)
+            cases.append((x, n))
+        if x.length != INFINITE:
+            with pytest.raises(GroupoidError, match="undefined on a path of length"):
+                make_element(x, x.length + 1, x.length + 1, x)
+    pairs = []
+    if not discrete:
+        rng = random.Random(1)
+        for x in paths:
+            g = random_element_at(x.graph, x, rng)
+            pairs += [(g, random_element_at(x.graph, g.y, rng)), (g, inverse(g)), (inverse(g), g)]
+    calls = _count_path_calls(monkeypatch, ("same_tail", "same_edge", "__eq__"))
+    for x, n in cases:
+        g = make_element(x, n, n, x)
+        assert g.x is x and g.y is x and (g.k, g.n, g.m) == (0, 0, 0)
+    assert calls == []
+    for g, h in pairs:
+        assert h.x is g.y
+        compose(g, h)
+    assert [where for where in calls if where.endswith("__eq__")] == []
+
+
+@pytest.mark.parametrize("kind", ["finite-model", "infinite-model", "finite-loop", "infinite-loop"])
+def test_make_element_rejects_exponents_that_are_not_ints(kind):
+    """A witness exponent that is not an int is a GroupoidError on every
+    path kind, whether or not the paths are one object; a bool is an int."""
+    graph = build_model_graph(golden_rotation(), CircleBackend())
+    loop = OneVertexLoopGraph()
+    z = CirclePoint(QPhi(Fraction(1, 3)))
+    mu = {
+        "finite-model": FiniteBoundaryPath(param_f_k(graph, z, ZERO_CIRCLE, (2, 1, 3))),
+        "infinite-model": param_f(graph, z, EvPeriodic((2,), (1, 3))),
+        "finite-loop": FiniteBoundaryPath(loop.path((2, 1, 3))),
+        "infinite-loop": InfiniteDiscretePath(loop, EvPeriodic((2,), (1, 3))),
+    }[kind]
+    for bad in (1.0, 1.5, "1", None, Fraction(1)):
+        for n, m in ((bad, bad), (bad, 1), (1, bad)):
+            for y in (mu, copy.copy(mu)):
+                with pytest.raises(GroupoidError, match="^witness exponents must be integers$"):
+                    make_element(mu, n, m, y)
+    assert make_element(mu, True, True, mu) == make_element(mu, False, False, mu) == unit(mu)
+    assert make_element(mu, True, True, copy.copy(mu)) == unit(mu)
+
+
+def test_deep_copied_element_equals_the_original():
+    """A deep copy of a sampled element keeps its graph, so it equals the
+    element and hashes alike."""
+    for graph in (build_model_graph(golden_rotation(), CircleBackend()), OneVertexLoopGraph()):
+        rng = random.Random(31)
+        for _ in range(20):
+            g = random_element(graph, rng)
+            deep = copy.deepcopy(g)
+            assert deep.x is not g.x and deep.x.graph is graph
+            assert deep == g and hash(deep) == hash(g)
 
 
 # ---------------------------------------------------------------------------

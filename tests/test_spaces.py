@@ -915,11 +915,11 @@ def test_every_import_is_used(path):
 #: module-level names that no other part of the package names, each kept
 #: for the reason given
 _KEPT_UNREFERENCED = {
-    "shift": "timed by the benchmark tracer (bench/tracing.py SPANS), ROADMAP item 5",
-    "qphi_min": "timed by the benchmark tracer, ROADMAP item 5",
-    "qphi_max": "timed by the benchmark tracer, ROADMAP item 5",
-    "qphi_sign": "timed by the benchmark tracer, ROADMAP item 5",
-    "random_path_from": "timed by the benchmark tracer, ROADMAP item 5",
+    "shift": "timed by the benchmark tracer (bench/tracing.py SPANS), ROADMAP item 8",
+    "qphi_min": "timed by the benchmark tracer, ROADMAP item 8",
+    "qphi_max": "timed by the benchmark tracer, ROADMAP item 8",
+    "qphi_sign": "timed by the benchmark tracer, ROADMAP item 8",
+    "random_path_from": "timed by the benchmark tracer, ROADMAP item 8",
     "BasicOpenBisection": "the exact bisection certificate, ROADMAP item 2",
     "stabilize_ktheory": "the stable claim's K-theory, ROADMAP item 1",
     "homeo_h": "the boundary homeomorphism, acceptance criteria 7 and 8",
