@@ -58,10 +58,9 @@ from .boundary import (
     EscapingTail,
     EvPeriodic,
     FiniteBoundaryPath,
-    FiniteModelPath,
     HeadOnlyTail,
     InfiniteDiscretePath,
-    InfiniteModelPath,
+    ModelPath,
     SequenceDescription,
     ShiftDomainError,
     converges,

@@ -1,16 +1,15 @@
 """Boundary path spaces, the shift, and the convergence oracle.
 
 For the model graph every vertex is singular, so the boundary consists
-of all finite paths together with the infinite ones.  A model path is
-stored as a base point, held as an anchor and an orbit exponent, plus
-its index data: a tuple and the last x coordinate for a finite path,
-and for an infinite one an eventually periodic index sequence, the
-exact shift-invariant dense subfamily on which equality and the shift
-are decidable.  The
-topology is never materialised; it is probed through a three-condition
-convergence test on finitely described sequences, with an explicit
-"undecidable for this description" outcome for anything outside the
-supported descriptions.
+of all finite paths together with the infinite ones.  A model path,
+finite or infinite, is one ``ModelPath``: a base point, held as an
+anchor and an orbit exponent, an index word and, on a finite path, the
+last x coordinate.  An infinite word is eventually periodic, the exact
+shift-invariant dense subfamily on which equality and the shift are
+decidable.  The topology is never materialised; it is probed through a
+three-condition convergence test on finitely described sequences, with
+an explicit "undecidable for this description" outcome for anything
+outside the supported descriptions.
 """
 
 from __future__ import annotations
@@ -74,7 +73,11 @@ class EvPeriodic:
 
     The entries are edge indices (loop labels in the loop graph), so one
     below 1 is a ``BoundaryError``: every infinite path's index data is
-    validated here, once.
+    validated here, once.  The public constructor refuses an empty cycle;
+    ``ModelPath`` builds one through ``_canonical(idx, ())`` for a finite
+    word of length ``len(head)``, on which ``item`` (below the length),
+    ``shifted`` (by at most the length), ``same_tail``, ``cons`` and
+    ``prefix`` mean the same as on an infinite one.
     """
 
     head: tuple[int, ...]
@@ -122,6 +125,8 @@ class EvPeriodic:
         head, h, cycle, c = self.head, other.head, self.cycle, other.cycle
         if len(cycle) != len(c) or head[n:] != h[m:]:
             return False
+        if not c:  # two finite words
+            return True
         r = (max(n - len(head), 0) - max(m - len(h), 0)) % len(c)
         return r == 0 if cycle == c else cycle[r:] + cycle[:r] == c
 
@@ -132,7 +137,7 @@ class EvPeriodic:
         if value < 1:
             raise BoundaryError("edge indices must be >= 1")
         head, cycle = self.head, self.cycle
-        if not head and value == cycle[-1]:
+        if not head and cycle and value == cycle[-1]:
             return EvPeriodic._canonical((), (value,) + cycle[:-1])
         return EvPeriodic._canonical((value,) + head, cycle)
 
@@ -165,18 +170,25 @@ class FiniteBoundaryPath:
     junction composes.
 
     ``FiniteBoundaryPath(path)`` checks that the domain of a path outside
-    the model graph is singular.  On a model graph, where every vertex is
-    singular, it gives a ``FiniteModelPath``, held in orbit coordinates,
-    and checks nothing beyond ``FinitePath``'s junctions.  ``drop``,
-    ``cons`` and ``param_f`` build paths without a check, since a check
-    could not fail: a shift or an extension at the range end keeps a
-    singular domain, and ``param_f``'s edges compose by their formula.
+    the model graph (the loop graph or a ``DiscreteGraph``) is singular.
+    On a model graph, where every vertex is singular, it gives a
+    ``ModelPath``, held in orbit coordinates, and checks nothing beyond
+    ``FinitePath``'s junctions.  ``drop``, ``cons`` and ``param_f`` build
+    paths without a check, since a check could not fail: a shift or an
+    extension at the range end keeps a singular domain, and ``param_f``'s
+    edges compose by their formula.
     """
 
     __slots__ = ("path",)
 
     def __new__(cls, path: FinitePath):
-        return object.__new__(FiniteModelPath if isinstance(path.graph, ModelGraph) else cls)
+        if not isinstance(path.graph, ModelGraph):
+            return object.__new__(cls)
+        v = path.d()  # (rho^-k(z), x): the anchor at exponent k, and x
+        idx = tuple(e.m for e in path.edges)
+        mu = ModelPath._unchecked(path.graph, v.left, len(idx), EvPeriodic._canonical(idx, ()), v.right)
+        mu._path = path
+        return mu
 
     def __init__(self, path: FinitePath):
         if not path.graph.is_singular(path.d()):
@@ -268,15 +280,61 @@ class FiniteBoundaryPath:
         return FiniteBoundaryPath, (self.path,)
 
 
-class _OrbitCoordinates:
-    """The base point of a model path held as an anchor point a and an
-    integer exponent e, with z = rho^e(a): ``drop`` and ``cons`` move the
-    exponent only, so every path cut from or extended from one path
-    shares its anchor, and two such paths (or their edges) compare by
-    integers: rho^e(a) = rho^f(a) exactly when the system's period, if
-    any, divides e - f.  ``z`` is built on first read and kept."""
+class ModelPath:
+    """A model-graph boundary path, finite or infinite, in orbit
+    coordinates: an anchor point a, an integer exponent e with base point
+    z = rho^e(a), an index word and x.  Its edges are
+    (rho^-i(z), x_{n_{i+1}}, n_i) for i = 1, 2, ...; on a finite path of
+    length k the last edge is (rho^-k(z), x, n_k), so ``x`` is the last
+    edge's x coordinate (the vertex's, for k = 0), and it is ``None`` on an
+    infinite path.  The word is an ``EvPeriodic``, whose empty cycle marks
+    a finite word of length ``len(head)``; such a word is built only here.
 
-    __slots__ = ()
+    ``drop(n)`` is exponent - n with the shifted word, and ``cons(m)`` is
+    exponent + 1 with m prepended, so neither takes a dynamics step nor
+    builds an edge, and every path cut from or extended from one path
+    shares its anchor.  Two such paths (or their edges) compare by
+    integers: rho^e(a) = rho^f(a) exactly when the system's period, if
+    any, divides e - f.  ``z`` is built on first read and kept, and so is
+    a finite path's ``path``, by ``param_f_k``; built from a validated path
+    (``FiniteBoundaryPath(FinitePath(...))``), the anchor is its last
+    edge's z at exponent k, and the path is kept as given.  ``idx`` is the
+    index data: a tuple on a finite path, the ``EvPeriodic`` on an
+    infinite one.
+    """
+
+    __slots__ = ("graph", "anchor", "exponent", "word", "x", "length", "_path", "_z")
+
+    @staticmethod
+    def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, word: EvPeriodic, x: Point | None):
+        """The path with base point rho^exponent(anchor), such as a shift,
+        an extension or a sample."""
+        mu = object.__new__(ModelPath)
+        mu.graph = graph
+        mu.anchor = anchor
+        mu.exponent = exponent
+        mu.word = word
+        mu.x = x
+        mu.length = INFINITE if x is None else len(word.head)
+        mu._path = None
+        mu._z = anchor if exponent == 0 else None
+        return mu
+
+    @property
+    def path(self) -> FinitePath:
+        """The finite path, built on first read and kept; an infinite path
+        has none, so reading it is an ``AttributeError``.  (A property, not
+        ``__getattr__``, which would slow every attribute read.)"""
+        path = self._path
+        if path is None:
+            if self.x is None:
+                raise AttributeError("an infinite path has no finite path")
+            path = self._path = param_f_k(self.graph, self.z, self.x, self.word.head)
+        return path
+
+    @property
+    def idx(self) -> tuple[int, ...] | EvPeriodic:
+        return self.word if self.x is None else self.word.head
 
     @property
     def z(self) -> Point:
@@ -286,7 +344,7 @@ class _OrbitCoordinates:
             z = self._z = self.graph.z_system.power(self.anchor, self.exponent)
         return z
 
-    def _same_point(self, e: int, other: "_OrbitCoordinates", f: int) -> bool:
+    def _same_point(self, e: int, other: "ModelPath", f: int) -> bool:
         """Whether rho^e(self.anchor) = rho^f(other.anchor); a shared
         anchor decides it by the exponents, with no dynamics step."""
         sys = self.graph.z_system
@@ -296,209 +354,85 @@ class _OrbitCoordinates:
             return sys.period is not None and (e - f) % sys.period == 0
         return sys.power(self.anchor, e) == other.graph.z_system.power(other.anchor, f)
 
-
-class FiniteModelPath(_OrbitCoordinates, FiniteBoundaryPath):
-    """The finite model-graph path ``param_f_k(graph, z, x, idx)``, edges
-    (rho^-i(z), x_{n_{i+1}}, n_i) for i < k and (rho^-k(z), x, n_k), held in
-    orbit coordinates: the base point z = rho^exponent(anchor), the index
-    tuple and x, the last edge's x (the vertex's, for k = 0).  ``drop(n)``
-    is exponent - n with idx[n:], and ``cons(m)`` is exponent + 1 with
-    (m,) + idx, so neither takes a dynamics step nor builds an edge.
-
-    ``path`` is built on first read and kept; built from a validated path
-    (``FiniteBoundaryPath(FinitePath(...))``), the anchor is its last
-    edge's z at exponent k, and the path is kept as given.
-    """
-
-    __slots__ = ("graph", "anchor", "exponent", "idx", "x", "length", "_z")
-
-    def __init__(self, path: FinitePath):
-        self.graph = path.graph
-        self.path = path
-        if path.edges:
-            last = path.edges[-1]
-            self.anchor, self.x = last.z, last.x
-            self.idx = tuple(e.m for e in path.edges)
-        else:
-            self.anchor, self.x = path.base.left, path.base.right
-            self.idx = ()
-        self.exponent = self.length = len(self.idx)
-        self._z = None if self.idx else self.anchor
-
-    @staticmethod
-    def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, idx: tuple[int, ...], x: Point):
-        """The path with base point rho^exponent(anchor), such as a shift,
-        an extension or a sample."""
-        mu = object.__new__(FiniteModelPath)
-        mu.graph = graph
-        mu.anchor = anchor
-        mu.exponent = exponent
-        mu.idx = idx
-        mu.x = x
-        mu.length = len(idx)
-        mu._z = anchor if exponent == 0 else None
-        return mu
-
-    def __getattr__(self, name):
-        # the ``path`` slot stays empty until its first read
-        if name != "path":
-            raise AttributeError(name)
-        self.path = path = param_f_k(self.graph, self.z, self.x, self.idx)
-        return path
-
     def _x_at(self, i: int) -> Point:
         """The x coordinate of the domain of edge i (of the range, i = 0)."""
-        idx = self.idx
-        return self.graph.x_point(idx[i]) if i < len(idx) else self.x
+        return self.x if i == self.length else self.graph.x_point(self.word.item(i))
 
     def range(self) -> PairPoint:
         return PairPoint(self.z, self._x_at(0))
 
-    def drop(self, n: int) -> "FiniteModelPath":
-        if n > self.length:
-            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
-        idx = self.idx[n:]
-        return FiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx, self.x)
+    def edge_at(self, i: int) -> ModelEdge:
+        """The i-th edge, 1 <= i <= length."""
+        power = self.graph.z_system.power
+        return ModelEdge(power(self.anchor, self.exponent - i), self._x_at(i), self.word.item(i - 1))
 
-    def same_edge(self, i: int, other: "FiniteModelPath", j: int) -> bool:
+    def same_edge(self, i: int, other: "ModelPath", j: int) -> bool:
         """By index, x point and z, without building either edge."""
-        return (
-            self.idx[i - 1] == other.idx[j - 1]
-            and self._x_at(i) == other._x_at(j)
-            and self._same_point(self.exponent - i, other, other.exponent - j)
-        )
+        if self.word.item(i - 1) != other.word.item(j - 1):
+            return False
+        x, y = self._x_at(i), other._x_at(j)
+        return (x is y or x == y) and self._same_point(self.exponent - i, other, other.exponent - j)
 
     def same_tail(self, n: int, other, m: int) -> bool:
-        """By index tails, x points and exponents: on a shared anchor no
+        """By words, x points and exponents: on a shared anchor no
         dynamics step."""
         return (
-            isinstance(other, FiniteModelPath)
+            isinstance(other, ModelPath)
             and self.graph is other.graph
-            and (self.idx[n:], self.x) == (other.idx[m:], other.x)
-            and self._same_point(self.exponent - n, other, other.exponent - m)
-        )
-
-    def cons(self, m: int) -> "FiniteModelPath":
-        if m < 1:
-            raise BoundaryError("edge indices must be >= 1")
-        idx = (m,) + self.idx
-        return FiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx, self.x)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteModelPath):
-            return NotImplemented
-        if self.graph is not other.graph or (self.idx, self.x) != (other.idx, other.x):
-            return False
-        if self.anchor is other.anchor:
-            return self._same_point(self.exponent, other, other.exponent)
-        return self.z == other.z
-
-    def __hash__(self):
-        return hash((id(self.graph), self.z, self.x, self.idx))
-
-
-class InfiniteModelPath(_OrbitCoordinates):
-    """The infinite model-graph path with edges
-    (rho^-i(z), x_{n_{i+1}}, n_i) for i = 1, 2, ...; canonical in (z, idx).
-
-    The path is held in orbit coordinates (see ``_OrbitCoordinates``): an
-    anchor point a, an integer exponent e with z = rho^e(a), and the index
-    sequence.  No attribute but ``z`` changes after construction.
-    """
-
-    __slots__ = ("graph", "anchor", "exponent", "idx", "_z")
-
-    length = INFINITE
-
-    def __init__(self, graph: ModelGraph, z: Point, idx: EvPeriodic):
-        self.graph = graph
-        self.anchor = self._z = z
-        self.exponent = 0
-        self.idx = idx
-
-    @staticmethod
-    def _unchecked(graph: ModelGraph, anchor: Point, exponent: int, idx: EvPeriodic):
-        """The path with base point rho^exponent(anchor), such as a shift
-        or an extension."""
-        mu = object.__new__(InfiniteModelPath)
-        mu.graph = graph
-        mu.anchor = anchor
-        mu.exponent = exponent
-        mu.idx = idx
-        mu._z = anchor if exponent == 0 else None
-        return mu
-
-    def range(self) -> PairPoint:
-        # r(first edge) = (z, x_{n_1})
-        return PairPoint(self.z, self.graph.x_point(self.idx.item(0)))
-
-    def edge_at(self, i: int) -> ModelEdge:
-        """The i-th edge, i >= 1."""
-        g = self.graph
-        return ModelEdge(
-            g.z_system.power(self.anchor, self.exponent - i),
-            g.x_point(self.idx.item(i)),
-            self.idx.item(i - 1),
-        )
-
-    def same_edge(self, i: int, other: "InfiniteModelPath", j: int) -> bool:
-        """Whether edge i of this path equals edge j of ``other``: by index,
-        x point and z, without building either edge."""
-        a, b = self.idx.item(i), other.idx.item(j)
-        return (
-            self.idx.item(i - 1) == other.idx.item(j - 1)
-            and (a == b or self.graph.x_point(a) == other.graph.x_point(b))
-            and self._same_point(self.exponent - i, other, other.exponent - j)
-        )
-
-    def same_tail(self, n: int, other, m: int) -> bool:
-        """By index tails and exponents: on a shared anchor no dynamics step."""
-        return (
-            isinstance(other, InfiniteModelPath)
-            and self.graph is other.graph
-            and self.idx.same_tail(n, other.idx, m)
+            and self.word.same_tail(n, other.word, m)
+            and (self.x is other.x or self.x == other.x)
             and self._same_point(self.exponent - n, other, other.exponent - m)
         )
 
     def prefix(self, k: int) -> FinitePath:
-        g = self.graph
-        return param_f_k(g, self.z, g.x_point(self.idx.item(k)), self.idx.prefix(k))
+        if k > self.length:
+            raise BoundaryError("prefix longer than the path")
+        return param_f_k(self.graph, self.z, self._x_at(k), self.word.prefix(k))
 
-    def drop(self, n: int) -> "InfiniteModelPath":
-        idx = self.idx.shifted(n)
-        return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent - n, idx)
+    def drop(self, n: int) -> "ModelPath":
+        if n > self.length:
+            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
+        word = self.word.shifted(n)
+        return ModelPath._unchecked(self.graph, self.anchor, self.exponent - n, word, self.x)
 
     def shift_period(self) -> tuple[int, int] | None:
-        """Shifts share the anchor, so the period of the system must also
-        divide their exponent gap."""
+        """None on a finite path, whose shifts have pairwise different
+        lengths.  Shifts of an infinite path share the anchor, so the
+        period of the system must also divide their exponent gap."""
         period = self.graph.z_system.period
-        return None if period is None else (len(self.idx.head), math.lcm(len(self.idx.cycle), period))
+        if self.x is not None or period is None:
+            return None
+        return len(self.word.head), math.lcm(len(self.word.cycle), period)
 
-    def cons(self, m: int) -> "InfiniteModelPath":
-        idx = self.idx.cons(m)
-        return InfiniteModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, idx)
+    def cons(self, m: int) -> "ModelPath":
+        word = self.word.cons(m)
+        return ModelPath._unchecked(self.graph, self.anchor, self.exponent + 1, word, self.x)
+
+    def __len__(self):
+        if self.x is None:
+            raise TypeError("infinite path; use .length")
+        return self.length
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, InfiniteModelPath):
+        if not isinstance(other, ModelPath):
             return NotImplemented
-        if self.graph is not other.graph or self.idx != other.idx:
+        if self.graph is not other.graph or self.word != other.word or self.x != other.x:
             return False
         if self.anchor is other.anchor:
             return self._same_point(self.exponent, other, other.exponent)
         return self.z == other.z
 
     def __hash__(self):
-        return hash((id(self.graph), self.z, self.idx))
+        return hash((id(self.graph), self.z, self.word, self.x))
 
     def __repr__(self):
-        return f"InfiniteModelPath(graph={self.graph!r}, z={self.z!r}, idx={self.idx!r})"
+        return f"ModelPath(graph={self.graph!r}, z={self.z!r}, idx={self.idx!r}, x={self.x!r})"
 
-    def __len__(self):
-        raise TypeError("infinite path; use .length")
+    def __reduce__(self):
+        # copy through the public constructor
+        return param_f, (self.graph, self.z, self.idx, self.x)
 
 
 @dataclass(frozen=True)
@@ -559,7 +493,7 @@ class InfiniteDiscretePath:
         return hash((id(self.graph), self.labels))
 
 
-BoundaryPath = FiniteBoundaryPath | InfiniteModelPath | InfiniteDiscretePath
+BoundaryPath = FiniteBoundaryPath | ModelPath | InfiniteDiscretePath
 
 
 def shift(mu: BoundaryPath) -> BoundaryPath:
@@ -587,15 +521,16 @@ def shift_power(mu: BoundaryPath, n: int) -> BoundaryPath:
 
 
 def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic | tuple[int, ...], x: Point | None = None):
-    """The boundary path with base point z and index data idx: infinite
-    for an ``EvPeriodic``, and for a finite index tuple the path
-    ``param_f_k(graph, z, x, idx)``, held in orbit coordinates and built
-    only when read."""
+    """The ``ModelPath`` anchored at z with index data idx: infinite for
+    an ``EvPeriodic`` (x is not read), and for a finite index tuple the
+    path ``param_f_k(graph, z, x, idx)``, built only when read."""
     if isinstance(idx, EvPeriodic):
-        return InfiniteModelPath(graph, z, idx)
+        return ModelPath._unchecked(graph, z, 0, idx, None)
     if min(idx, default=1) < 1:
         raise BoundaryError("edge indices must be >= 1")
-    return FiniteModelPath._unchecked(graph, z, 0, tuple(idx), x)
+    if x is None:
+        raise BoundaryError("a finite index tuple needs x, the last edge's x coordinate")
+    return ModelPath._unchecked(graph, z, 0, EvPeriodic._canonical(tuple(idx), ()), x)
 
 
 def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
@@ -603,20 +538,20 @@ def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
     (m_1, ..., m_k) maps to the path with edges (rho^-i(z), *, m_i)."""
     if not graph.x_is_point():
         raise BoundaryError("h is only defined over a one-point X backend")
-    if isinstance(nu, FiniteBoundaryPath):
+    if isinstance(nu, FiniteBoundaryPath) and isinstance(nu.graph, OneVertexLoopGraph):
         return param_f(graph, z, tuple(e.label for e in nu.path.edges), graph.x_point(1))
     if isinstance(nu, InfiniteDiscretePath):
-        return InfiniteModelPath(graph, z, nu.labels)
+        return param_f(graph, z, nu.labels)
     raise BoundaryError(f"not a boundary path of the loop graph: {nu!r}")
 
 
 def homeo_h_inv(graph_f: OneVertexLoopGraph, mu: BoundaryPath) -> tuple[Point, BoundaryPath]:
-    if isinstance(mu, InfiniteModelPath):
-        return mu.z, InfiniteDiscretePath(graph_f, mu.idx)
-    if isinstance(mu, FiniteBoundaryPath):
-        if not isinstance(mu, FiniteModelPath) or not mu.graph.x_is_point():
-            raise BoundaryError("h_inv expects a path of the one-point-X model graph")
+    if isinstance(mu, ModelPath) and mu.graph.x_is_point():
+        if mu.length == INFINITE:
+            return mu.z, InfiniteDiscretePath(graph_f, mu.word)
         return mu.z, FiniteBoundaryPath(graph_f.path(mu.idx))
+    if isinstance(mu, (FiniteBoundaryPath, ModelPath)):
+        raise BoundaryError("h_inv expects a path of the one-point-X model graph")
     raise BoundaryError(f"unsupported path {mu!r}")
 
 
@@ -718,7 +653,7 @@ class EscapingTail:
         idx = dense_indices_hitting(g.x_backend, self.x_box_index, self.rep_start + n + 1)[-1]
         return ModelEdge(g.z_system.power(target.left, -1), self.x_last, idx)
 
-    def term(self, n: int) -> FiniteBoundaryPath:
+    def term(self, n: int) -> ModelPath:
         edges = self.prefix.path.edges + (self.appended_edge(n),)
         return FiniteBoundaryPath(FinitePath(self.graph(), edges))
 
@@ -876,10 +811,10 @@ def path_to_line(mu: BoundaryPath) -> str:
     """One-line format: ``INF z=<point> idx=<pre>|<cycle>`` for infinite
     model paths, ``FIN <edges>`` / ``FIN @<vertex>`` for finite ones, and
     the W-suffixed variants for loop-graph words."""
-    if isinstance(mu, InfiniteModelPath):
-        return f"INF z={mu.z.token()} idx={_ev_periodic_token(mu.idx)}"
     if isinstance(mu, InfiniteDiscretePath):
         return f"INFW idx={_ev_periodic_token(mu.labels)}"
+    if mu.length == INFINITE:
+        return f"INF z={mu.z.token()} idx={_ev_periodic_token(mu.word)}"
     p = mu.path
     if isinstance(p.graph, OneVertexLoopGraph):
         if len(p) == 0:
@@ -902,7 +837,7 @@ def path_from_line(line: str, graph) -> BoundaryPath:
         z_part, idx_part = rest.split(" ")
         z = factor_point(graph.z_system.backend, z_part.removeprefix("z="), "the Z factor")
         idx = _ev_periodic_from_token(idx_part.removeprefix("idx="))
-        return InfiniteModelPath(graph, z, idx)
+        return param_f(graph, z, idx)
     if kind == "INFW":
         idx = _ev_periodic_from_token(rest.removeprefix("idx="))
         return InfiniteDiscretePath(graph, idx)

@@ -21,7 +21,7 @@ from groupoidlab.boundary import (
     FiniteBoundaryPath,
     HeadOnlyTail,
     InfiniteDiscretePath,
-    InfiniteModelPath,
+    ModelPath,
     SequenceDescription,
     ShiftDomainError,
     converges,
@@ -216,7 +216,7 @@ def test_cons_matches_full_canonicalisation_exhaustively():
     [
         lambda: EvPeriodic((), (2, 1)),
         lambda: EvPeriodic((3,), (1,)),
-        lambda: InfiniteModelPath(ODO_POINT, ZERO_2ADIC, EvPeriodic((), (1,))),
+        lambda: param_f(ODO_POINT, ZERO_2ADIC, EvPeriodic((), (1,))),
         lambda: InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
     ],
     ids=["sequence-empty-head", "sequence", "model-path", "loop-word"],
@@ -498,6 +498,30 @@ def test_h_requires_point_x(golden_two, loop_graph):
         homeo_h(golden_two, ZERO_CIRCLE, v)
 
 
+def test_h_refuses_finite_paths_outside_the_loop_graph(odo_point):
+    """A finite path of a DiscreteGraph (string labels) or of a model
+    graph is not a loop-graph word, and h says so."""
+    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    for nu in (
+        FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges))),
+        param_f(odo_point, ZERO_2ADIC, (2, 1), FinitePoint(0, 1)),
+    ):
+        with pytest.raises(BoundaryError, match="^not a boundary path of the loop graph: "):
+            homeo_h(odo_point, ZERO_2ADIC, nu)
+
+
+def test_h_inv_refuses_model_paths_over_a_non_point_x(loop_graph):
+    """Over a circle X, an infinite model path is refused as a finite one
+    is: a loop word would drop its X coordinates."""
+    graph = build_model_graph(golden_rotation(), CircleBackend())
+    for mu in (
+        param_f(graph, ZERO_CIRCLE, EvPeriodic((2,), (1,))),
+        param_f(graph, ZERO_CIRCLE, (2, 1), ZERO_CIRCLE),
+    ):
+        with pytest.raises(BoundaryError, match="^h_inv expects a path of the one-point-X model graph$"):
+            homeo_h_inv(loop_graph, mu)
+
+
 # ---------------------------------------------------------------------------
 # conjugacies
 # ---------------------------------------------------------------------------
@@ -723,7 +747,7 @@ def reference_converges(desc, mu):
     elif tail.is_infinite():
         if mu_len == INFINITE:
             prefixes = (
-                isinstance(mu, InfiniteModelPath)
+                isinstance(mu, ModelPath)
                 and mu.graph is tail.graph
                 and mu.idx == tail.idx
                 and mu.z == tail.z_rule.limit()
@@ -939,7 +963,7 @@ def _materialised_chain(g, rng, steps=12):
     z = sys.backend.random_point(rng)
     mu = param_f(g, z, random_idx(rng))
     ref_z = z
-    pairs = [(mu, InfiniteModelPath(g, ref_z, mu.idx))]
+    pairs = [(mu, param_f(g, ref_z, mu.idx))]
     for _ in range(steps):
         if rng.randrange(2):
             n = rng.randrange(1, 4)
@@ -949,7 +973,7 @@ def _materialised_chain(g, rng, steps=12):
         else:
             mu = mu.cons(rng.randrange(1, 6))
             ref_z = sys.forward(ref_z)
-        pairs.append((mu, InfiniteModelPath(g, ref_z, mu.idx)))
+        pairs.append((mu, param_f(g, ref_z, mu.idx)))
     return pairs
 
 
@@ -1006,7 +1030,7 @@ def test_finite_cyclic_exponents_compare_modulo_the_period():
         assert mu.drop(p) == mu and hash(mu.drop(p)) == hash(mu)
         assert mu.drop(1) != mu and mu.drop(p + 1) == mu.drop(1)
         assert mu.drop(p).same_edge(1, mu, 1)
-        rebuilt = [mu] + [InfiniteModelPath(g, mu.drop(n).z, mu.drop(n).idx) for n in range(1, 13)]
+        rebuilt = [mu] + [param_f(g, mu.drop(n).z, mu.drop(n).idx) for n in range(1, 13)]
         want = [(n, m) for n in range(13) for m in range(n) if rebuilt[n] == rebuilt[m]]
         assert want == [(n, m) for n in range(13) for m in range(n) if (n - m) % p == 0]
         assert isotropy_search(mu, 12) == want
@@ -1103,8 +1127,8 @@ def test_finite_orbit_coordinates_match_materialised_paths(make_z, make_x):
 def _rebuilt(mu):
     """The same path through the public constructors: an infinite model
     path on its materialised base point, so that it shares no anchor."""
-    if isinstance(mu, InfiniteModelPath):
-        return InfiniteModelPath(mu.graph, mu.z, mu.idx)
+    if isinstance(mu, ModelPath) and mu.length == INFINITE:
+        return param_f(mu.graph, mu.z, mu.idx)
     if isinstance(mu, InfiniteDiscretePath):
         return InfiniteDiscretePath(mu.graph, mu.labels)
     p = mu.path
@@ -1244,7 +1268,7 @@ def test_cons_below_one_is_a_boundary_error(kind, graph):
         lambda: EvPeriodic((0,), (1,)),
         lambda: EvPeriodic((), (2, 0)),
         lambda: EvPeriodic((-1,), (1,)),
-        lambda: InfiniteModelPath(ODO_POINT, ZERO_2ADIC, EvPeriodic((3,), (0,))),
+        lambda: param_f(ODO_POINT, ZERO_2ADIC, EvPeriodic((3,), (0,))),
         lambda: InfiniteDiscretePath(LOOP, EvPeriodic((), (1, 0))),
         lambda: path_from_line("INF z=P:.0 idx=2,0|1", ODO_POINT),
         lambda: path_from_line("INFW idx=|0", LOOP),
@@ -1297,3 +1321,33 @@ def test_converge_edge_index_below_one_exits_2(tmp_path, capsys, field, doc):
     path.write_text(json.dumps({**full, **doc}))
     assert main(["converge", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {field}: edge indices must be >= 1\n"
+
+
+def test_empty_cycles_are_refused_at_every_public_entry(tmp_path, capsys):
+    """An empty cycle marks a finite word inside a model path; no public
+    entry builds one: the constructor, an INF line and a base-point tail
+    all refuse it."""
+    with pytest.raises(ValueError, match="^cycle must be non-empty$"):
+        EvPeriodic((1,), ())
+    for idx in ("1|", "|"):
+        with pytest.raises(ValueError, match="^cycle must be non-empty$"):
+            path_from_line(f"INF z=P:.0 idx={idx}", ODO_POINT)
+    doc = {
+        "model": {"z_backend": "odometer", "x_backend": "point"},
+        "head": [],
+        "tail": {"kind": "base-point", "idx": "1|", "z_rule": {"kind": "constant", "point": "P:.0"}},
+        "limit": "INF z=P:.0 idx=|1",
+    }
+    path = tmp_path / "sequence.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sequence.tail.idx: cycle must be non-empty\n"
+
+
+def test_finite_index_tuple_needs_its_last_x():
+    """x = None marks an infinite model path, so param_f refuses a finite
+    index tuple without the last edge's x coordinate."""
+    for idx in ((), (2, 1)):
+        with pytest.raises(BoundaryError, match="^a finite index tuple needs x"):
+            param_f(ODO_POINT, ZERO_2ADIC, idx)
+    assert param_f(ODO_POINT, ZERO_2ADIC, (2, 1), FinitePoint(0, 1)).length == 2
