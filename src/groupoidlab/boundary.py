@@ -55,7 +55,7 @@ def _canon_ev_periodic(head, cycle):
     head = tuple(head)
     cycle = tuple(cycle)
     if not cycle:
-        raise ValueError("cycle must be non-empty")
+        raise BoundaryError("cycle must be non-empty")
     n = len(cycle)
     for d in range(1, n + 1):
         if n % d == 0 and cycle[:d] * (n // d) == cycle:
@@ -820,6 +820,8 @@ def path_to_line(mu: BoundaryPath) -> str:
         if len(p) == 0:
             return "FINW @"
         return "FINW " + " ".join(str(e.label) for e in p.edges)
+    if not isinstance(p.graph, ModelGraph):
+        raise BoundaryError(f"a FIN line needs a model graph, not {p.graph!r}")
     if len(p) == 0:
         return f"FIN @{p.base.token()}"
     toks = [f"({e.z.token()};{e.x.token()};{e.m})" for e in p.edges]

@@ -27,7 +27,7 @@ from .boundary import (
     shift_power,
 )
 from .graphs import FinitePath, ModelGraph, OneVertexLoopGraph
-from .spaces import dense_indices_hitting
+from .spaces import dense_indices_hitting, draw, draws
 
 
 class GroupoidError(ValueError):
@@ -163,17 +163,17 @@ class DRGroupoid:
 
 
 def random_ev_periodic(rng) -> EvPeriodic:
-    head = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 3)))
-    cycle = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 4)))
+    head = draws(rng, 1, 6, draw(rng, 0, 3))
+    cycle = draws(rng, 1, 6, draw(rng, 1, 4))
     return EvPeriodic(head, cycle)
 
 
 def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     """A random finite or infinite boundary path (alternating by default)."""
-    kind = force or ("finite" if rng.randrange(2) else "infinite")
+    kind = force or ("finite" if draw(rng, 0, 2) else "infinite")
     if isinstance(graph, OneVertexLoopGraph):
         if kind == "finite":
-            labels = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 5)))
+            labels = draws(rng, 1, 6, draw(rng, 0, 5))
             return FiniteBoundaryPath(graph.path(labels))
         return InfiniteDiscretePath(graph, random_ev_periodic(rng))
     if not isinstance(graph, ModelGraph):
@@ -181,9 +181,9 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     z = graph.z_system.backend.random_point(rng)
     if kind == "infinite":
         return param_f(graph, z, random_ev_periodic(rng))
-    k = rng.randrange(0, 5)
+    k = draw(rng, 0, 5)
     x = graph.x_backend.random_point(rng)
-    idx = tuple(rng.randrange(1, 6) for _ in range(k))
+    idx = draws(rng, 1, 6, k)
     return param_f(graph, z, idx, x)
 
 
@@ -201,7 +201,7 @@ def _dense_index_at(graph, x, rng) -> int:
     """A random sequence position m with x_m = x, for an edge whose range
     has x coordinate x."""
     box = box_index_of_dense_value(graph.x_backend, x)
-    return dense_indices_hitting(graph.x_backend, box, rng.randrange(1, 4))[-1]
+    return dense_indices_hitting(graph.x_backend, box, draw(rng, 1, 4))[-1]
 
 
 def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
@@ -212,29 +212,29 @@ def random_path_from(graph, v, rng, force=None) -> BoundaryPath:
     a random dense value x_r (1 <= r < 8), and x is a random point."""
     if isinstance(graph, OneVertexLoopGraph):  # every label is a loop at v
         return random_boundary_path(graph, rng, force)
-    kind = force or ("finite" if rng.randrange(2) else "infinite")
+    kind = force or ("finite" if draw(rng, 0, 2) else "infinite")
     j = _dense_index_at(graph, v.right, rng)
     if kind == "infinite":
         return param_f(graph, v.left, random_ev_periodic(rng).cons(j))
-    k = rng.randrange(0, 4)
+    k = draw(rng, 0, 4)
     x = v.right
     idx = []
     for step in range(k):
         idx.append(_dense_index_at(graph, x, rng))
         last = step == k - 1
-        x = graph.x_backend.random_point(rng) if last else graph.x_point(rng.randrange(1, 8))
+        x = graph.x_backend.random_point(rng) if last else graph.x_point(draw(rng, 1, 8))
     return param_f(graph, v.left, idx, x)
 
 
 def random_element_at(graph, u: BoundaryPath, rng) -> GroupoidElement:
     """A random element with range u: shift it n times, then rebuild the
     source by prepending m fresh edges, each of a random index."""
-    n = rng.randrange(0, min(3, u.length) + 1)
-    m = rng.randrange(0, 4)
+    n = draw(rng, 0, min(3, u.length) + 1)
+    m = draw(rng, 0, 4)
     top = 6 if isinstance(graph, OneVertexLoopGraph) else 8
     y = shift_power(u, n)
-    for _ in range(m):
-        y = y.cons(rng.randrange(1, top))
+    for i in draws(rng, 1, top, m):
+        y = y.cons(i)
     return make_element(u, n, m, y)
 
 

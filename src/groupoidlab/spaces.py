@@ -24,6 +24,47 @@ from .qphi import QPhi, qphi_mod1
 _set = object.__setattr__
 
 # ---------------------------------------------------------------------------
+# random draws
+# ---------------------------------------------------------------------------
+#
+# Every sampler draws through ``draw`` and ``draws``, which read only
+# ``rng.getrandbits`` (the 32-bit MT19937 output of ``random.Random``):
+# an integer below n = stop - start takes n.bit_length() bits, redrawn
+# until it is below n.  That is the rule ``randrange(start, stop)`` and
+# ``choice`` follow, so the streams are theirs draw for draw, without
+# ``randrange``'s argument normalisation.
+
+
+def draw(rng, start: int, stop: int) -> int:
+    """``rng.randrange(start, stop)``, exactly."""
+    n = stop - start
+    if n <= 0:
+        raise ValueError(f"empty range for draw({start}, {stop})")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return start + r
+
+
+def draws(rng, start: int, stop: int, count: int) -> tuple[int, ...]:
+    """``count`` successive ``draw(rng, start, stop)`` values."""
+    n = stop - start
+    if n <= 0:
+        raise ValueError(f"empty range for draws({start}, {stop})")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(start + r)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
 
@@ -722,8 +763,8 @@ class CircleBackend(SpaceBackend):
 
     def random_point(self, rng) -> CirclePoint:
         # a/b + (c/e)*phi = (a*e + c*b*phi)/(b*e), made canonical in one step
-        a, b = rng.randrange(-64, 64), rng.randrange(1, 16)
-        c, e = rng.randrange(-8, 8), rng.randrange(1, 8)
+        a, b = draw(rng, -64, 64), draw(rng, 1, 16)
+        c, e = draw(rng, -8, 8), draw(rng, 1, 8)
         return CirclePoint._unchecked(qphi_mod1(a * e, c * b, b * e))
 
     def has_point(self, pt) -> bool:
@@ -735,12 +776,12 @@ class CircleBackend(SpaceBackend):
         return d <= QPhi(eps) or QPhi(1) - d <= QPhi(eps)
 
     def random_box(self, rng) -> CircleBox:
-        start = QPhi(Fraction(rng.randrange(32), 32))
-        length = QPhi(Fraction(rng.choice([4, 6, 8]), 32))
+        start = QPhi(Fraction(draw(rng, 0, 32), 32))
+        length = QPhi(Fraction((4, 6, 8)[draw(rng, 0, 3)], 32))
         return CircleBox((Arc(start, length),))
 
     def random_box_around(self, x: CirclePoint, rng) -> CircleBox:
-        length = QPhi(Fraction(1, rng.choice([4, 8])))
+        length = QPhi(Fraction(1, (4, 8)[draw(rng, 0, 2)]))
         start = (x.value - length / 2).mod1()
         return CircleBox((Arc(start, length),))
 
@@ -774,10 +815,10 @@ class CantorBackend(SpaceBackend):
     def random_point(self, rng) -> PadicPoint:
         # the drawn bits are 0 or 1 and the period is non-empty, so the
         # words go straight to their value, as in PadicPoint(pre, per)
-        m = rng.randrange(0, 4)
-        pre = sum(rng.randrange(2) << i for i in range(m))
-        n = rng.randrange(1, 4)
-        per = sum(rng.randrange(2) << i for i in range(n))
+        m = draw(rng, 0, 4)
+        pre = sum(b << i for i, b in enumerate(draws(rng, 0, 2, m)))
+        n = draw(rng, 1, 4)
+        per = sum(b << i for i, b in enumerate(draws(rng, 0, 2, n)))
         return PadicPoint._from_rational(*_stream_value(pre, m, per, n))
 
     def has_point(self, pt) -> bool:
@@ -793,11 +834,10 @@ class CantorBackend(SpaceBackend):
         return Fraction(1, 1 << v) <= eps
 
     def random_box(self, rng) -> CantorBox:
-        depth = rng.randrange(1, 4)
-        return CantorBox((tuple(rng.randrange(2) for _ in range(depth)),))
+        return CantorBox((draws(rng, 0, 2, draw(rng, 1, 4)),))
 
     def random_box_around(self, x: PadicPoint, rng) -> CantorBox:
-        return CantorBox((x.bits(rng.randrange(0, 3)),))
+        return CantorBox((x.bits(draw(rng, 0, 3)),))
 
     def density_resolution(self, depth: int) -> tuple[Fraction, int]:
         return Fraction(1, 4), depth
@@ -829,7 +869,7 @@ class FiniteBackend(SpaceBackend):
         return FiniteBox(frozenset(range(self.size)), self.size)
 
     def random_point(self, rng) -> FinitePoint:
-        return FinitePoint(rng.randrange(self.size), self.size)
+        return FinitePoint(draw(rng, 0, self.size), self.size)
 
     def has_point(self, pt) -> bool:
         return isinstance(pt, FinitePoint) and pt.size == self.size
@@ -839,7 +879,7 @@ class FiniteBackend(SpaceBackend):
 
     def random_box(self, rng) -> FiniteBox:
         n = self.size
-        keep = frozenset(i for i in range(n) if rng.randrange(2)) or frozenset({0})
+        keep = frozenset(i for i, b in enumerate(draws(rng, 0, 2, n)) if b) or frozenset({0})
         if len(keep) == n:
             keep = frozenset(list(keep)[:-1]) or frozenset({0})
         return FiniteBox(keep, n)

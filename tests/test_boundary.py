@@ -396,6 +396,19 @@ def test_cons_on_a_graph_without_numbered_edges():
         FiniteBoundaryPath(vertex_path(g, "u")).cons(1)
 
 
+def test_path_to_line_refuses_a_graph_without_a_line_format():
+    """The line formats cover the model and loop graphs only, so a finite
+    path of a DiscreteGraph, with edges or without, is refused with a
+    BoundaryError naming the graph, as ``path_from_line`` refuses a FIN
+    line for it."""
+    g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
+    for path in (FinitePath(g, tuple(g.edges)), vertex_path(g, "u")):
+        with pytest.raises(BoundaryError, match="^a FIN line needs a model graph, not <DiscreteGraph"):
+            path_to_line(FiniteBoundaryPath(path))
+    with pytest.raises(BoundaryError, match="^a FIN line needs a model graph, not <DiscreteGraph"):
+        path_from_line("FIN @u", g)
+
+
 # ---------------------------------------------------------------------------
 # parameterizations
 # ---------------------------------------------------------------------------
@@ -1326,11 +1339,15 @@ def test_converge_edge_index_below_one_exits_2(tmp_path, capsys, field, doc):
 def test_empty_cycles_are_refused_at_every_public_entry(tmp_path, capsys):
     """An empty cycle marks a finite word inside a model path; no public
     entry builds one: the constructor, an INF line and a base-point tail
-    all refuse it."""
+    all refuse it, with the BoundaryError an index below 1 gets."""
     with pytest.raises(ValueError, match="^cycle must be non-empty$"):
+        EvPeriodic((1,), ())
+    with pytest.raises(BoundaryError, match="^cycle must be non-empty$"):
         EvPeriodic((1,), ())
     for idx in ("1|", "|"):
         with pytest.raises(ValueError, match="^cycle must be non-empty$"):
+            path_from_line(f"INF z=P:.0 idx={idx}", ODO_POINT)
+        with pytest.raises(BoundaryError, match="^cycle must be non-empty$"):
             path_from_line(f"INF z=P:.0 idx={idx}", ODO_POINT)
     doc = {
         "model": {"z_backend": "odometer", "x_backend": "point"},

@@ -40,6 +40,8 @@ from groupoidlab.spaces import (
     circle_rotate,
     dense_indices_hitting,
     dense_sequence,
+    draw,
+    draws,
     eps_dense,
     finite_cyclic,
     golden_rotation,
@@ -204,6 +206,57 @@ def test_random_point_matches_the_validated_construction(backend, validated):
             pt, ref = backend.random_point(rng), validated(ref_rng)
             assert pt == ref and hash(pt) == hash(ref) and pt.token() == ref.token()
             assert rng.getstate() == ref_rng.getstate()
+
+
+# every range the samplers draw (widths 1-5, 7, 15, 16, 32 and 128, the
+# circle's with negative starts), then wider ones: a width of 2**31 takes
+# 32 bits, and 2**41 more than one 32-bit word
+_DRAW_RANGES = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 6), (1, 8), (-8, 8), (1, 16),
+    (0, 32), (-64, 64), (5, 133), (0, 4096), (-7, 2**31 - 7), (3, 2**31 + 3), (-(2**40), 2**40),
+]
+
+
+@pytest.mark.parametrize("start, stop", _DRAW_RANGES)
+def test_draw_is_randrange_draw_for_draw(start, stop):
+    """``draw`` and ``draws`` give the ``randrange(start, stop)`` stream of
+    the same generator, value for value, and leave it in the same state."""
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in (1, 0, 3, 1, 7):
+            if count == 1:
+                assert draw(rng, start, stop) == ref.randrange(start, stop)
+            else:
+                assert draws(rng, start, stop, count) == tuple(
+                    ref.randrange(start, stop) for _ in range(count)
+                )
+            assert rng.getstate() == ref.getstate()
+
+
+def test_draw_indexing_a_tuple_is_choice():
+    """``seq[draw(rng, 0, len(seq))]`` is ``rng.choice(seq)``: the way the
+    samplers pick a box length."""
+    for seed in range(500):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for seq in ((4, 6, 8), (4, 8), (4, 6, 8), (1,)):
+            assert seq[draw(rng, 0, len(seq))] == ref.choice(list(seq))
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (3, 3), (5, 2), (0, -1), (-8, -9)])
+def test_an_empty_draw_range_raises(start, stop):
+    """``getrandbits(0)`` is always 0, so an empty range would redraw
+    forever; it raises as ``randrange`` does, and draws nothing."""
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^empty range"):
+        draw(rng, start, stop)
+    for count in (0, 1, 4):
+        with pytest.raises(ValueError, match="^empty range"):
+            draws(rng, start, stop, count)
+    with pytest.raises(ValueError, match="^empty range"):
+        rng.randrange(start, stop)
+    assert rng.getstate() == state
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +901,20 @@ def test_box_and_backend_kinds_own_their_operations():
                 switches += sorted(_names(node) & backend_classes)
     assert len(box_classes) == 3 and "ProductBackend" in backend_classes
     assert not switches, switches
+
+
+def test_every_draw_goes_through_draw():
+    """Every random draw of the package goes through ``spaces.draw`` and
+    ``spaces.draws``, which read only ``getrandbits``: no module calls
+    ``randrange``, ``randint`` or ``choice``."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(groupoidlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("randrange", "randint", "choice")
+    ]
+    assert not calls, calls
 
 
 def test_path_kinds_own_their_operations():
