@@ -10,7 +10,7 @@ graph alone is the control showing what isotropy looks like.
 from groupoidlab import (
     DRGroupoid,
     EvPeriodic,
-    InfiniteDiscretePath,
+    LoopPath,
     OneVertexLoopGraph,
     PadicPoint,
     axiom_sample,
@@ -62,7 +62,7 @@ print(f"shift period: {path.shift_period()}, so no isotropy at any exponent: "
 print()
 print("== the control: the loop graph alone is NOT principal ==")
 loop = OneVertexLoopGraph()
-periodic = InfiniteDiscretePath(loop, EvPeriodic((), (1,)))
+periodic = LoopPath(loop, EvPeriodic((), (1,)))
 print("isotropy pairs at the all-ones word:", list(isotropy_search(periodic, 5)))
 rep = principality_sample(loop, 500, 20, seed=1)
 print(f"sampled: isotropy found at {len(rep.isotropy)} displayed paths (of 500)")

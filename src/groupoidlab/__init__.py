@@ -59,7 +59,7 @@ from .boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
     HeadOnlyTail,
-    InfiniteDiscretePath,
+    LoopPath,
     ModelPath,
     SequenceDescription,
     ShiftDomainError,

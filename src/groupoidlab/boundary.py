@@ -4,7 +4,8 @@ For the model graph every vertex is singular, so the boundary consists
 of all finite paths together with the infinite ones.  A model path,
 finite or infinite, is one ``ModelPath``: a base point, held as an
 anchor and an orbit exponent, an index word and, on a finite path, the
-last x coordinate.  An infinite word is eventually periodic, the exact
+last x coordinate; a loop-graph path is one ``LoopPath``, its word of
+loop labels.  An infinite word is eventually periodic, the exact
 shift-invariant dense subfamily on which equality and the shift are
 decidable.  The topology is never materialised; it is probed through a
 three-condition convergence test on finitely described sequences, with
@@ -74,10 +75,10 @@ class EvPeriodic:
     The entries are edge indices (loop labels in the loop graph), so one
     below 1 is a ``BoundaryError``: every infinite path's index data is
     validated here, once.  The public constructor refuses an empty cycle;
-    ``ModelPath`` builds one through ``_canonical(idx, ())`` for a finite
-    word of length ``len(head)``, on which ``item`` (below the length),
-    ``shifted`` (by at most the length), ``same_tail``, ``cons`` and
-    ``prefix`` mean the same as on an infinite one.
+    ``ModelPath`` and ``LoopPath`` build one by ``_canonical(idx, ())``
+    for a finite word of length ``len(head)``, on which ``item`` (below
+    the length), ``shifted`` (by at most the length), ``same_tail``,
+    ``cons`` and ``prefix`` mean the same as on an infinite one.
     """
 
     head: tuple[int, ...]
@@ -169,19 +170,20 @@ class FiniteBoundaryPath:
     again, and ``cons`` builds its edge at ``range()``, so its one new
     junction composes.
 
-    ``FiniteBoundaryPath(path)`` checks that the domain of a path outside
-    the model graph (the loop graph or a ``DiscreteGraph``) is singular.
-    On a model graph, where every vertex is singular, it gives a
-    ``ModelPath``, held in orbit coordinates, and checks nothing beyond
-    ``FinitePath``'s junctions.  ``drop``, ``cons`` and ``param_f`` build
-    paths without a check, since a check could not fail: a shift or an
-    extension at the range end keeps a singular domain, and ``param_f``'s
-    edges compose by their formula.
+    ``FiniteBoundaryPath(path)`` gives a ``ModelPath`` on a model graph
+    and a ``LoopPath`` on the loop graph, where every vertex is singular;
+    a path of a ``DiscreteGraph`` stays one, with a domain checked to be
+    singular, and that graph numbers no edges, so its ``cons`` refuses.
+    ``drop``, ``cons`` and ``param_f`` build paths without a check, since
+    a check could not fail: a shift or an extension at the range end keeps
+    a singular domain, and ``param_f``'s edges compose by their formula.
     """
 
     __slots__ = ("path",)
 
     def __new__(cls, path: FinitePath):
+        if isinstance(path.graph, OneVertexLoopGraph):
+            return LoopPath(path.graph, tuple(e.label for e in path.edges))
         if not isinstance(path.graph, ModelGraph):
             return object.__new__(cls)
         v = path.d()  # (rho^-k(z), x): the anchor at exponent k, and x
@@ -251,15 +253,8 @@ class FiniteBoundaryPath:
         """None: shifts of a finite path have pairwise different lengths."""
         return None
 
-    def cons(self, m: int) -> "FiniteBoundaryPath":
-        p = self.path
-        g = p.graph
-        if not hasattr(g, "edge_from"):
-            raise BoundaryError(f"cons needs edges numbered at each vertex, and {g!r} has none")
-        if m < 1:
-            raise BoundaryError("edge indices must be >= 1")
-        edge = g.edge_from(self.range(), m)
-        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(g, (edge,) + p.edges))
+    def cons(self, m: int):
+        raise BoundaryError(f"cons needs edges numbered at each vertex, and {self.graph!r} has none")
 
     def __len__(self):
         return self.length
@@ -288,7 +283,7 @@ class ModelPath:
     length k the last edge is (rho^-k(z), x, n_k), so ``x`` is the last
     edge's x coordinate (the vertex's, for k = 0), and it is ``None`` on an
     infinite path.  The word is an ``EvPeriodic``, whose empty cycle marks
-    a finite word of length ``len(head)``; such a word is built only here.
+    a finite word of length ``len(head)``.
 
     ``drop(n)`` is exponent - n with the shifted word, and ``cons(m)`` is
     exponent + 1 with m prepended, so neither takes a dynamics step nor
@@ -436,26 +431,35 @@ class ModelPath:
 
 
 @dataclass(frozen=True)
-class InfiniteDiscretePath:
-    """An eventually periodic infinite word of loop labels in the
-    one-vertex loop graph."""
+class LoopPath:
+    """A boundary path of the one-vertex loop graph, finite or infinite:
+    its word of loop labels, an ``EvPeriodic`` whose empty cycle marks a
+    finite word, as in ``ModelPath``.  A tuple of labels, each an ``int``
+    >= 1 (a bool is not), also gives a finite word.  Every label is a loop
+    at the one vertex, so each method reads the word alone."""
 
     graph: OneVertexLoopGraph
     labels: EvPeriodic
 
-    length = INFINITE
-
     def __post_init__(self):
         if not isinstance(self.graph, OneVertexLoopGraph):
-            raise BoundaryError(f"unsupported graph {self.graph!r}")
+            raise BoundaryError(f"a loop word needs the loop graph, not {self.graph!r}")
+        if not isinstance(self.labels, EvPeriodic):
+            labels = tuple(self.labels)
+            if not all(type(m) is int and m >= 1 for m in labels):
+                raise BoundaryError("edge indices must be >= 1")
+            _set(self, "labels", EvPeriodic._canonical(labels, ()))
 
-    @staticmethod
-    def _unchecked(graph, labels: EvPeriodic) -> "InfiniteDiscretePath":
-        """A word on a graph known to be the loop graph, such as a shift."""
-        mu = object.__new__(InfiniteDiscretePath)
-        _set(mu, "graph", graph)
-        _set(mu, "labels", labels)
-        return mu
+    @property
+    def length(self) -> int | float:
+        return INFINITE if self.labels.cycle else len(self.labels.head)
+
+    @property
+    def path(self) -> FinitePath:
+        """The finite path that reads a finite word; an infinite one has none."""
+        if self.labels.cycle:
+            raise AttributeError("an infinite path has no finite path")
+        return self.graph.path(self.labels.head)
 
     def range(self):
         return self.graph.vertex
@@ -463,37 +467,38 @@ class InfiniteDiscretePath:
     def edge_at(self, i: int) -> DiscreteEdge:
         return self.graph.edge(self.labels.item(i - 1))
 
-    def prefix(self, k: int) -> FinitePath:
-        return self.graph.path(self.labels.prefix(k))
-
-    def same_edge(self, i: int, other: "InfiniteDiscretePath", j: int) -> bool:
-        """Whether edge i of this word equals edge j of ``other``."""
+    def same_edge(self, i: int, other: "LoopPath", j: int) -> bool:
         return self.labels.item(i - 1) == other.labels.item(j - 1)
 
     def same_tail(self, n: int, other, m: int) -> bool:
-        same_graph = isinstance(other, InfiniteDiscretePath) and self.graph is other.graph
+        same_graph = isinstance(other, LoopPath) and self.graph is other.graph
         return same_graph and self.labels.same_tail(n, other.labels, m)
 
-    def drop(self, n: int) -> "InfiniteDiscretePath":
-        return InfiniteDiscretePath._unchecked(self.graph, self.labels.shifted(n))
+    def prefix(self, k: int) -> FinitePath:
+        if k > self.length:
+            raise BoundaryError("prefix longer than the path")
+        return self.graph.path(self.labels.prefix(k))
 
-    def shift_period(self) -> tuple[int, int]:
-        """The canonical head and cycle: every word is eventually periodic."""
-        return len(self.labels.head), len(self.labels.cycle)
+    def drop(self, n: int) -> "LoopPath":
+        if n > self.length:
+            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
+        return LoopPath(self.graph, self.labels.shifted(n))
 
-    def cons(self, m: int) -> "InfiniteDiscretePath":
-        return InfiniteDiscretePath._unchecked(self.graph, self.labels.cons(m))
+    def shift_period(self) -> tuple[int, int] | None:
+        """The canonical head and cycle of an infinite word; None if finite."""
+        cycle = self.labels.cycle
+        return (len(self.labels.head), len(cycle)) if cycle else None
 
-    def __eq__(self, other):
-        if not isinstance(other, InfiniteDiscretePath):
-            return NotImplemented
-        return self.graph is other.graph and self.labels == other.labels
+    def cons(self, m: int) -> "LoopPath":
+        return LoopPath(self.graph, self.labels.cons(m))
 
-    def __hash__(self):
-        return hash((id(self.graph), self.labels))
+    def __len__(self):
+        if self.labels.cycle:
+            raise TypeError("infinite path; use .length")
+        return self.length
 
 
-BoundaryPath = FiniteBoundaryPath | ModelPath | InfiniteDiscretePath
+BoundaryPath = FiniteBoundaryPath | ModelPath | LoopPath
 
 
 def shift(mu: BoundaryPath) -> BoundaryPath:
@@ -535,24 +540,19 @@ def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic | tuple[int, ...], x: P
 
 def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:
     """The boundary homeomorphism Z x dF -> dE for one-point X: the word
-    (m_1, ..., m_k) maps to the path with edges (rho^-i(z), *, m_i)."""
+    (m_1, ..., m_k) maps to the same word anchored at z: the path with
+    edges (rho^-i(z), *, m_i)."""
     if not graph.x_is_point():
         raise BoundaryError("h is only defined over a one-point X backend")
-    if isinstance(nu, FiniteBoundaryPath) and isinstance(nu.graph, OneVertexLoopGraph):
-        return param_f(graph, z, tuple(e.label for e in nu.path.edges), graph.x_point(1))
-    if isinstance(nu, InfiniteDiscretePath):
-        return param_f(graph, z, nu.labels)
-    raise BoundaryError(f"not a boundary path of the loop graph: {nu!r}")
+    if not isinstance(nu, LoopPath):
+        raise BoundaryError(f"not a boundary path of the loop graph: {nu!r}")
+    return ModelPath._unchecked(graph, z, 0, nu.labels, None if nu.labels.cycle else graph.x_point(1))
 
 
 def homeo_h_inv(graph_f: OneVertexLoopGraph, mu: BoundaryPath) -> tuple[Point, BoundaryPath]:
-    if isinstance(mu, ModelPath) and mu.graph.x_is_point():
-        if mu.length == INFINITE:
-            return mu.z, InfiniteDiscretePath(graph_f, mu.word)
-        return mu.z, FiniteBoundaryPath(graph_f.path(mu.idx))
-    if isinstance(mu, (FiniteBoundaryPath, ModelPath)):
+    if not (isinstance(mu, ModelPath) and mu.graph.x_is_point()):
         raise BoundaryError("h_inv expects a path of the one-point-X model graph")
-    raise BoundaryError(f"unsupported path {mu!r}")
+    return mu.z, LoopPath(graph_f, mu.word)
 
 
 # ---------------------------------------------------------------------------
@@ -807,19 +807,27 @@ def _ev_periodic_from_token(tok: str) -> EvPeriodic:
     return EvPeriodic(head_t, cycle_t)
 
 
+def _keyed(kind: str, rest: str, *form: str) -> list[str]:
+    """The values of a line's ``key=value`` fields, one space apart, which
+    must have the keys of ``form`` in its order."""
+    fields, keys = rest.split(" "), [f[: f.index("=") + 1] for f in form]
+    if len(fields) != len(form) or not all(map(str.startswith, fields, keys)):
+        raise BoundaryError(f"a {kind} line has the form {kind} {' '.join(form)}")
+    return [f.removeprefix(k) for f, k in zip(fields, keys)]
+
+
 def path_to_line(mu: BoundaryPath) -> str:
     """One-line format: ``INF z=<point> idx=<pre>|<cycle>`` for infinite
     model paths, ``FIN <edges>`` / ``FIN @<vertex>`` for finite ones, and
     the W-suffixed variants for loop-graph words."""
-    if isinstance(mu, InfiniteDiscretePath):
-        return f"INFW idx={_ev_periodic_token(mu.labels)}"
+    if isinstance(mu, LoopPath):
+        word = mu.labels
+        if word.cycle:
+            return f"INFW idx={_ev_periodic_token(word)}"
+        return "FINW " + (" ".join(map(str, word.head)) or "@")
     if mu.length == INFINITE:
         return f"INF z={mu.z.token()} idx={_ev_periodic_token(mu.word)}"
     p = mu.path
-    if isinstance(p.graph, OneVertexLoopGraph):
-        if len(p) == 0:
-            return "FINW @"
-        return "FINW " + " ".join(str(e.label) for e in p.edges)
     if not isinstance(p.graph, ModelGraph):
         raise BoundaryError(f"a FIN line needs a model graph, not {p.graph!r}")
     if len(p) == 0:
@@ -830,34 +838,35 @@ def path_to_line(mu: BoundaryPath) -> str:
 
 def path_from_line(line: str, graph) -> BoundaryPath:
     """Parse ``path_to_line``; every point must belong to the factor it
-    stands for (an edge's z and x, a vertex's (z; x), the base point z)."""
+    stands for (an edge's z and x, a vertex's (z; x), the base point z).
+    A line that lacks a key or a field of its form names the form."""
     line = line.strip()
     kind, _, rest = line.partition(" ")
+    if kind in ("INFW", "FINW") and not isinstance(graph, OneVertexLoopGraph):
+        raise BoundaryError(f"a {kind} line needs the loop graph, not {graph!r}")
     if kind in ("INF", "FIN") and not isinstance(graph, ModelGraph):
         raise BoundaryError(f"a {kind} line needs a model graph, not {graph!r}")
     if kind == "INF":
-        z_part, idx_part = rest.split(" ")
-        z = factor_point(graph.z_system.backend, z_part.removeprefix("z="), "the Z factor")
-        idx = _ev_periodic_from_token(idx_part.removeprefix("idx="))
-        return param_f(graph, z, idx)
+        z_tok, idx_tok = _keyed(kind, rest, "z=<point>", "idx=<head>|<cycle>")
+        z = factor_point(graph.z_system.backend, z_tok, "the Z factor")
+        return param_f(graph, z, _ev_periodic_from_token(idx_tok))
     if kind == "INFW":
-        idx = _ev_periodic_from_token(rest.removeprefix("idx="))
-        return InfiniteDiscretePath(graph, idx)
+        return LoopPath(graph, _ev_periodic_from_token(*_keyed(kind, rest, "idx=<head>|<cycle>")))
     if kind == "FINW":
-        if not isinstance(graph, OneVertexLoopGraph):
-            raise BoundaryError(f"a FINW line needs the loop graph, not {graph!r}")
         labels = () if rest == "@" else tuple(int(t) for t in rest.split())
         if not labels and rest != "@":
             raise BoundaryError("a FINW line lists loop labels or @")
-        return FiniteBoundaryPath(graph.path(labels))
+        return LoopPath(graph, labels)
     if kind == "FIN":
         if rest.startswith("@"):
             v = factor_point(graph.vertex_backend, rest[1:], "the vertex space Z x X")
             return FiniteBoundaryPath(vertex_path(graph, v))
+        fields = [split_top_level(t[1:-1]) if t[:1] + t[-1:] == "()" else () for t in rest.split()]
+        if not fields or any(len(f) != 3 for f in fields):
+            raise BoundaryError("a FIN line has the form FIN (<z>;<x>;<m>) ... or FIN @<vertex>")
         z_backend, x_backend = graph.z_system.backend, graph.x_backend
         edges = []
-        for tok in rest.split():
-            z_tok, x_tok, m_tok = split_top_level(tok[1:-1])
+        for z_tok, x_tok, m_tok in fields:
             z = factor_point(z_backend, z_tok, "the Z factor")
             edges.append(ModelEdge(z, factor_point(x_backend, x_tok, "the X factor"), int(m_tok)))
         return FiniteBoundaryPath(FinitePath(graph, tuple(edges)))

@@ -240,15 +240,15 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Three kinds of path are
+    Public construction checks every junction.  Two kinds of path are
     built by ``_unchecked`` instead, because a check of their junctions
-    could not fail: slices of a valid path (the prefixes of a finite
-    boundary path, and the shifts of one outside the model graph); a
-    loop-graph boundary path's ``cons``, which builds its new edge from
-    ``range()``; and ``param_f_k``, whose edges come from one formula
-    whose consecutive edges compose.  A finite model boundary path holds
-    no edges until its ``path`` is read, and then builds them through
-    ``param_f_k``, however the boundary path was reached.
+    could not fail: slices of a valid path (the prefixes and shifts of a
+    ``DiscreteGraph``'s finite boundary path), and ``param_f_k``, whose
+    edges come from one formula whose consecutive edges compose.  A
+    finite model boundary path holds no edges until its ``path`` is read,
+    and then builds them through ``param_f_k``, however the boundary path
+    was reached; a loop word builds its paths through the checked
+    ``OneVertexLoopGraph.path``.
     """
 
     graph: TopGraph

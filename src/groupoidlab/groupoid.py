@@ -21,8 +21,7 @@ from typing import NamedTuple
 from .boundary import (
     BoundaryPath,
     EvPeriodic,
-    FiniteBoundaryPath,
-    InfiniteDiscretePath,
+    LoopPath,
     param_f,
     shift_power,
 )
@@ -173,9 +172,8 @@ def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
     kind = force or ("finite" if draw(rng, 0, 2) else "infinite")
     if isinstance(graph, OneVertexLoopGraph):
         if kind == "finite":
-            labels = draws(rng, 1, 6, draw(rng, 0, 5))
-            return FiniteBoundaryPath(graph.path(labels))
-        return InfiniteDiscretePath(graph, random_ev_periodic(rng))
+            return LoopPath(graph, draws(rng, 1, 6, draw(rng, 0, 5)))
+        return LoopPath(graph, random_ev_periodic(rng))
     if not isinstance(graph, ModelGraph):
         raise GroupoidError(f"no sampler for {graph!r}")
     z = graph.z_system.backend.random_point(rng)
@@ -369,7 +367,7 @@ def isotropy_reduction(mu: BoundaryPath) -> bool:
     period, since its shifts have pairwise different lengths; an infinite
     model path has one only through the declared ``period`` of its
     system, since equal shifts share the anchor and force a period of the
-    dynamics; a loop word is eventually periodic, so it always has one."""
+    dynamics; an infinite loop word always has one."""
     return mu.shift_period() is None
 
 

@@ -18,7 +18,7 @@ from groupoidlab.boundary import (
     EvPeriodic,
     BasePointTail,
     FiniteBoundaryPath,
-    InfiniteDiscretePath,
+    LoopPath,
     SequenceDescription,
     converges,
     homeo_h,
@@ -276,7 +276,7 @@ def test_criterion_7_boundary_conjugacies():
     for _ in range(1000):
         z = sys.backend.random_point(rng)
         if rng.randrange(2):
-            nu = InfiniteDiscretePath(loop, EvPeriodic((), (rng.randrange(1, 6),)))
+            nu = LoopPath(loop, EvPeriodic((), (rng.randrange(1, 6),)))
         else:
             labels = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 5)))
             nu = FiniteBoundaryPath(FinitePath(loop, tuple(loop.edge(m) for m in labels)))
@@ -326,7 +326,7 @@ def test_criterion_8_convergence_oracle():
                 tuple(rng.randrange(1, 5) for _ in range(rng.randrange(1, 3))),
             )
             desc = SequenceDescription((), BasePointTail(graph, ApproachPointRule(z), idx))
-            nu = InfiniteDiscretePath(loop, idx)
+            nu = LoopPath(loop, idx)
         else:
             word = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(0, 3)))
             nu = (

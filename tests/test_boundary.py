@@ -20,7 +20,7 @@ from groupoidlab.boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
     HeadOnlyTail,
-    InfiniteDiscretePath,
+    LoopPath,
     ModelPath,
     SequenceDescription,
     ShiftDomainError,
@@ -35,6 +35,7 @@ from groupoidlab.boundary import (
 )
 from groupoidlab.graphs import (
     CompositionError,
+    DiscreteEdge,
     DiscreteGraph,
     EdgeBox,
     FinitePath,
@@ -157,8 +158,8 @@ def test_fast_shift_equals_canonicalised_suffix(head, cycle, n):
     fast = s.shifted(n)
     assert (fast.head, fast.cycle) == (slow.head, slow.cycle)
     assert fast == slow and hash(fast) == hash(slow)
-    word = shift_power(InfiniteDiscretePath(LOOP, s), n)
-    assert word == InfiniteDiscretePath(LOOP, slow) and word.labels.cycle == slow.cycle
+    word = shift_power(LoopPath(LOOP, s), n)
+    assert word == LoopPath(LOOP, slow) and word.labels.cycle == slow.cycle
     path = shift_power(param_f(ODO_POINT, ZERO_2ADIC, s), n)
     expected = param_f(ODO_POINT, odometer_succ(ZERO_2ADIC, -n), slow)
     assert path == expected and hash(path) == hash(expected)
@@ -217,7 +218,7 @@ def test_cons_matches_full_canonicalisation_exhaustively():
         lambda: EvPeriodic((), (2, 1)),
         lambda: EvPeriodic((3,), (1,)),
         lambda: param_f(ODO_POINT, ZERO_2ADIC, EvPeriodic((), (1,))),
-        lambda: InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
+        lambda: LoopPath(LOOP, EvPeriodic((2,), (1, 3))),
     ],
     ids=["sequence-empty-head", "sequence", "model-path", "loop-word"],
 )
@@ -324,7 +325,7 @@ def _one_path_per_kind():
         "finite": FiniteBoundaryPath(param_f_k(g, z, FinitePoint(1, 2), (2, 1, 3))),
         "vertex": FiniteBoundaryPath(vertex_path(g, PairPoint(z, FinitePoint(0, 2)))),
         "infinite": param_f(g, z, EvPeriodic((2,), (1, 3))),
-        "loop-word": InfiniteDiscretePath(LOOP, EvPeriodic((2,), (1, 3))),
+        "loop-word": LoopPath(LOOP, EvPeriodic((2,), (1, 3))),
     }
 
 
@@ -492,7 +493,7 @@ def test_h_roundtrip(odo_point, loop_graph):
     for _ in range(1000):
         z = odo_point.z_system.backend.random_point(rng)
         if rng.randrange(2):
-            nu = InfiniteDiscretePath(loop_graph, random_idx(rng))
+            nu = LoopPath(loop_graph, random_idx(rng))
         else:
             labels = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 5)))
             nu = FiniteBoundaryPath(
@@ -535,6 +536,22 @@ def test_h_inv_refuses_model_paths_over_a_non_point_x(loop_graph):
             homeo_h_inv(loop_graph, mu)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [DiscreteGraph(["u", "v"], [("u", "v", "e")]), ODO_POINT, None],
+    ids=["discrete", "model", "none"],
+)
+@pytest.mark.parametrize("kind", ["finite", "infinite"])
+def test_h_inv_refuses_a_target_that_is_not_the_loop_graph(target, kind):
+    """h_inv builds its loop word on the graph it is given, so any other
+    target is the same BoundaryError for a finite and an infinite path."""
+    mu = param_f(ODO_POINT, ZERO_2ADIC, (2, 1), FinitePoint(0, 1))
+    if kind == "infinite":
+        mu = param_f(ODO_POINT, ZERO_2ADIC, EvPeriodic((2,), (1, 3)))
+    with pytest.raises(BoundaryError, match="^a loop word needs the loop graph, not "):
+        homeo_h_inv(target, mu)
+
+
 # ---------------------------------------------------------------------------
 # conjugacies
 # ---------------------------------------------------------------------------
@@ -559,7 +576,7 @@ def test_shift_conjugacy_h(odo_point, loop_graph):
     for _ in range(1000):
         z = sys.backend.random_point(rng)
         if rng.randrange(2):
-            nu = InfiniteDiscretePath(loop_graph, random_idx(rng))
+            nu = LoopPath(loop_graph, random_idx(rng))
         else:
             labels = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 5)))
             nu = FiniteBoundaryPath(
@@ -694,7 +711,7 @@ def test_h_maps_convergent_products_to_convergent_sequences(odo_point, loop_grap
             desc = SequenceDescription(
                 (), BasePointTail(odo_point, ApproachPointRule(z), idx)
             )
-            limit_nu = InfiniteDiscretePath(loop_graph, idx)
+            limit_nu = LoopPath(loop_graph, idx)
         else:
             # fixed base, escaping next letter after a stable word
             word = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(0, 3)))
@@ -931,7 +948,7 @@ def test_serialization_roundtrip(odo_point, golden_two, loop_graph):
             x = graph.x_backend.random_point(rng)
             idx = tuple(rng.randrange(1, 5) for _ in range(k))
             paths.append((graph, FiniteBoundaryPath(param_f_k(graph, z, x, idx))))
-    paths.append((loop_graph, InfiniteDiscretePath(loop_graph, random_idx(rng))))
+    paths.append((loop_graph, LoopPath(loop_graph, random_idx(rng))))
     paths.append(
         (loop_graph, FiniteBoundaryPath(FinitePath(loop_graph, (loop_graph.edge(2),))))
     )
@@ -941,6 +958,35 @@ def test_serialization_roundtrip(odo_point, golden_two, loop_graph):
         assert path_from_line(line, graph) == mu
         # the format is stable: serializing twice gives the same line
         assert path_to_line(path_from_line(line, graph)) == line
+
+
+INF_FORM = r"^a INF line has the form INF z=<point> idx=<head>\|<cycle>$"
+INFW_FORM = r"^a INFW line has the form INFW idx=<head>\|<cycle>$"
+FIN_FORM = r"^a FIN line has the form FIN \(<z>;<x>;<m>\) \.\.\. or FIN @<vertex>$"
+
+
+@pytest.mark.parametrize(
+    "line, graph, message",
+    [
+        ("INF P:.0 1|2", ODO_POINT, INF_FORM),
+        ("INF z=P:.0", ODO_POINT, INF_FORM),
+        ("INF idx=|1 z=P:.0", ODO_POINT, INF_FORM),
+        ("INF z=P:.0 idx=|1 x=F:0/1", ODO_POINT, INF_FORM),
+        ("INFW 1|2", LOOP, INFW_FORM),
+        ("INFW", LOOP, INFW_FORM),
+        ("FIN (P:.0;F:0/1)", ODO_POINT, FIN_FORM),
+        ("FIN (P:.0;F:0/1;1;2)", ODO_POINT, FIN_FORM),
+        ("FIN P:.0;F:0/1;1", ODO_POINT, FIN_FORM),
+        ("FIN", ODO_POINT, FIN_FORM),
+        ("INFW idx=1|2", ODO_POINT, r"^a INFW line needs the loop graph, not <ModelGraph"),
+    ],
+)
+def test_path_line_without_its_form_names_the_form(line, graph, message):
+    """A line that lacks a documented key or a field of its kind's form is
+    a BoundaryError naming the kind and the form; an INFW line on another
+    graph is refused as a FINW line is."""
+    with pytest.raises(BoundaryError, match=message):
+        path_from_line(line, graph)
 
 
 def test_range_vertex(odo_point):
@@ -1137,13 +1183,91 @@ def test_finite_orbit_coordinates_match_materialised_paths(make_z, make_x):
     assert own_anchor > 50 and (modular > 0) == (g.z_system.period is not None)
 
 
+#: labels of an infinite word compared at each shift: past every head
+#: (at most 9 labels here) and a common period of two cycles (at most 6)
+LOOP_WINDOW = 30
+
+
+def _loop_chains(rng):
+    """Random chains of drops and conses from finite and infinite loop
+    words over the labels {1, 2}, each word next to a reference tuple of
+    its labels built from the raw head and cycle drawn, not canonicalised:
+    the whole word when finite, its first 80 labels or more when infinite."""
+    pairs = []
+    for i in range(8):
+        head = tuple(rng.randrange(1, 3) for _ in range(rng.randrange(0, 4)))
+        if i % 2:
+            cycle = tuple(rng.randrange(1, 3) for _ in range(rng.randrange(1, 4)))
+            mu, ref = LoopPath(LOOP, EvPeriodic(head, cycle)), (head + cycle * 80)[:80]
+        else:
+            mu, ref = FiniteBoundaryPath(LOOP.path(head)) if i % 4 else LoopPath(LOOP, head), head
+        pairs.append((mu, ref))
+        for _ in range(6):
+            if mu.length and rng.randrange(2):
+                n = rng.randrange(1, int(min(mu.length, 4)) + 1)
+                mu, ref = mu.drop(n), ref[n:]
+            else:
+                m = rng.randrange(1, 3)
+                mu, ref = mu.cons(m), (m,) + ref
+            pairs.append((mu, ref))
+    return pairs
+
+
+def _reference_tail(mu, ref, n):
+    """The n-th shift of a reference word: its labels when finite, a
+    window of them when infinite, tagged by the kind."""
+    if mu.length == INFINITE:
+        return "infinite", ref[n : n + LOOP_WINDOW]
+    return "finite", ref[n:]
+
+
+def test_loop_words_match_reference_labels():
+    """A loop word, finite or infinite, reached by random drops and conses
+    has the edges, prefixes, path, line, shift period, equality, hash,
+    same_edge and same_tail verdicts of its reference labels read through
+    LOOP.path(...): the whole word when finite, a window when infinite."""
+    pairs = _loop_chains(random.Random("loop-words"))
+    assert {mu.length == INFINITE for mu, _ref in pairs} == {True, False}
+    shifts = {id(mu): range(int(min(mu.length, 6)) + 1) for mu, _ref in pairs}
+    for mu, ref in pairs:
+        finite = mu.length != INFINITE
+        k = len(ref) if finite else LOOP_WINDOW
+        assert mu.length == (len(ref) if finite else INFINITE)
+        assert [mu.edge_at(i) for i in range(1, k + 1)] == list(LOOP.path(ref[:k]).edges)
+        assert [mu.prefix(j) for j in range(k + 1)] == [LOOP.path(ref[:j]) for j in range(k + 1)]
+        assert mu.path == LOOP.path(ref) if finite else getattr(mu, "path", None) is None
+        line = path_to_line(mu)
+        assert path_from_line(line, LOOP) == mu and path_to_line(path_from_line(line, LOOP)) == line
+        assert not finite or line == "FINW " + (" ".join(map(str, ref)) or "@")
+        period = mu.shift_period()
+        assert (period is None) == finite
+        for n in shifts[id(mu)]:
+            for m in range(n):
+                want = _reference_tail(mu, ref, n) == _reference_tail(mu, ref, m)
+                assert want == (period is not None and m >= period[0] and (n - m) % period[1] == 0)
+    equal = same = 0
+    for (a, ref_a), (b, ref_b) in itertools.product(pairs, repeat=2):
+        want = _reference_tail(a, ref_a, 0) == _reference_tail(b, ref_b, 0)
+        assert (a == b) == want and (not want or hash(a) == hash(b))
+        for i in range(1, int(min(a.length, 5)) + 1):
+            for j in range(1, int(min(b.length, 5)) + 1):
+                assert a.same_edge(i, b, j) == (ref_a[i - 1] == ref_b[j - 1])
+        for n in shifts[id(a)]:
+            for m in shifts[id(b)]:
+                want = _reference_tail(a, ref_a, n) == _reference_tail(b, ref_b, m)
+                assert a.same_tail(n, b, m) == want
+                same += want and a is not b
+        equal += a == b and a is not b
+    assert equal > 0 and same > 100
+
+
 def _rebuilt(mu):
     """The same path through the public constructors: an infinite model
     path on its materialised base point, so that it shares no anchor."""
     if isinstance(mu, ModelPath) and mu.length == INFINITE:
         return param_f(mu.graph, mu.z, mu.idx)
-    if isinstance(mu, InfiniteDiscretePath):
-        return InfiniteDiscretePath(mu.graph, mu.labels)
+    if isinstance(mu, LoopPath):
+        return LoopPath(mu.graph, mu.labels)
     p = mu.path
     return FiniteBoundaryPath(FinitePath(p.graph, p.edges, p.base))
 
@@ -1261,7 +1385,7 @@ def test_full_shift_same_tail_matches_dropped_paths(make_z, make_x):
 def test_cons_below_one_is_a_boundary_error(kind, graph):
     g = build_model_graph(golden_rotation(), FiniteBackend(2)) if graph == "model" else LOOP
     if graph == "loop":
-        mu = InfiniteDiscretePath(g, EvPeriodic((), (2,)))
+        mu = LoopPath(g, EvPeriodic((), (2,)))
         if kind == "finite":
             mu = FiniteBoundaryPath(FinitePath(g, (g.edge(2),)))
     else:
@@ -1282,7 +1406,7 @@ def test_cons_below_one_is_a_boundary_error(kind, graph):
         lambda: EvPeriodic((), (2, 0)),
         lambda: EvPeriodic((-1,), (1,)),
         lambda: param_f(ODO_POINT, ZERO_2ADIC, EvPeriodic((3,), (0,))),
-        lambda: InfiniteDiscretePath(LOOP, EvPeriodic((), (1, 0))),
+        lambda: LoopPath(LOOP, EvPeriodic((), (1, 0))),
         lambda: path_from_line("INF z=P:.0 idx=2,0|1", ODO_POINT),
         lambda: path_from_line("INFW idx=|0", LOOP),
     ],
@@ -1313,6 +1437,20 @@ def test_edge_index_below_one_has_one_type_and_message(build):
     line, is the same error as in infinite index data."""
     with pytest.raises(BoundaryError, match="^edge indices must be >= 1$"):
         build()
+
+
+@pytest.mark.parametrize("label", [0, -3, "a", True], ids=["zero", "negative", "string", "bool"])
+def test_loop_words_validate_their_labels(label):
+    """A loop word keeps EvPeriodic's invariant, every label an int >= 1,
+    so a loop-graph path with another label is refused where it is built,
+    whether from edges or from labels, and no word writes a FINW line
+    that path_from_line refuses."""
+    edge = DiscreteEdge(LOOP.vertex, LOOP.vertex, label)
+    for build in (lambda: FiniteBoundaryPath(FinitePath(LOOP, (edge,))), lambda: LoopPath(LOOP, (2, label))):
+        with pytest.raises(BoundaryError, match="^edge indices must be >= 1$"):
+            build()
+    word = FiniteBoundaryPath(FinitePath(LOOP, (DiscreteEdge(LOOP.vertex, LOOP.vertex, 3),)))
+    assert path_from_line(path_to_line(word), LOOP) == word == LoopPath(LOOP, (3,))
 
 
 @pytest.mark.parametrize(

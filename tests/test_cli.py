@@ -838,6 +838,11 @@ def _nested(inner: str, depth: int = 5000) -> str:
         ("ktheory", {"vertices": ["a"], "edges": [["a", "a", "e"], ["a", "a", label]]},
          "graph.edges[1]: label must be a string or an integer")
         for label in ([1], None, True, 1.5, {"n": 1})
+    ]
+    # a path line must carry the keys of its kind's form
+    + [
+        ("converge", {"head": ["INF P:.0 1|2"]},
+         "sequence.head[0]: a INF line has the form INF z=<point> idx=<head>|<cycle>"),
     ],
 )
 def test_main_wrongly_typed_field(tmp_path, capsys, command, doc, message):

@@ -16,7 +16,7 @@ from groupoidlab.qphi import QPhi
 from groupoidlab.boundary import (
     EvPeriodic,
     FiniteBoundaryPath,
-    InfiniteDiscretePath,
+    LoopPath,
     INFINITE,
     ModelPath,
     param_f,
@@ -152,7 +152,7 @@ def test_witness_minimisation_matches_reshifting(kind):
             x = random_boundary_path(graph, rng, force=kind)
             g = random_element_at(graph, x, rng)
             pairs = [(g.x, g.n, g.m, g.y), (x, 0, 0, x)]
-            if isinstance(x, InfiniteDiscretePath):
+            if isinstance(x, LoopPath):
                 p = len(x.labels.cycle)
                 pairs.append((x, len(x.labels.head) + 2 * p, len(x.labels.head), x))
             for a, n, m, b in pairs:
@@ -278,7 +278,7 @@ def test_isotropy_golden_constant_tail(golden_point):
 
 
 def test_isotropy_periodic_word(loop_graph):
-    mu = InfiniteDiscretePath(loop_graph, EvPeriodic((), (1,)))
+    mu = LoopPath(loop_graph, EvPeriodic((), (1,)))
     pairs = isotropy_search(mu, 5)
     assert (1, 0) in pairs
     assert not isotropy_reduction(mu)
@@ -293,7 +293,7 @@ def test_isotropy_finite_paths_trivial(odo_point):
 
 
 def test_isotropy_monotone_in_bound(loop_graph):
-    mu = InfiniteDiscretePath(loop_graph, EvPeriodic((2,), (1, 1, 3)))
+    mu = LoopPath(loop_graph, EvPeriodic((2,), (1, 1, 3)))
     small = set(isotropy_search(mu, 6))
     large = set(isotropy_search(mu, 12))
     assert small <= large
@@ -393,7 +393,7 @@ def test_principality_sample_asks_each_period_once(monkeypatch, make_graph, peri
     samples (the reduction is run on the model graph only)."""
     graph = make_graph()
     asked = []
-    for cls in (FiniteBoundaryPath, ModelPath, InfiniteDiscretePath):
+    for cls in (FiniteBoundaryPath, ModelPath, LoopPath):
 
         def counted(self, _original=cls.shift_period):
             asked.append(self)
@@ -462,7 +462,7 @@ def _contract_paths():
     seqs = sorted({EvPeriodic(h, c) for h in words if len(h) <= 3 for c in words if c}, key=repr)
     cyclic = build_model_graph(finite_cyclic(3), point_backend())
     loop = OneVertexLoopGraph()
-    return [InfiniteDiscretePath(loop, w) for w in seqs] + [
+    return [LoopPath(loop, w) for w in seqs] + [
         param_f(cyclic, FinitePoint(1, 3), w) for w in seqs
     ]
 
@@ -646,7 +646,7 @@ def test_random_path_from_on_the_loop_graph(loop_graph):
     for force in (None, "finite", "infinite"):
         for _ in range(8):
             mu = random_path_from(loop_graph, loop_graph.vertex, rng, force)
-            assert isinstance(mu, (FiniteBoundaryPath, InfiniteDiscretePath))
+            assert isinstance(mu, (FiniteBoundaryPath, LoopPath))
             assert force is None or (mu.length == INFINITE) == (force == "infinite")
 
 
@@ -865,7 +865,7 @@ def test_make_element_and_compose_build_no_shifted_path(monkeypatch):
             h = random_element_at(graph, g.y, rng)
             lifted = g.y.length > g.m and shift_power(g.x, g.n) == shift_power(g.y, g.m + 1)
             cases.append((g, h, lifted))
-    kinds = {FiniteBoundaryPath, ModelPath, InfiniteDiscretePath}
+    kinds = {ModelPath, LoopPath}
     assert {type(g.x) for g, _h, _lifted in cases} == kinds
     assert not all(lifted for _g, _h, lifted in cases)
     calls = []
@@ -890,7 +890,7 @@ def test_make_element_and_compose_build_no_shifted_path(monkeypatch):
 def _infinite_pair(graph, z, idx_x, idx_y):
     """Two infinite paths with the given index sequences, on one anchor."""
     if isinstance(graph, OneVertexLoopGraph):
-        return InfiniteDiscretePath(graph, idx_x), InfiniteDiscretePath(graph, idx_y)
+        return LoopPath(graph, idx_x), LoopPath(graph, idx_y)
     return param_f(graph, z, idx_x), param_f(graph, z, idx_y)
 
 
@@ -966,7 +966,7 @@ def _reflexive_paths(make_z, make_x):
 def _count_path_calls(monkeypatch, names):
     """Record each call of the named methods on every boundary path class."""
     calls = []
-    for cls in (FiniteBoundaryPath, ModelPath, InfiniteDiscretePath):
+    for cls in (FiniteBoundaryPath, ModelPath, LoopPath):
         for name in names:
 
             def counted(self, *args, _where=f"{cls.__name__}.{name}", _original=getattr(cls, name)):
@@ -1025,7 +1025,7 @@ def test_make_element_rejects_exponents_that_are_not_ints(kind):
         "finite-model": FiniteBoundaryPath(param_f_k(graph, z, ZERO_CIRCLE, (2, 1, 3))),
         "infinite-model": param_f(graph, z, EvPeriodic((2,), (1, 3))),
         "finite-loop": FiniteBoundaryPath(loop.path((2, 1, 3))),
-        "infinite-loop": InfiniteDiscretePath(loop, EvPeriodic((2,), (1, 3))),
+        "infinite-loop": LoopPath(loop, EvPeriodic((2,), (1, 3))),
     }[kind]
     for bad in (1.0, 1.5, "1", None, Fraction(1)):
         for n, m in ((bad, bad), (bad, 1), (1, bad)):

@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import groupoidlab.cli  # noqa: F401  (loads every module the spans name)
-from groupoidlab.boundary import EvPeriodic, param_f
-from groupoidlab.graphs import build_model_graph, param_f_k
+from groupoidlab.boundary import EvPeriodic, LoopPath, param_f
+from groupoidlab.graphs import OneVertexLoopGraph, build_model_graph, param_f_k
+from groupoidlab.groupoid import principality_sample
 from groupoidlab.spaces import CircleBackend, golden_rotation
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -20,6 +21,14 @@ def _load_tracing(monkeypatch):
         return importlib.import_module("tracing")
     finally:
         sys.modules.pop("tracing", None)
+        sys.modules.pop("checks", None)
+
+
+def _load_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        return importlib.import_module("checks")
+    finally:
         sys.modules.pop("checks", None)
 
 
@@ -62,3 +71,23 @@ def test_isotropy_keys_read_the_path_of_a_finite_model_path_only(monkeypatch):
         assert getattr(finite.cons(4).drop(1), "path", None) == param_f_k(graph, z, x, idx)
     keys = _load_tracing(monkeypatch)._isotropy_keys
     assert keys((infinite, 12), None) == 13 and keys((finite, 12), None) == 4
+
+
+def test_principality_checker_reads_the_loop_word_labels(monkeypatch):
+    """The benchmark's ``check_principality`` reads ``labels`` off each
+    loop-control hit to re-derive its isotropy pairs, so a renamed
+    attribute must fail here, not as an incorrect output in a benchmark
+    run; it accepts the golden x circle samples too.  An infinite loop
+    word has no ``path``, which the tracer's isotropy key count reads."""
+    checks = _load_checks(monkeypatch)
+    loop = OneVertexLoopGraph()
+    rep = principality_sample(loop, 50, 320, 7)
+    assert rep.isotropy
+    assert checks.check_principality(rep, samples=50, bound=320, seed=7, control=True) == []
+    golden = build_model_graph(golden_rotation(), CircleBackend())
+    rep = principality_sample(golden, 50, 320, 7)
+    assert checks.check_principality(rep, samples=50, bound=320, seed=7, control=False) == []
+    word = LoopPath(loop, EvPeriodic((2,), (1, 3)))
+    assert getattr(word, "path", None) is None
+    assert getattr(word.cons(4).drop(2), "path", None) is None
+    assert getattr(LoopPath(loop, (2, 1)), "path", None) == loop.path((2, 1))
