@@ -73,12 +73,15 @@ class EvPeriodic:
     """head + cycle^infinity, canonical (primitive cycle, minimal head).
 
     The entries are edge indices (loop labels in the loop graph), so one
-    below 1 is a ``BoundaryError``: every infinite path's index data is
-    validated here, once.  The public constructor refuses an empty cycle;
-    ``ModelPath`` and ``LoopPath`` build one by ``_canonical(idx, ())``
-    for a finite word of length ``len(head)``, on which ``item`` (below
-    the length), ``shifted`` (by at most the length), ``same_tail``,
-    ``cons`` and ``prefix`` mean the same as on an infinite one.
+    that is not an ``int`` >= 1 (a bool is not) is a ``BoundaryError``:
+    every infinite path's index data is validated here, once, except the
+    samplers' drawn words, whose entries are drawn from 1..5 and which
+    ``random_ev_periodic`` builds by ``_canonical``.  The public
+    constructor refuses an empty cycle; ``ModelPath`` and ``LoopPath``
+    build one by ``_canonical(idx, ())`` for a finite word of length
+    ``len(head)``, on which ``item`` (below the length), ``shifted`` (by
+    at most the length), ``same_tail``, ``cons`` and ``prefix`` mean the
+    same as on an infinite one.
     """
 
     head: tuple[int, ...]
@@ -86,7 +89,7 @@ class EvPeriodic:
 
     def __post_init__(self):
         head, cycle = _canon_ev_periodic(self.head, self.cycle)
-        if any(v < 1 for v in head + cycle):
+        if not all(type(v) is int and v >= 1 for v in head + cycle):
             raise BoundaryError("edge indices must be >= 1")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "cycle", cycle)
@@ -135,7 +138,7 @@ class EvPeriodic:
         """``value`` prepended, in O(1): the head keeps its last item, so
         the pair stays canonical, unless the head is empty and ``value``
         repeats the cycle's last item, which rotates the cycle instead."""
-        if value < 1:
+        if type(value) is not int or value < 1:
             raise BoundaryError("edge indices must be >= 1")
         head, cycle = self.head, self.cycle
         if not head and cycle and value == cycle[-1]:
@@ -531,11 +534,12 @@ def param_f(graph: ModelGraph, z: Point, idx: EvPeriodic | tuple[int, ...], x: P
     path ``param_f_k(graph, z, x, idx)``, built only when read."""
     if isinstance(idx, EvPeriodic):
         return ModelPath._unchecked(graph, z, 0, idx, None)
-    if min(idx, default=1) < 1:
+    idx = tuple(idx)
+    if not all(type(m) is int and m >= 1 for m in idx):
         raise BoundaryError("edge indices must be >= 1")
     if x is None:
         raise BoundaryError("a finite index tuple needs x, the last edge's x coordinate")
-    return ModelPath._unchecked(graph, z, 0, EvPeriodic._canonical(tuple(idx), ()), x)
+    return ModelPath._unchecked(graph, z, 0, EvPeriodic._canonical(idx, ()), x)
 
 
 def homeo_h(graph: ModelGraph, z: Point, nu) -> BoundaryPath:

@@ -96,10 +96,6 @@ class ModelGraph:
     def r(self, e: ModelEdge) -> PairPoint:
         return PairPoint(self.z_system.forward(e.z), self.x_point(e.m))
 
-    def edge_from(self, vertex: PairPoint, m: int) -> ModelEdge:
-        """The edge of index m whose domain is ``vertex``."""
-        return ModelEdge(vertex.left, vertex.right, m)
-
     def is_singular(self, vertex: PairPoint) -> bool:
         # every vertex receives edges of unboundedly many indices
         return True
@@ -134,9 +130,6 @@ class OneVertexLoopGraph:
         if label < 1:
             raise BoundaryError("edge indices must be >= 1")
         return DiscreteEdge(self.vertex, self.vertex, label)
-
-    def edge_from(self, vertex, m: int) -> DiscreteEdge:
-        return self.edge(m)
 
     def path(self, labels) -> "FinitePath":
         """The finite path that reads the word ``labels``, first edge

@@ -22,6 +22,7 @@ from .boundary import (
     BoundaryPath,
     EvPeriodic,
     LoopPath,
+    _canon_ev_periodic,
     param_f,
     shift_power,
 )
@@ -162,9 +163,12 @@ class DRGroupoid:
 
 
 def random_ev_periodic(rng) -> EvPeriodic:
+    """``EvPeriodic(head, cycle)`` of a drawn pair, canonicalised once and
+    built without the constructor's entry check: every entry is drawn
+    from 1..5, and the cycle is non-empty."""
     head = draws(rng, 1, 6, draw(rng, 0, 3))
     cycle = draws(rng, 1, 6, draw(rng, 1, 4))
-    return EvPeriodic(head, cycle)
+    return EvPeriodic._canonical(*_canon_ev_periodic(head, cycle))
 
 
 def random_boundary_path(graph, rng, force=None) -> BoundaryPath:
@@ -348,14 +352,9 @@ def isotropy_search(mu: BoundaryPath, bound: int) -> IsotropyPairs:
     exactly; empty certifies trivial isotropy at mu within the window.
     The pairs are read off ``mu.shift_period()`` (isotropy of the shift is
     eventual periodicity); no path is shifted and none is listed here."""
-    return _isotropy_pairs(mu.shift_period(), bound)
-
-
-def _isotropy_pairs(period: tuple[int, int] | None, bound: int) -> IsotropyPairs:
-    """The isotropy pairs within ``bound`` of a path whose
-    ``shift_period()`` is ``period``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    period = mu.shift_period()
     return IsotropyPairs(0, 1, 0) if period is None else IsotropyPairs(*period, bound)
 
 
@@ -392,7 +391,11 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
     nontrivial isotropy; on the model graph also run the exact reduction
     on every sample.  Each sample's ``shift_period()`` is read once and
     answers both, as it does in ``isotropy_search`` and
-    ``isotropy_reduction``."""
+    ``isotropy_reduction``: a sample without a period is neither a hit
+    nor a failed reduction, so no pairs are listed for it.  A bound
+    below 1 is a ``ValueError``, also when ``samples`` is 0."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     hits = []
     reductions_ok = True
@@ -400,13 +403,16 @@ def principality_sample(graph, samples: int, bound: int, seed: int) -> Principal
     for i in range(samples):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
         period = mu.shift_period()
+        if period is None:
+            continue
+        if model:
+            reductions_ok = False
         # the report keeps the first 8 hits, which bounds its size; each
         # hit's pairs stay in closed form however many the bound allows
-        pairs = _isotropy_pairs(period, bound) if len(hits) < 8 else ()
-        if pairs:
-            hits.append((mu, pairs))
-        if model and period is not None:
-            reductions_ok = False
+        if len(hits) < 8:
+            pairs = IsotropyPairs(*period, bound)
+            if pairs:
+                hits.append((mu, pairs))
     return PrincipalityReport(samples, bound, seed, tuple(hits), reductions_ok)
 
 

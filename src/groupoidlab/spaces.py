@@ -27,12 +27,12 @@ _set = object.__setattr__
 # random draws
 # ---------------------------------------------------------------------------
 #
-# Every sampler draws through ``draw`` and ``draws``, which read only
-# ``rng.getrandbits`` (the 32-bit MT19937 output of ``random.Random``):
-# an integer below n = stop - start takes n.bit_length() bits, redrawn
-# until it is below n.  That is the rule ``randrange(start, stop)`` and
-# ``choice`` follow, so the streams are theirs draw for draw, without
-# ``randrange``'s argument normalisation.
+# Every sampler draws through ``draw``, ``draws`` and ``draw_bits``, which
+# read only ``rng.getrandbits`` (the 32-bit MT19937 output of
+# ``random.Random``): an integer below n = stop - start takes
+# n.bit_length() bits, redrawn until it is below n.  That is the rule
+# ``randrange(start, stop)`` and ``choice`` follow, so the streams are
+# theirs draw for draw, without ``randrange``'s argument normalisation.
 
 
 def draw(rng, start: int, stop: int) -> int:
@@ -62,6 +62,21 @@ def draws(rng, start: int, stop: int, count: int) -> tuple[int, ...]:
             r = getrandbits(k)
         out.append(start + r)
     return tuple(out)
+
+
+def draw_bits(rng, count: int) -> int:
+    """``count`` successive ``draw(rng, 0, 2)`` values as one integer, the
+    first draw in the least significant bit.  A bit is ``getrandbits(2)``
+    redrawn while it is 2 or 3, since ``(2).bit_length()`` is 2; one
+    ``getrandbits(1)`` per bit would be a different stream."""
+    getrandbits = rng.getrandbits
+    value = 0
+    for i in range(count):
+        r = getrandbits(2)
+        while r >= 2:
+            r = getrandbits(2)
+        value |= r << i
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +831,9 @@ class CantorBackend(SpaceBackend):
         # the drawn bits are 0 or 1 and the period is non-empty, so the
         # words go straight to their value, as in PadicPoint(pre, per)
         m = draw(rng, 0, 4)
-        pre = sum(b << i for i, b in enumerate(draws(rng, 0, 2, m)))
+        pre = draw_bits(rng, m)
         n = draw(rng, 1, 4)
-        per = sum(b << i for i, b in enumerate(draws(rng, 0, 2, n)))
+        per = draw_bits(rng, n)
         return PadicPoint._from_rational(*_stream_value(pre, m, per, n))
 
     def has_point(self, pt) -> bool:

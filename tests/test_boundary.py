@@ -371,7 +371,7 @@ def test_boundary_path_method_set(kind):
     mu = _one_path_per_kind()[kind]
     g = mu.graph
     v = mu.range()
-    e = g.edge_from(v, 4)
+    e = LOOP.edge(4) if kind == "loop-word" else ModelEdge(v.left, v.right, 4)
     nu = mu.cons(4)
     assert (shift_power(nu, 1) == mu) is True
     assert nu.prefix(1).edges == (e,)
@@ -1451,6 +1451,26 @@ def test_loop_words_validate_their_labels(label):
             build()
     word = FiniteBoundaryPath(FinitePath(LOOP, (DiscreteEdge(LOOP.vertex, LOOP.vertex, 3),)))
     assert path_from_line(path_to_line(word), LOOP) == word == LoopPath(LOOP, (3,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LoopPath(OneVertexLoopGraph(), (1,)).cons(True),
+        lambda: param_f(ODO_POINT, ZERO_2ADIC, (1,), FinitePoint(0, 1)).cons(True),
+        lambda: EvPeriodic((True,), (2,)),
+        lambda: EvPeriodic((), (2, True)),
+        lambda: param_f(ODO_POINT, ZERO_2ADIC, (True,), FinitePoint(0, 1)),
+    ],
+    ids=["loop-cons", "model-cons", "head", "cycle", "param-f"],
+)
+def test_bool_edge_indices_are_refused(build):
+    """A bool is an ``int`` to Python but not an edge index: ``cons``,
+    ``EvPeriodic`` and ``param_f``'s finite tuple refuse it as ``LoopPath``
+    does, so no word writes a line such as ``FINW True 1``, which
+    ``path_from_line`` refuses."""
+    with pytest.raises(BoundaryError, match="^edge indices must be >= 1$"):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ from groupoidlab.groupoid import (
     random_boundary_path,
     random_element,
     random_element_at,
+    random_ev_periodic,
     random_path_from,
     unit,
 )
@@ -62,6 +63,8 @@ from groupoidlab.spaces import (
     MinimalSystem,
     PadicPoint,
     PairPoint,
+    draw,
+    draws,
     finite_cyclic,
     golden_rotation,
     odometer,
@@ -383,6 +386,9 @@ def test_principality_sample_keeps_the_first_eight_hits(make_graph, periodic):
     assert bool(hits) == periodic
     with pytest.raises(ValueError):
         principality_sample(graph, 1, 0, 1)
+    # refused before the loop, so also with no samples to draw
+    with pytest.raises(ValueError, match="^bound must be >= 1$"):
+        principality_sample(graph, 0, 0, 1)
 
 
 @pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS)
@@ -565,6 +571,65 @@ def test_principality_sample_pinned():
         lines.extend(f"{path_to_line(mu)} {pairs}" for mu, pairs in rep.isotropy)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "1decc014e6a95e726c5361b59aae9fcd8813734de1232c74245ad5bc7b0dd9e6"
+
+
+def test_principality_deep_samples_pinned(monkeypatch):
+    """The paths that the seed-3 ``principality-deep`` benchmark calls
+    sample, and the generator state each call ends in, pinned by a sha256
+    taken before the samplers built words without re-validating them.
+    Reports hold verdicts only, so they would not show a changed stream;
+    the path lines and states do."""
+    lines, rngs = [], []
+    sample = groupoid.random_boundary_path
+
+    def recorded(graph, rng, force=None):
+        mu = sample(graph, rng, force)
+        lines.append(path_to_line(mu))
+        rngs.append(rng)
+        return mu
+
+    monkeypatch.setattr(groupoid, "random_boundary_path", recorded)
+    seeds = random.Random("principality-3")
+    seeds = [seeds.randrange(1, 2**31) for _ in range(4)]
+    golden = build_model_graph(golden_rotation(), point_backend())
+    odo = build_model_graph(odometer(), point_backend())
+    calls = [(golden, 500, seeds[0]), (odo, 500, seeds[1]), (golden, 500, seeds[2])]
+    calls += [(odo, 500, seeds[3]), (OneVertexLoopGraph(), 50, 7)]
+    for graph, samples, seed in calls:
+        principality_sample(graph, samples, 320, seed)
+        lines.append(repr(rngs[-1].getstate()))
+    assert len(lines) == 2055
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0062e213fc48bac8d0ec03a1b28e3eb1940ef1d85ffd95e5a76560c19387b124"
+
+
+def test_random_ev_periodic_is_the_constructor_of_its_draws():
+    """``random_ev_periodic`` is ``EvPeriodic(head, cycle)`` of the pair it
+    draws, rebuilt here from the same draws of a twin generator."""
+    for seed in range(300):
+        rng, twin = random.Random(seed), random.Random(seed)
+        seq = random_ev_periodic(rng)
+        head = draws(twin, 1, 6, draw(twin, 0, 3))
+        want = EvPeriodic(head, draws(twin, 1, 6, draw(twin, 1, 4)))
+        assert type(seq) is EvPeriodic and (seq.head, seq.cycle) == (want.head, want.cycle)
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("make_graph, periodic", ISOTROPY_GRAPHS)
+def test_principality_sample_lists_pairs_for_hits_only(monkeypatch, make_graph, periodic):
+    """A sample without a period is neither a hit nor a failed reduction,
+    so no ``IsotropyPairs`` is built for it: the free model graphs build
+    none, and a periodic graph one per hit."""
+    built = []
+    init = groupoid.IsotropyPairs.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(groupoid.IsotropyPairs, "__init__", counted)
+    rep = principality_sample(make_graph(), 60, 320, 1)
+    assert len(built) == len(rep.isotropy) and bool(built) == periodic
 
 
 def test_loop_graph_elements_pinned():

@@ -41,6 +41,7 @@ from groupoidlab.spaces import (
     dense_indices_hitting,
     dense_sequence,
     draw,
+    draw_bits,
     draws,
     eps_dense,
     finite_cyclic,
@@ -230,6 +231,19 @@ def test_draw_is_randrange_draw_for_draw(start, stop):
                 assert draws(rng, start, stop, count) == tuple(
                     ref.randrange(start, stop) for _ in range(count)
                 )
+            assert rng.getstate() == ref.getstate()
+
+
+def test_draw_bits_is_the_bit_sum_of_draws():
+    """``draw_bits(rng, k)`` is the value of the bits ``draws(rng, 0, 2, k)``,
+    first bit least significant, and leaves the generator in the same
+    state: each bit is ``getrandbits(2)`` redrawn while it is 2 or 3, so a
+    ``getrandbits(1)`` per bit fails here."""
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in range(9):
+            want = sum(b << i for i, b in enumerate(draws(ref, 0, 2, k)))
+            assert draw_bits(rng, k) == want
             assert rng.getstate() == ref.getstate()
 
 
@@ -904,9 +918,10 @@ def test_box_and_backend_kinds_own_their_operations():
 
 
 def test_every_draw_goes_through_draw():
-    """Every random draw of the package goes through ``spaces.draw`` and
-    ``spaces.draws``, which read only ``getrandbits``: no module calls
-    ``randrange``, ``randint`` or ``choice``."""
+    """Every random draw of the package goes through ``spaces.draw``,
+    ``spaces.draws`` and ``spaces.draw_bits``, which read only
+    ``getrandbits``: no module calls ``randrange``, ``randint`` or
+    ``choice``, and ``getrandbits`` is read inside those three alone."""
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(groupoidlab.__file__).parent.glob("*.py"))
@@ -915,6 +930,19 @@ def test_every_draw_goes_through_draw():
         and node.func.attr in ("randrange", "randint", "choice")
     ]
     assert not calls, calls
+    readers = {}
+    for path in sorted(Path(groupoidlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): f"{path.name}:{fn.name}"
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "getrandbits":
+                where = owner.get(id(node), f"{path.name}:{node.lineno}")
+                readers[where] = readers.get(where, 0) + 1
+    assert readers == {"spaces.py:draw": 1, "spaces.py:draws": 1, "spaces.py:draw_bits": 1}, readers
 
 
 def test_path_kinds_own_their_operations():
