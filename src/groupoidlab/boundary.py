@@ -157,125 +157,23 @@ INFINITE = float("inf")
 
 
 class FiniteBoundaryPath:
-    """A finite path whose domain vertex is singular.
-
-    Every boundary path kind has the same method set: ``length`` (an int,
-    or ``INFINITE``), ``range()``, ``edge_at(i)``, ``same_edge(i, other,
-    j)`` (edge i equals edge j of a path of the same kind), ``prefix(k)``
-    (the first k edges as a finite path), ``drop(n)`` (the n-th shift,
-    n >= 1), ``same_tail(n, other, m)`` (drop(n) equals ``other.drop(m)``
-    for n <= length and m <= other.length, built from neither path),
-    ``cons(m)`` (prepend the edge of index ``m >= 1`` whose domain is
-    ``range()``; a lower index is a ``BoundaryError``) and
-    ``shift_period()`` (``(start, step)``: for n > m, drop(n) = drop(m)
-    exactly when m >= start and step | n - m; ``None`` if never).  Both
-    ``drop`` and ``cons`` keep the domain, so neither validates the path
-    again, and ``cons`` builds its edge at ``range()``, so its one new
-    junction composes.
-
-    ``FiniteBoundaryPath(path)`` gives a ``ModelPath`` on a model graph
-    and a ``LoopPath`` on the loop graph, where every vertex is singular;
-    a path of a ``DiscreteGraph`` stays one, with a domain checked to be
-    singular, and that graph numbers no edges, so its ``cons`` refuses.
-    ``drop``, ``cons`` and ``param_f`` build paths without a check, since
-    a check could not fail: a shift or an extension at the range end keeps
-    a singular domain, and ``param_f``'s edges compose by their formula.
-    """
-
-    __slots__ = ("path",)
+    """The boundary path of a validated finite path: a ``ModelPath`` on a
+    model graph, anchored at its last edge's z at exponent k and keeping
+    the path as given, and the ``LoopPath`` of its labels on the loop
+    graph.  Every vertex of either graph is singular, so no domain is
+    checked.  No other graph has a boundary path kind, so a path of a
+    ``DiscreteGraph`` is a ``BoundaryError`` that names the graph."""
 
     def __new__(cls, path: FinitePath):
         if isinstance(path.graph, OneVertexLoopGraph):
             return LoopPath(path.graph, tuple(e.label for e in path.edges))
         if not isinstance(path.graph, ModelGraph):
-            return object.__new__(cls)
+            raise BoundaryError(f"a boundary path needs a model graph or the loop graph, not {path.graph!r}")
         v = path.d()  # (rho^-k(z), x): the anchor at exponent k, and x
         idx = tuple(e.m for e in path.edges)
         mu = ModelPath._unchecked(path.graph, v.left, len(idx), EvPeriodic._canonical(idx, ()), v.right)
         mu._path = path
         return mu
-
-    def __init__(self, path: FinitePath):
-        if not path.graph.is_singular(path.d()):
-            raise BoundaryError(f"domain vertex {path.d()!r} is regular")
-        self.path = path
-
-    @staticmethod
-    def _unchecked(path: FinitePath) -> "FiniteBoundaryPath":
-        """A path whose domain is known to be singular: the domain of a
-        boundary path it was cut from or extended at the range end."""
-        mu = object.__new__(FiniteBoundaryPath)
-        mu.path = path
-        return mu
-
-    @property
-    def graph(self):
-        return self.path.graph
-
-    @property
-    def length(self) -> int:
-        return len(self.path.edges)
-
-    def range(self):
-        return self.path.r()
-
-    def edge_at(self, i: int):
-        """The i-th edge, 1 <= i <= len."""
-        return self.path.edges[i - 1]
-
-    def prefix(self, k: int) -> FinitePath:
-        p = self.path
-        if k > len(p):
-            raise BoundaryError("prefix longer than the path")
-        if k == 0:
-            return vertex_path(p.graph, p.r())
-        return FinitePath._unchecked(p.graph, p.edges[:k])
-
-    def drop(self, n: int) -> "FiniteBoundaryPath":
-        p = self.path
-        if n > len(p):
-            raise ShiftDomainError("the shift is undefined on zero-length boundary paths")
-        if n == len(p):
-            return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, (), p.d()))
-        return FiniteBoundaryPath._unchecked(FinitePath._unchecked(p.graph, p.edges[n:]))
-
-    def same_edge(self, i: int, other: "FiniteBoundaryPath", j: int) -> bool:
-        """Whether edge i of this path equals edge j of ``other``."""
-        return self.path.edges[i - 1] == other.path.edges[j - 1]
-
-    def same_tail(self, n: int, other, m: int) -> bool:
-        if not isinstance(other, FiniteBoundaryPath):
-            return False
-        p, q = self.path, other.path
-        rest = len(p.edges) - n
-        if p.graph is not q.graph or rest != len(q.edges) - m:
-            return False
-        return p.edges[n:] == q.edges[m:] if rest else p.d() == q.d()
-
-    def shift_period(self) -> None:
-        """None: shifts of a finite path have pairwise different lengths."""
-        return None
-
-    def cons(self, m: int):
-        raise BoundaryError(f"cons needs edges numbered at each vertex, and {self.graph!r} has none")
-
-    def __len__(self):
-        return self.length
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteBoundaryPath):
-            return NotImplemented
-        return self.path == other.path
-
-    def __hash__(self):
-        return hash(self.path)
-
-    def __repr__(self):
-        return f"FiniteBoundaryPath(path={self.path!r})"
-
-    def __reduce__(self):
-        # copy through the public constructor, which takes the path
-        return FiniteBoundaryPath, (self.path,)
 
 
 class ModelPath:
@@ -501,7 +399,19 @@ class LoopPath:
         return self.length
 
 
-BoundaryPath = FiniteBoundaryPath | ModelPath | LoopPath
+# Both boundary path kinds have the same method set: ``length`` (an int,
+# or ``INFINITE``), ``range()``, ``edge_at(i)``, ``same_edge(i, other, j)``
+# (edge i equals edge j of a path of the same kind), ``prefix(k)`` (the
+# first k edges as a finite path), ``drop(n)`` (the n-th shift, n >= 1),
+# ``same_tail(n, other, m)`` (drop(n) equals ``other.drop(m)`` for
+# n <= length and m <= other.length, built from neither path), ``cons(m)``
+# (prepend the edge of index ``m >= 1`` whose domain is ``range()``; a
+# lower index is a ``BoundaryError``) and ``shift_period()``
+# (``(start, step)``: for n > m, drop(n) = drop(m) exactly when m >= start
+# and step | n - m; ``None`` if never).  Both ``drop`` and ``cons`` keep
+# the domain, so neither validates the path again, and ``cons`` builds its
+# edge at ``range()``, so its one new junction composes.
+BoundaryPath = ModelPath | LoopPath
 
 
 def shift(mu: BoundaryPath) -> BoundaryPath:
@@ -832,8 +742,6 @@ def path_to_line(mu: BoundaryPath) -> str:
     if mu.length == INFINITE:
         return f"INF z={mu.z.token()} idx={_ev_periodic_token(mu.word)}"
     p = mu.path
-    if not isinstance(p.graph, ModelGraph):
-        raise BoundaryError(f"a FIN line needs a model graph, not {p.graph!r}")
     if len(p) == 0:
         return f"FIN @{p.base.token()}"
     toks = [f"({e.z.token()};{e.x.token()};{e.m})" for e in p.edges]

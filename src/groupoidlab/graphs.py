@@ -96,10 +96,6 @@ class ModelGraph:
     def r(self, e: ModelEdge) -> PairPoint:
         return PairPoint(self.z_system.forward(e.z), self.x_point(e.m))
 
-    def is_singular(self, vertex: PairPoint) -> bool:
-        # every vertex receives edges of unboundedly many indices
-        return True
-
     def x_is_point(self) -> bool:
         return self.x_backend.basic_count == 1
 
@@ -233,15 +229,13 @@ class FinitePath:
     The graph is carried along so endpoints can be computed; graphs are
     compared by identity.
 
-    Public construction checks every junction.  Two kinds of path are
-    built by ``_unchecked`` instead, because a check of their junctions
-    could not fail: slices of a valid path (the prefixes and shifts of a
-    ``DiscreteGraph``'s finite boundary path), and ``param_f_k``, whose
-    edges come from one formula whose consecutive edges compose.  A
-    finite model boundary path holds no edges until its ``path`` is read,
-    and then builds them through ``param_f_k``, however the boundary path
-    was reached; a loop word builds its paths through the checked
-    ``OneVertexLoopGraph.path``.
+    Public construction checks every junction.  ``param_f_k`` builds its
+    paths by ``_unchecked`` instead, because a check of their junctions
+    could not fail: its edges come from one formula whose consecutive
+    edges compose.  A finite model boundary path that was not built from a
+    path holds no edges until its ``path`` is read, and then builds them
+    through ``param_f_k``; a loop word builds its paths through the
+    checked ``OneVertexLoopGraph.path``.
     """
 
     graph: TopGraph

@@ -256,8 +256,8 @@ def test_shift_vertex_is_domain_error(odo_point):
 
 
 def _finite_boundary_paths(rng):
-    """Finite boundary paths of every length up to 6 on model, loop and
-    finite discrete graphs, each built through the validating constructor."""
+    """Finite boundary paths of every length up to 6 on model and loop
+    graphs, each built through the validating constructor."""
     out = []
     for graph in (
         ODO_POINT,
@@ -274,12 +274,6 @@ def _finite_boundary_paths(rng):
         out.append(FiniteBoundaryPath(
             FinitePath(LOOP, tuple(LOOP.edge(m) for m in labels)) if k else vertex_path(LOOP, "*")
         ))
-    # a -> b -> c with a loop at c; the source a receives no edge, so it is singular
-    g = DiscreteGraph(["a", "b", "c"], [("a", "b", "ab"), ("b", "c", "bc"), ("c", "c", "cc")])
-    ab, bc, cc = g.edges
-    for k in range(7):
-        edges = (cc,) * max(k - 2, 0) + (bc, ab)[max(2 - k, 0):]
-        out.append(FiniteBoundaryPath(FinitePath(g, edges) if k else vertex_path(g, "a")))
     return out
 
 
@@ -334,11 +328,9 @@ def test_finite_boundary_paths_copy():
     its public constructor: the copy equals the path and hashes alike, and
     the deep copy prints the same line."""
     paths = _one_path_per_kind()
-    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
     for mu in (
         paths["finite"], paths["finite"].drop(1).cons(5), paths["vertex"],
         FiniteBoundaryPath(LOOP.path((2, 1))),
-        FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges))),
     ):
         twin = copy.copy(mu)
         assert type(twin) is type(mu) and twin == mu and hash(twin) == hash(mu)
@@ -347,7 +339,7 @@ def test_finite_boundary_paths_copy():
 
 
 @pytest.mark.parametrize(
-    "kind", ["finite", "finite-shifted", "vertex", "infinite", "loop-word", "loop-finite", "discrete"]
+    "kind", ["finite", "finite-shifted", "vertex", "infinite", "loop-word", "loop-finite"]
 )
 def test_deep_copied_paths_keep_their_graph(kind):
     """A deep copy of a boundary path of any kind keeps its graph, which
@@ -355,8 +347,6 @@ def test_deep_copied_paths_keep_their_graph(kind):
     paths = _one_path_per_kind()
     paths["finite-shifted"] = paths["finite"].drop(1).cons(5)
     paths["loop-finite"] = FiniteBoundaryPath(LOOP.path((2, 1)))
-    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
-    paths["discrete"] = FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges)))
     mu = paths[kind]
     deep = copy.deepcopy(mu)
     assert deep is not mu and deep.graph is mu.graph
@@ -387,27 +377,6 @@ def test_boundary_path_method_set(kind):
     if mu.length != INFINITE:
         with pytest.raises(BoundaryError):
             mu.prefix(mu.length + 1)
-
-
-def test_cons_on_a_graph_without_numbered_edges():
-    """A JSON graph numbers no edges at a vertex, so ``cons`` has no edge to
-    prepend; it says so with a BoundaryError that names the graph."""
-    g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
-    with pytest.raises(BoundaryError, match="DiscreteGraph"):
-        FiniteBoundaryPath(vertex_path(g, "u")).cons(1)
-
-
-def test_path_to_line_refuses_a_graph_without_a_line_format():
-    """The line formats cover the model and loop graphs only, so a finite
-    path of a DiscreteGraph, with edges or without, is refused with a
-    BoundaryError naming the graph, as ``path_from_line`` refuses a FIN
-    line for it."""
-    g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
-    for path in (FinitePath(g, tuple(g.edges)), vertex_path(g, "u")):
-        with pytest.raises(BoundaryError, match="^a FIN line needs a model graph, not <DiscreteGraph"):
-            path_to_line(FiniteBoundaryPath(path))
-    with pytest.raises(BoundaryError, match="^a FIN line needs a model graph, not <DiscreteGraph"):
-        path_from_line("FIN @u", g)
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +482,11 @@ def test_h_requires_point_x(golden_two, loop_graph):
 
 
 def test_h_refuses_finite_paths_outside_the_loop_graph(odo_point):
-    """A finite path of a DiscreteGraph (string labels) or of a model
-    graph is not a loop-graph word, and h says so."""
-    discrete = DiscreteGraph(["u", "v"], [("u", "v", "e")])
-    for nu in (
-        FiniteBoundaryPath(FinitePath(discrete, tuple(discrete.edges))),
-        param_f(odo_point, ZERO_2ADIC, (2, 1), FinitePoint(0, 1)),
-    ):
-        with pytest.raises(BoundaryError, match="^not a boundary path of the loop graph: "):
-            homeo_h(odo_point, ZERO_2ADIC, nu)
+    """A finite path of a model graph is not a loop-graph word, and h says
+    so."""
+    nu = param_f(odo_point, ZERO_2ADIC, (2, 1), FinitePoint(0, 1))
+    with pytest.raises(BoundaryError, match="^not a boundary path of the loop graph: "):
+        homeo_h(odo_point, ZERO_2ADIC, nu)
 
 
 def test_h_inv_refuses_model_paths_over_a_non_point_x(loop_graph):
@@ -928,13 +893,15 @@ def test_converge_output_pinned(tmp_path, capsys, doc, digest):
 # ---------------------------------------------------------------------------
 
 
-def test_finite_boundary_requires_singular_domain():
+def test_finite_boundary_path_refuses_a_discrete_graph():
+    """Only the model and loop graphs have boundary path kinds, so a path of
+    a DiscreteGraph is refused whatever its domain: u is singular, v is
+    regular, and each is a BoundaryError naming the graph."""
     g = DiscreteGraph(["u", "v"], [("u", "v", "e")])
-    edge_path = FinitePath(g, (g.edges[0],))
-    # d = "u" is singular: allowed
-    FiniteBoundaryPath(edge_path)
-    with pytest.raises(BoundaryError):
-        FiniteBoundaryPath(vertex_path(g, "v"))  # v is regular
+    refusal = "^a boundary path needs a model graph or the loop graph, not <DiscreteGraph"
+    for path in (FinitePath(g, (g.edges[0],)), vertex_path(g, "v")):
+        with pytest.raises(BoundaryError, match=refusal):
+            FiniteBoundaryPath(path)
 
 
 def test_serialization_roundtrip(odo_point, golden_two, loop_graph):
@@ -979,12 +946,14 @@ FIN_FORM = r"^a FIN line has the form FIN \(<z>;<x>;<m>\) \.\.\. or FIN @<vertex
         ("FIN P:.0;F:0/1;1", ODO_POINT, FIN_FORM),
         ("FIN", ODO_POINT, FIN_FORM),
         ("INFW idx=1|2", ODO_POINT, r"^a INFW line needs the loop graph, not <ModelGraph"),
+        ("FIN @u", DiscreteGraph(["u"], []), r"^a FIN line needs a model graph, not <DiscreteGraph"),
     ],
 )
 def test_path_line_without_its_form_names_the_form(line, graph, message):
     """A line that lacks a documented key or a field of its kind's form is
     a BoundaryError naming the kind and the form; an INFW line on another
-    graph is refused as a FINW line is."""
+    graph is refused as a FINW line is, and a FIN line on a graph with no
+    line format as well."""
     with pytest.raises(BoundaryError, match=message):
         path_from_line(line, graph)
 
@@ -1333,33 +1302,16 @@ def _full_shift_paths(graph, rng):
     return paths + [path_from_line(path_to_line(mu), graph) for mu in paths]
 
 
-def _discrete_full_shift_paths():
-    """Paths of a finite graph whose every vertex is declared singular,
-    with domains u, v and w, and the vertex paths."""
-    g = DiscreteGraph(
-        ["u", "v", "w"],
-        [("u", "v", "a"), ("w", "v", "b"), ("v", "u", "c"), ("v", "w", "d"), ("u", "u", "e")],
-        singular_override=["u", "v", "w"],
-    )
-    edge = {e.label: e for e in g.edges}
-    words = ["a", "b", "ca", "cb", "da", "db", "e", "ec", "ae", "cae"]
-    paths = [FiniteBoundaryPath(FinitePath(g, tuple(edge[c] for c in w))) for w in words]
-    return paths + [FiniteBoundaryPath(vertex_path(g, v)) for v in g.vertices]
-
-
 @pytest.mark.parametrize(
     "make_z, make_x",
-    FREE_CONFIGS + [pytest.param(None, "loop", id="loop"), pytest.param(None, "discrete", id="discrete")],
+    FREE_CONFIGS + [pytest.param(None, "loop", id="loop")],
 )
 def test_full_shift_same_tail_matches_dropped_paths(make_z, make_x):
-    """At full shift same_tail compares domain vertices: from the last
-    edges' z and x on the model graph, and through d() on vertex paths
-    and other graphs.  It gives the verdict of comparing the two dropped
-    paths, which here are vertex paths."""
+    """At full shift same_tail compares domain vertices, from the last
+    edges' z and x on the model graph.  It gives the verdict of comparing
+    the two dropped paths, which here are vertex paths."""
     if make_x == "loop":
         paths = [FiniteBoundaryPath(LOOP.path(w)) for w in ((), (1,), (2, 3), (4, 1, 1))]
-    elif make_x == "discrete":
-        paths = _discrete_full_shift_paths()
     else:
         graph = build_model_graph(make_z(), make_x())
         paths = _full_shift_paths(graph, random.Random(f"full-shift-{graph!r}"))

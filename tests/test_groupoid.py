@@ -26,7 +26,6 @@ from groupoidlab.boundary import (
     shift_power,
 )
 from groupoidlab.graphs import (
-    DiscreteGraph,
     FinitePath,
     ModelEdge,
     OneVertexLoopGraph,
@@ -399,7 +398,7 @@ def test_principality_sample_asks_each_period_once(monkeypatch, make_graph, peri
     samples (the reduction is run on the model graph only)."""
     graph = make_graph()
     asked = []
-    for cls in (FiniteBoundaryPath, ModelPath, LoopPath):
+    for cls in (ModelPath, LoopPath):
 
         def counted(self, _original=cls.shift_period):
             asked.append(self)
@@ -711,7 +710,7 @@ def test_random_path_from_on_the_loop_graph(loop_graph):
     for force in (None, "finite", "infinite"):
         for _ in range(8):
             mu = random_path_from(loop_graph, loop_graph.vertex, rng, force)
-            assert isinstance(mu, (FiniteBoundaryPath, LoopPath))
+            assert isinstance(mu, LoopPath)
             assert force is None or (mu.length == INFINITE) == (force == "infinite")
 
 
@@ -1012,17 +1011,11 @@ def test_make_element_rejects_tails_that_differ_in_one_respect(make_graph):
 REFLEXIVE_GRAPHS = FREE_CONFIGS + [
     pytest.param(lambda: finite_cyclic(3), point_backend, id="finite-cyclic"),
     pytest.param(None, None, id="loop"),
-    pytest.param(None, DiscreteGraph, id="discrete"),
 ]
 
 
 def _reflexive_paths(make_z, make_x):
-    """Sampled finite and infinite boundary paths of one graph; for a
-    DiscreteGraph, which has no sampler, three of its finite boundary paths."""
-    if make_x is DiscreteGraph:
-        graph = DiscreteGraph(["u", "v", "w"], [("u", "v", "e"), ("v", "w", "f"), ("v", "v", "g")])
-        e, f, g = graph.edges
-        return [FiniteBoundaryPath(FinitePath(graph, word)) for word in ((f, e), (e,), (f, g, g, e))]
+    """Sampled finite and infinite boundary paths of one graph."""
     graph = OneVertexLoopGraph() if make_z is None else build_model_graph(make_z(), make_x())
     rng = random.Random(f"reflexive-{graph!r}")
     return [random_boundary_path(graph, rng, force=kind) for kind in ("finite", "infinite") * 6]
@@ -1031,7 +1024,7 @@ def _reflexive_paths(make_z, make_x):
 def _count_path_calls(monkeypatch, names):
     """Record each call of the named methods on every boundary path class."""
     calls = []
-    for cls in (FiniteBoundaryPath, ModelPath, LoopPath):
+    for cls in (ModelPath, LoopPath):
         for name in names:
 
             def counted(self, *args, _where=f"{cls.__name__}.{name}", _original=getattr(cls, name)):
@@ -1050,8 +1043,7 @@ def test_reflexive_make_element_is_the_unit(monkeypatch, make_z, make_x):
     makes no same_tail or same_edge call, and a compose whose middle
     paths are one object asks no path __eq__."""
     paths = _reflexive_paths(make_z, make_x)
-    discrete = make_x is DiscreteGraph
-    assert {mu.length == INFINITE for mu in paths} == ({False} if discrete else {True, False})
+    assert {mu.length == INFINITE for mu in paths} == {True, False}
     cases = []
     for x in paths:
         twin = copy.copy(x)
@@ -1063,11 +1055,10 @@ def test_reflexive_make_element_is_the_unit(monkeypatch, make_z, make_x):
             with pytest.raises(GroupoidError, match="undefined on a path of length"):
                 make_element(x, x.length + 1, x.length + 1, x)
     pairs = []
-    if not discrete:
-        rng = random.Random(1)
-        for x in paths:
-            g = random_element_at(x.graph, x, rng)
-            pairs += [(g, random_element_at(x.graph, g.y, rng)), (g, inverse(g)), (inverse(g), g)]
+    rng = random.Random(1)
+    for x in paths:
+        g = random_element_at(x.graph, x, rng)
+        pairs += [(g, random_element_at(x.graph, g.y, rng)), (g, inverse(g)), (inverse(g), g)]
     calls = _count_path_calls(monkeypatch, ("same_tail", "same_edge", "__eq__"))
     for x, n in cases:
         g = make_element(x, n, n, x)
@@ -1136,7 +1127,7 @@ def test_isotropy_reduction_matches_the_per_kind_rule(make_z, make_x):
     verdicts = set()
     for i in range(200):
         mu = random_boundary_path(graph, rng, force="finite" if i % 2 else "infinite")
-        if isinstance(mu, FiniteBoundaryPath) or mu.length != INFINITE:
+        if mu.length != INFINITE:
             old = True
         elif isinstance(mu, ModelPath):
             old = mu.graph.z_system.period is None

@@ -957,7 +957,7 @@ def test_path_kinds_own_their_operations():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
         and _names(node) & path_classes
     ]
-    assert len(path_classes) == 3
+    assert len(path_classes) == 2
     assert not switches, switches
 
 

@@ -2,7 +2,9 @@
 a rename in the package must fail here, not as a KeyError in a traced run."""
 
 import importlib
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from groupoidlab.graphs import OneVertexLoopGraph, build_model_graph, param_f_k
 from groupoidlab.groupoid import principality_sample
 from groupoidlab.spaces import CircleBackend, golden_rotation
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _load_tracing(monkeypatch):
@@ -52,6 +55,24 @@ def test_every_traced_name_resolves(monkeypatch):
         where = f"{mod_name}.{cls_name}" if cls_name else mod_name
         missing += [f"{where}.{attr}" for attr in attrs if not callable(names.get(attr))]
     assert not missing, missing
+
+
+def test_importing_the_cli_loads_every_traced_module(monkeypatch):
+    """``Tracer.install`` reads ``sys.modules`` for every module the spans
+    name, and a traced ``ktheory`` run has by then loaded only what
+    ``import groupoidlab.cli`` loads; a module that it stops loading must
+    fail here, not as a KeyError in a traced run.  This test process
+    imports the modules itself, so a fresh one asks."""
+    traced = {f"groupoidlab.{mod_name}" for mod_name, *_ in _load_spans(monkeypatch)}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, groupoidlab.cli; print(*sys.modules, sep='\\n')"],
+        capture_output=True, cwd=ROOT, env=env, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    missing = traced - set(run.stdout.split())
+    assert not missing, sorted(missing)
 
 
 def test_isotropy_keys_read_the_path_of_a_finite_model_path_only(monkeypatch):
